@@ -46,6 +46,13 @@ def idf(term: str, stats: CorpusStats) -> float:
     return math.log(1.0 + (stats.doc_count + 0.5) / (stats.df(term) + 0.5))
 
 
+def length_norm(doc_length: int, stats: CorpusStats, b: float = B) -> float:
+    """The document-length factor 1 - b + b * |d| / avgdl (1.0 for an empty corpus)."""
+    if stats.avg_doc_length > 0:
+        return 1.0 - b + b * doc_length / stats.avg_doc_length
+    return 1.0
+
+
 def bm25_score(
     query_terms: Sequence[str],
     doc_tokens: Sequence[str],
@@ -54,16 +61,12 @@ def bm25_score(
     b: float = B,
 ) -> float:
     """Score one document (as a token sequence) against the query terms."""
-    doc_length = len(doc_tokens)
     counts = Counter(doc_tokens)
-    if stats.avg_doc_length > 0:
-        length_norm = 1.0 - b + b * doc_length / stats.avg_doc_length
-    else:
-        length_norm = 1.0
+    norm = length_norm(len(doc_tokens), stats, b)
     score = 0.0
     for term in query_terms:
         tf = counts.get(term, 0)
         if tf == 0:
             continue
-        score += idf(term, stats) * tf * (k1 + 1.0) / (tf + k1 * length_norm)
+        score += idf(term, stats) * tf * (k1 + 1.0) / (tf + k1 * norm)
     return score

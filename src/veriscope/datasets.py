@@ -32,13 +32,16 @@ class DatasetDescriptor:
 def load_dataset(desc: DatasetDescriptor) -> list[ClaimPair]:
     """Load claims in file order; every kept record's gold label is in-scheme.
 
-    Raises FileNotFoundError for a missing file and EmptyDataset when no
-    valid record remains.  Re-loading the same file yields the same list.
+    A record repeating an earlier kept record's claim id is rejected, since
+    the id names the claim's trace file.  Raises FileNotFoundError for a
+    missing file and EmptyDataset when no valid record remains.
+    Re-loading the same file yields the same list.
     """
     path = Path(desc.path)
     if not path.exists():
         raise FileNotFoundError(f"claims file not found: {path}")
     claims: list[ClaimPair] = []
+    seen_ids: set[str] = set()
     rejected = 0
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -56,11 +59,15 @@ def load_dataset(desc: DatasetDescriptor) -> list[ClaimPair]:
                     reason = f"missing or empty {desc.claim_field!r}"
                 elif label not in desc.scheme.labels:
                     reason = f"label {label!r} not in scheme {desc.scheme.name!r}"
+                else:
+                    claim_id = str(record.get(desc.id_field) or f"{desc.name}-{lineno:05d}")
+                    if claim_id in seen_ids:
+                        reason = f"duplicate claim id {claim_id!r}"
             if reason is not None:
                 rejected += 1
                 log.warning("%s line %d rejected: %s", path.name, lineno, reason)
                 continue
-            claim_id = str(record.get(desc.id_field) or f"{desc.name}-{lineno:05d}")
+            seen_ids.add(claim_id)
             claims.append(ClaimPair(id=claim_id, text=text.strip(), gold_label=label))
     if not claims:
         raise EmptyDataset(f"{path}: no valid records ({rejected} rejected)")

@@ -2,9 +2,12 @@
 
 Documents come from JSONL files (one object per line with doc_id, title
 and body).  Only the body is indexed; web-style adapters fold titles
-into the body before they reach this layer.  The persisted layout is a
-directory of manifest.json + postings.json + docs.jsonl, written with
-sorted keys so identical corpora always produce identical bytes.
+into the body before they reach this layer.  Queries are scored
+term-at-a-time: each query term's postings add its BM25 contribution to
+a per-document accumulator, so a query touches only the postings of its
+own terms.  The persisted layout is a directory of manifest.json +
+postings.json + docs.jsonl, written with sorted keys so identical
+corpora always produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .bm25 import CorpusStats, bm25_score, tokenize
+from .bm25 import K1, CorpusStats, idf, length_norm, tokenize
 from .errors import EmptyCorpus, MalformedDocument
 
 log = logging.getLogger(__name__)
@@ -54,6 +57,9 @@ class LocalIndex:
             avg_doc_length=total_length / len(documents) if documents else 0.0,
             doc_frequencies={term: len(entry) for term, entry in postings.items()},
         )
+        self._length_norms = {
+            doc_id: length_norm(doc.length, self.stats) for doc_id, doc in documents.items()
+        }
 
     @property
     def doc_count(self) -> int:
@@ -83,30 +89,22 @@ class LocalIndex:
     def ranked(self, query_text: str) -> list[tuple[StoredDocument, float]]:
         """Full BM25 ranking of every document matching at least one query term.
 
-        Matches brute-force scoring of the whole corpus, with ties broken
-        by ascending doc_id.
+        Contributions are added per query term, in query order and with
+        bm25_score's expression, so every score equals brute-force scoring
+        of the whole corpus bit for bit.  Ties break by ascending doc_id.
         """
-        terms = tokenize(query_text)
-        candidates: set[str] = set()
-        for term in terms:
-            candidates.update(self._postings.get(term, ()))
-        scored = []
-        for doc_id in candidates:
-            doc = self._documents[doc_id]
-            tokens = self._doc_tokens(doc_id)
-            scored.append((bm25_score(terms, tokens, self.stats), doc))
-        scored.sort(key=lambda pair: (-pair[0], pair[1].doc_id))
-        return [(doc, score) for score, doc in scored]
-
-    def _doc_tokens(self, doc_id: str) -> list[str]:
-        # Reconstruct the token multiset from postings so that loaded and
-        # freshly built indexes score identically without re-tokenizing.
-        tokens: list[str] = []
-        for term, entry in self._postings.items():
-            tf = entry.get(doc_id)
-            if tf:
-                tokens.extend([term] * tf)
-        return tokens
+        norms = self._length_norms
+        scores: dict[str, float] = {}
+        for term in tokenize(query_text):
+            entry = self._postings.get(term)
+            if not entry:
+                continue
+            weight = idf(term, self.stats)
+            for doc_id, tf in entry.items():
+                contribution = weight * tf * (K1 + 1.0) / (tf + K1 * norms[doc_id])
+                scores[doc_id] = scores.get(doc_id, 0.0) + contribution
+        ranking = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+        return [(self._documents[doc_id], score) for doc_id, score in ranking]
 
     def save(self, out_dir: Path) -> None:
         out_dir = Path(out_dir)

@@ -140,17 +140,23 @@ class HashedBowEmbedder:
     Tokens come from normalize_sentence; each token is hashed with a
     stable 64-bit digest into one of `dim` buckets and counted.  Two
     token-identical texts therefore embed identically (cosine 1.0), and
-    lexical overlap translates directly into similarity.
+    lexical overlap translates directly into similarity.  Buckets are
+    memoized per token, so the memo grows with the vocabulary embedded;
+    concurrent first lookups of a token store the same value.
     """
 
     def __init__(self, dim: int = 256):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
+        self._buckets: dict[str, int] = {}
 
     def _bucket(self, token: str) -> int:
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % self.dim
+        bucket = self._buckets.get(token)
+        if bucket is None:
+            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+            bucket = self._buckets[token] = int.from_bytes(digest, "big") % self.dim
+        return bucket
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         vectors = np.zeros((len(texts), self.dim), dtype=np.float64)

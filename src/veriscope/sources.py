@@ -11,6 +11,7 @@ import logging
 import os
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
+from urllib.parse import quote_plus
 
 import requests
 
@@ -145,7 +146,12 @@ class WebSearchSource:
         try:
             response = self._session.get(self._endpoint, params=params, timeout=self._timeout)
         except requests.RequestException as exc:
-            raise SourceUnavailable(f"web search failed: {exc}") from exc
+            # The exception text can quote the request URL, key included, so
+            # the key is redacted and the chained exception is dropped.
+            message = str(exc)
+            for form in (self._api_key, quote_plus(self._api_key)):
+                message = message.replace(form, "<redacted>")
+            raise SourceUnavailable(f"web search failed: {message}") from None
         if response.status_code != 200:
             raise SourceUnavailable(f"web search HTTP {response.status_code}")
         try:

@@ -14,6 +14,23 @@ import unicodedata
 from dataclasses import dataclass
 
 
+class _PunctuationTable(dict):
+    """str.translate table deleting Unicode punctuation (categories P*).
+
+    Each code point is classified on its first lookup and cached, so a
+    character costs one dict hit after that.  Concurrent first lookups of
+    one code point store the same value, so no lock is needed.
+    """
+
+    def __missing__(self, code_point: int) -> int | None:
+        keep = not unicodedata.category(chr(code_point)).startswith("P")
+        self[code_point] = mapped = code_point if keep else None
+        return mapped
+
+
+_PUNCTUATION_TABLE = _PunctuationTable()
+
+
 def normalize_sentence(raw: str) -> str:
     """Canonical text form used for deduplication and tokenization.
 
@@ -21,8 +38,7 @@ def normalize_sentence(raw: str) -> str:
     categories (P*), and collapses internal whitespace runs to single
     spaces.  Idempotent; empty input yields empty output.
     """
-    kept = "".join(ch for ch in raw if not unicodedata.category(ch).startswith("P"))
-    return " ".join(kept.lower().split())
+    return " ".join(raw.translate(_PUNCTUATION_TABLE).lower().split())
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 import math
 import random
+import tempfile
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veriscope.bm25 import CorpusStats, bm25_score, tokenize
 from veriscope.errors import EmptyCorpus
@@ -131,3 +134,44 @@ class TestLocalIndexRanking:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
             LocalIndex.from_documents([])
+
+
+_VOCAB = ["cat", "dog", "sat", "mat", "the", "zinc"]
+_BODY_TOKENS = st.sampled_from(_VOCAB + ["!?", "...", "Cat,", "DOG."])
+_QUERY_TOKENS = st.sampled_from(_VOCAB + ["unseen", "absent", "??"])
+
+
+def exact_oracle_ranking(query, docs):
+    """Brute-force bm25_score of every document, with stats counted from the bodies."""
+    tokenized = {doc_id: tokenize(body) for doc_id, body in docs.items()}
+    df = Counter(term for tokens in tokenized.values() for term in set(tokens))
+    stats = CorpusStats(
+        doc_count=len(docs),
+        avg_doc_length=sum(len(tokens) for tokens in tokenized.values()) / len(docs),
+        doc_frequencies=df,
+    )
+    terms = tokenize(query)
+    scores = [(doc_id, bm25_score(terms, tokens, stats)) for doc_id, tokens in tokenized.items()]
+    matching = [(doc_id, score) for doc_id, score in scores if score > 0]
+    return sorted(matching, key=lambda pair: (-pair[1], pair[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bodies=st.lists(st.lists(_BODY_TOKENS, max_size=12).map(" ".join), min_size=1, max_size=12),
+    queries=st.lists(st.lists(_QUERY_TOKENS, max_size=6).map(" ".join), min_size=1, max_size=4),
+)
+def test_ranked_equals_bm25_score_exactly(bodies, queries):
+    # "punct" has no tokens; repeated and out-of-vocabulary query terms
+    # and the empty query come from the strategies.
+    docs = {f"d{i:02d}": body for i, body in enumerate(bodies)}
+    docs["punct"] = "?! ... ;"
+    index = LocalIndex.from_documents((doc_id, "", body) for doc_id, body in docs.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        index.save(tmp)
+        loaded = LocalIndex.load(tmp)
+    for query in queries + [""]:
+        expected = exact_oracle_ranking(query, docs)
+        for candidate in (index, loaded):
+            got = [(doc.doc_id, score) for doc, score in candidate.ranked(query)]
+            assert got == expected

@@ -54,6 +54,22 @@ class TestLoadDataset:
         assert caplog.text.count("rejected") == 3
         assert "line 2" in caplog.text
 
+    def test_rejects_duplicate_claim_ids(self, tmp_path, scheme, caplog):
+        path = tmp_path / "claims.jsonl"
+        lines = [
+            json.dumps({"id": "a", "claim": "Cats purr.", "label": "Supported"}),
+            json.dumps({"id": "a", "claim": "Dogs bark.", "label": "Refuted"}),
+            json.dumps({"claim": "Fish swim.", "label": "Refuted"}),
+            json.dumps({"id": "t-00003", "claim": "Birds fly.", "label": "Supported"}),
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with caplog.at_level("INFO"):
+            claims = load_dataset(DatasetDescriptor(name="t", scheme=scheme, path=path))
+        assert [(c.id, c.text) for c in claims] == [("a", "Cats purr."), ("t-00003", "Fish swim.")]
+        assert "line 2 rejected: duplicate claim id 'a'" in caplog.text
+        assert "line 4 rejected: duplicate claim id 't-00003'" in caplog.text
+        assert "(2 rejected)" in caplog.text
+
     def test_missing_file(self, tmp_path, scheme):
         with pytest.raises(FileNotFoundError):
             load_dataset(DatasetDescriptor(name="t", scheme=scheme, path=tmp_path / "no.jsonl"))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,18 @@ class TestHashedBowEmbedder:
         b = embedder.embed(["the cat sat", "dogs bark"])
         assert a.shape == (2, 64)
         assert np.array_equal(a, b)
+
+    def test_buckets_match_digest_across_calls(self):
+        embedder = HashedBowEmbedder(dim=32)
+        texts = ["cat sat cat", "sat on the mat", "cat"]
+        for _ in range(2):
+            vectors = embedder.embed(texts)
+            for row, text in enumerate(texts):
+                expected = np.zeros(32)
+                for token in text.split():
+                    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+                    expected[int.from_bytes(digest, "big") % 32] += 1.0
+                assert np.array_equal(vectors[row], expected)
 
     def test_token_identical_texts_embed_identically(self):
         embedder = HashedBowEmbedder()

@@ -200,6 +200,20 @@ class TestWebSearchSource:
         with pytest.raises(SourceUnavailable):
             source.retrieve("zinc", 2)
 
+    def test_network_error_redacts_api_key(self):
+        key = "sk/secret+key"
+        url = "https://search.example/v1?key=sk%2Fsecret%2Bkey&cx=e&q=zinc"
+        error = requests.ConnectionError(f"Max retries exceeded with url: {url} ({key})")
+        source = WebSearchSource(
+            api_key=key, engine_id="e", session=_FakeWebSession(error=error)
+        )
+        with pytest.raises(SourceUnavailable) as info:
+            source.retrieve("zinc", 2)
+        assert key not in str(info.value)
+        assert "sk%2Fsecret%2Bkey" not in str(info.value)
+        assert "<redacted>" in str(info.value)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
     def test_no_items(self):
         source = WebSearchSource(api_key="k", engine_id="e", session=_FakeWebSession({}))
         assert source.retrieve("zinc", 2) == []

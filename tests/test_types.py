@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from veriscope import types
 from veriscope.types import (
     MERGED,
     PUBMED,
@@ -45,6 +46,25 @@ class TestNormalizeSentence:
         # point, not that isupper() is false for every exotic code point.
         assert out == out.lower()
         assert not any(unicodedata.category(ch).startswith("P") for ch in out)
+
+
+def reference_normalize(raw):
+    """The per-character definition normalize_sentence must reproduce."""
+    kept = "".join(ch for ch in raw if not unicodedata.category(ch).startswith("P"))
+    return " ".join(kept.lower().split())
+
+
+def test_normalize_matches_reference_for_every_code_point():
+    try:
+        for code_point in range(0x110000):
+            ch = chr(code_point)
+            assert normalize_sentence(ch) == reference_normalize(ch), hex(code_point)
+            embedded = "A" + ch + "b"
+            assert normalize_sentence(embedded) == reference_normalize(embedded), hex(code_point)
+    finally:
+        # Every code point is now cached; drop them so later tests run with
+        # the table ordinary text would leave.
+        types._PUNCTUATION_TABLE.clear()
 
 
 class TestClaimPair:
