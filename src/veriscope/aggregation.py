@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import RankingFailed, ZeroVector
 from .selection import EmbeddingProvider, EvidenceSentence, Polarity, cosine_similarity
-from .types import SourceKind, source_order_key
+from .types import JsonRecord, SourceKind, source_order_key
 
 log = logging.getLogger(__name__)
 
@@ -30,7 +30,7 @@ _TERMINAL_PUNCTUATION = (".", "!", "?")
 
 
 @dataclass(frozen=True)
-class EvidenceBundle:
+class EvidenceBundle(JsonRecord):
     """Per-claim, per-source staged evidence sets.
 
     positive/negative are the selection outputs for the claim and its
@@ -49,30 +49,9 @@ class EvidenceBundle:
         for name in ("positive", "negative", "candidates", "final"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
-    def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "source": self.source.name,
-            "positive": [s.to_dict() for s in self.positive],
-            "negative": [s.to_dict() for s in self.negative],
-            "candidates": [s.to_dict() for s in self.candidates],
-            "final": [s.to_dict() for s in self.final],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvidenceBundle":
-        return cls(
-            claim_id=data["claim_id"],
-            source=SourceKind(data["source"]),
-            positive=tuple(EvidenceSentence.from_dict(d) for d in data["positive"]),
-            negative=tuple(EvidenceSentence.from_dict(d) for d in data["negative"]),
-            candidates=tuple(EvidenceSentence.from_dict(d) for d in data["candidates"]),
-            final=tuple(EvidenceSentence.from_dict(d) for d in data["final"]),
-        )
-
 
 @dataclass(frozen=True)
-class AggregatedEvidence:
+class AggregatedEvidence(JsonRecord):
     """The cross-source evidence union fed to the verifier, with provenance."""
 
     claim_id: str
@@ -82,27 +61,6 @@ class AggregatedEvidence:
     def __post_init__(self):
         object.__setattr__(self, "sentences", tuple(self.sentences))
         object.__setattr__(self, "per_source", dict(self.per_source))
-
-    def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "sentences": [s.to_dict() for s in self.sentences],
-            "per_source": {
-                kind.name: bundle.to_dict()
-                for kind, bundle in sorted(self.per_source.items(), key=lambda kv: source_order_key(kv[0]))
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AggregatedEvidence":
-        return cls(
-            claim_id=data["claim_id"],
-            sentences=tuple(EvidenceSentence.from_dict(d) for d in data["sentences"]),
-            per_source={
-                SourceKind(name): EvidenceBundle.from_dict(bundle)
-                for name, bundle in data["per_source"].items()
-            },
-        )
 
 
 def dedup_by_normalized(sentences: Iterable[EvidenceSentence]) -> list[EvidenceSentence]:

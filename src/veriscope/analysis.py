@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateSamples, TooFewSamples, UnknownGoldLabel, WrongArity
-from .types import MERGED, LabelScheme, SourceKind, source_order_key
+from .types import MERGED, JsonRecord, LabelScheme, SourceKind, source_order_key
 from .verdict import VeracityVerdict
 
 log = logging.getLogger(__name__)
@@ -61,7 +61,7 @@ def dispersion(confidences: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True)
-class SourceConfidenceProfile:
+class SourceConfidenceProfile(JsonRecord):
     """Per-source verdicts for one claim with their agreement summary.
 
     regime is defined only for exactly three per-source verdicts;
@@ -75,29 +75,6 @@ class SourceConfidenceProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "verdicts", dict(self.verdicts))
-
-    def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "verdicts": {
-                kind.name: verdict.to_dict()
-                for kind, verdict in sorted(self.verdicts.items(), key=lambda kv: source_order_key(kv[0]))
-            },
-            "regime": self.regime.value if self.regime else None,
-            "dispersion": self.dispersion,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SourceConfidenceProfile":
-        return cls(
-            claim_id=data["claim_id"],
-            verdicts={
-                SourceKind(name): VeracityVerdict.from_dict(v)
-                for name, v in data["verdicts"].items()
-            },
-            regime=AgreementRegime(data["regime"]) if data.get("regime") else None,
-            dispersion=data.get("dispersion"),
-        )
 
 
 def build_profile(
@@ -183,23 +160,15 @@ def kde(
 
 
 @dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(JsonRecord):
     precision: float
     recall: float
     f1: float
     support: int
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-        }
-
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(JsonRecord):
     """Accuracy plus macro precision/recall/F1 with a per-class breakdown.
 
     Macro averages run over classes that appear in the gold labels; the
@@ -212,16 +181,6 @@ class MetricsReport:
     macro_f1: float
     per_class: Mapping[str, ClassMetrics]
     total: int
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "per_class": {label: m.to_dict() for label, m in self.per_class.items()},
-            "total": self.total,
-        }
 
 
 def _safe_div(numerator: float, denominator: float) -> float:

@@ -52,6 +52,8 @@ def load_dataset(desc: DatasetDescriptor) -> list[ClaimPair]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 record, reason = None, f"invalid JSON ({exc.msg})"
+            if reason is None and not isinstance(record, dict):
+                reason = "record is not an object"
             if reason is None:
                 text = str(record.get(desc.claim_field, "") or "")
                 label = record.get(desc.label_field)

@@ -34,10 +34,6 @@ class ZeroVector(VeriscopeError, ValueError):
     """Cosine similarity is undefined for a zero-norm vector."""
 
 
-class SelectionFailed(VeriscopeError):
-    """Embedding failed while selecting sentences from one document."""
-
-
 class RankingFailed(VeriscopeError):
     """Embedding failed while ranking evidence candidates against the claim."""
 

@@ -31,7 +31,7 @@ from .errors import ConfigurationError, ProviderUnavailable, RankingFailed, Sour
 from .negation import NegationProvider, negate_claim
 from .selection import EmbeddingProvider, Polarity, select_evidence
 from .sources import KnowledgeSource
-from .types import MERGED, ClaimPair, LabelScheme, PipelineConfig, SourceKind, source_order_key
+from .types import MERGED, ClaimPair, JsonRecord, LabelScheme, PipelineConfig, SourceKind, source_order_key
 from .verdict import VeracityVerdict, VerdictProvider, abstain_verdict, predict_verdict
 
 log = logging.getLogger(__name__)
@@ -63,7 +63,7 @@ class ProviderSet:
 
 
 @dataclass
-class ClaimVerification:
+class ClaimVerification(JsonRecord):
     """Full trace of one claim through the pipeline."""
 
     claim: ClaimPair
@@ -73,57 +73,6 @@ class ClaimVerification:
     verdicts: dict[SourceKind, VeracityVerdict]
     profile: SourceConfidenceProfile
     source_errors: dict[SourceKind, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "claim": {
-                "id": self.claim.id,
-                "text": self.claim.text,
-                "negated_text": self.claim.negated_text,
-                "gold_label": self.claim.gold_label,
-            },
-            "condition": self.condition.value,
-            "bundles": {
-                kind.name: bundle.to_dict()
-                for kind, bundle in sorted(self.bundles.items(), key=lambda kv: source_order_key(kv[0]))
-            },
-            "aggregated": self.aggregated.to_dict(),
-            "verdicts": {
-                kind.name: verdict.to_dict()
-                for kind, verdict in sorted(self.verdicts.items(), key=lambda kv: source_order_key(kv[0]))
-            },
-            "profile": self.profile.to_dict(),
-            "source_errors": {
-                kind.name: message
-                for kind, message in sorted(self.source_errors.items(), key=lambda kv: source_order_key(kv[0]))
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClaimVerification":
-        claim_data = data["claim"]
-        return cls(
-            claim=ClaimPair(
-                id=claim_data["id"],
-                text=claim_data["text"],
-                negated_text=claim_data.get("negated_text"),
-                gold_label=claim_data.get("gold_label"),
-            ),
-            condition=ClaimCondition(data["condition"]),
-            bundles={
-                SourceKind(name): EvidenceBundle.from_dict(b)
-                for name, b in data["bundles"].items()
-            },
-            aggregated=AggregatedEvidence.from_dict(data["aggregated"]),
-            verdicts={
-                SourceKind(name): VeracityVerdict.from_dict(v)
-                for name, v in data["verdicts"].items()
-            },
-            profile=SourceConfidenceProfile.from_dict(data["profile"]),
-            source_errors={
-                SourceKind(name): message for name, message in data.get("source_errors", {}).items()
-            },
-        )
 
 
 def verify_claim(

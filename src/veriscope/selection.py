@@ -18,9 +18,9 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from ._http import JsonHttpClient
-from .errors import ConfigurationError, ProviderUnavailable, SelectionFailed, ZeroVector
+from .errors import ConfigurationError, ProviderUnavailable, ZeroVector
 from .sources import RetrievedDocument
-from .types import PipelineConfig, SourceKind, normalize_sentence
+from .types import JsonRecord, PipelineConfig, SourceKind, normalize_sentence
 
 log = logging.getLogger(__name__)
 
@@ -39,7 +39,7 @@ class Polarity(Enum):
 
 
 @dataclass(frozen=True)
-class EvidenceSentence:
+class EvidenceSentence(JsonRecord):
     """A candidate evidence sentence with provenance and similarity.
 
     normalized is always recomputed from text, and similarity is clamped
@@ -59,26 +59,6 @@ class EvidenceSentence:
         if sim < -1.0 - 1e-9 or sim > 1.0 + 1e-9:
             raise ValueError(f"similarity {sim} outside [-1, 1]")
         object.__setattr__(self, "similarity", min(1.0, max(-1.0, sim)))
-
-    def to_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "normalized": self.normalized,
-            "source": self.source.name,
-            "doc_id": self.doc_id,
-            "polarity": self.polarity.value,
-            "similarity": self.similarity,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvidenceSentence":
-        return cls(
-            text=data["text"],
-            source=SourceKind(data["source"]),
-            doc_id=data["doc_id"],
-            polarity=Polarity(data["polarity"]),
-            similarity=data["similarity"],
-        )
 
 
 def split_sentences(body: str) -> list[str]:
@@ -217,9 +197,9 @@ def select_evidence(
 
     Per document, all sentences are embedded alongside the query and the
     sentences_per_doc highest-similarity ones survive; ties prefer the
-    earlier sentence.  Documents whose embedding fails are skipped (as
-    SelectionFailed) while the others proceed; zero-vector sentences are
-    skipped rather than scored.
+    earlier sentence.  A document whose embedding fails is skipped with a
+    warning while the others proceed; zero-vector sentences are skipped
+    rather than scored.
     """
     selected: list[EvidenceSentence] = []
     for doc in docs[: cfg.selection_docs]:
@@ -229,8 +209,7 @@ def select_evidence(
         try:
             vectors = embedder.embed([query_text] + sentences)
         except Exception as exc:  # provider-specific failures must not kill the stage
-            failure = SelectionFailed(f"embedding failed for doc {doc.doc_id!r}: {exc}")
-            log.warning("%s", failure)
+            log.warning("embedding failed for doc %r: %s", doc.doc_id, exc)
             continue
         query_vec = vectors[0]
         scored: list[tuple[float, int, str]] = []

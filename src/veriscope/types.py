@@ -9,9 +9,16 @@ frozen dataclasses and safe to share across threads.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
+import functools
+import operator
+import types
+import typing
 import unicodedata
 from dataclasses import dataclass
+from enum import Enum
+from typing import Any, Callable, Mapping
 
 
 class _PunctuationTable(dict):
@@ -75,6 +82,80 @@ def source_order_key(kind: SourceKind) -> tuple[int, str]:
     return (_CANONICAL_RANK.get(kind.name, len(CANONICAL_SOURCES)), kind.name)
 
 
+class JsonRecord:
+    """Mixin giving a dataclass a JSON-ready dict form derived from its type hints.
+
+    to_dict writes every field, init=False ones included: a SourceKind as
+    its name, an Enum as its value, a tuple as a list, a mapping with keys
+    and values encoded alike, a nested dataclass as its own dict, and
+    str/int/float/bool/None as themselves.  Key order is left to the
+    writer, which dumps with sort_keys=True.
+
+    from_dict passes only the init fields to the constructor, so every
+    __post_init__ check applies.  A missing key takes the field's default;
+    for a field without one the constructor raises TypeError.
+    """
+
+    def to_dict(self) -> dict:
+        return _codec(type(self))[0](self)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        return _codec(cls)[1](data)
+
+
+def _same(value):
+    return value
+
+
+@functools.cache
+def _codec(hint) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
+    """(encode, decode) for one type hint, built on first use and cached."""
+    if hint is SourceKind:
+        return operator.attrgetter("name"), SourceKind
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return operator.attrgetter("value"), hint
+    if dataclasses.is_dataclass(hint):
+        return _dataclass_codec(hint)
+    if hint in (str, int, float, bool):
+        return _same, _same
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple and args[1:] == (Ellipsis,):
+        enc, dec = _codec(args[0])
+        if enc is _same:
+            return list, tuple
+        return (lambda xs: [enc(x) for x in xs]), (lambda xs: tuple(dec(x) for x in xs))
+    if origin in (dict, collections.abc.Mapping):
+        (key_enc, key_dec), (val_enc, val_dec) = map(_codec, args)
+        return (
+            lambda m: {key_enc(k): val_enc(v) for k, v in m.items()},
+            lambda m: {key_dec(k): val_dec(v) for k, v in m.items()},
+        )
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        enc, dec = _codec(args[0] if args[1] is type(None) else args[1])
+        return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
+    raise TypeError(f"no JSON codec for type hint {hint!r}")
+
+
+def _dataclass_codec(cls) -> tuple[Callable[[Any], dict], Callable[[Mapping[str, Any]], Any]]:
+    hints = typing.get_type_hints(cls)
+    codecs = {f.name: _codec(hints[f.name]) for f in dataclasses.fields(cls)}
+    encoders = [(name, None if enc is _same else enc) for name, (enc, _) in codecs.items()]
+    decoders = [(f.name, codecs[f.name][1]) for f in dataclasses.fields(cls) if f.init]
+
+    def encode(obj) -> dict:
+        data = {}
+        for name, enc in encoders:
+            value = getattr(obj, name)
+            data[name] = value if enc is None else enc(value)
+        return data
+
+    def decode(data: Mapping[str, Any]):
+        return cls(**{name: dec(data[name]) for name, dec in decoders if name in data})
+
+    return encode, decode
+
+
 @dataclass(frozen=True)
 class ClaimPair:
     """A claim sentence plus, once generated, its negated counterpart."""
@@ -100,7 +181,7 @@ class ClaimPair:
 
 
 @dataclass(frozen=True)
-class LabelScheme:
+class LabelScheme(JsonRecord):
     """Ordered verdict labels and their single-character option letters."""
 
     name: str
@@ -131,24 +212,9 @@ class LabelScheme:
     def letter_for_label(self, label: str) -> str:
         return self.option_letters[self.labels.index(label)]
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "labels": list(self.labels),
-            "option_letters": list(self.option_letters),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LabelScheme":
-        return cls(
-            name=data["name"],
-            labels=tuple(data["labels"]),
-            option_letters=tuple(data["option_letters"]),
-        )
-
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(JsonRecord):
     """Numeric knobs shared by the retrieval and evidence stages.
 
     retrieval_depth   documents fetched per source per query
@@ -172,17 +238,3 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.selection_docs > self.retrieval_depth:
             raise ValueError("selection_docs must not exceed retrieval_depth")
-
-    def to_dict(self) -> dict:
-        return {
-            "retrieval_depth": self.retrieval_depth,
-            "selection_docs": self.selection_docs,
-            "sentences_per_doc": self.sentences_per_doc,
-            "final_top_p": self.final_top_p,
-            "seed": self.seed,
-            "merge_heuristic": self.merge_heuristic,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        return cls(**data)

@@ -20,7 +20,7 @@ from ._http import JsonHttpClient
 from .aggregation import AggregatedEvidence, EvidenceBundle
 from .errors import ConfigurationError, NoValidOption, ProviderUnavailable, TemplateMissingPlaceholder
 from .selection import EvidenceSentence
-from .types import MERGED, ClaimPair, LabelScheme, SourceKind
+from .types import MERGED, ClaimPair, JsonRecord, LabelScheme, SourceKind
 
 ENV_LLM_URL = "LLM_API_URL"
 ENV_LLM_KEY = "LLM_API_KEY"
@@ -37,7 +37,7 @@ _EMPTY_EVIDENCE_BLOCK = "No evidence retrieved."
 
 
 @dataclass(frozen=True)
-class LabelLogits:
+class LabelLogits(JsonRecord):
     """Per-option scores in scheme order; always finite and complete."""
 
     scheme: LabelScheme
@@ -50,16 +50,9 @@ class LabelLogits:
         if not all(math.isfinite(x) for x in self.logits):
             raise ValueError("logits must be finite")
 
-    def to_dict(self) -> dict:
-        return {"scheme": self.scheme.to_dict(), "logits": list(self.logits)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LabelLogits":
-        return cls(LabelScheme.from_dict(data["scheme"]), tuple(data["logits"]))
-
 
 @dataclass(frozen=True)
-class VeracityVerdict:
+class VeracityVerdict(JsonRecord):
     """Predicted label with its log-softmax confidence and full logits."""
 
     claim_id: str
@@ -74,27 +67,6 @@ class VeracityVerdict:
             raise ValueError("confidence is a log-probability and cannot exceed 0")
         if not self.abstained and self.label not in self.logits.scheme.labels:
             raise ValueError(f"label {self.label!r} not in scheme {self.logits.scheme.name!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "source": self.source.name,
-            "label": self.label,
-            "confidence": self.confidence,
-            "logits": self.logits.to_dict(),
-            "abstained": self.abstained,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VeracityVerdict":
-        return cls(
-            claim_id=data["claim_id"],
-            source=SourceKind(data["source"]),
-            label=data["label"],
-            confidence=data["confidence"],
-            logits=LabelLogits.from_dict(data["logits"]),
-            abstained=data.get("abstained", False),
-        )
 
 
 class VerdictProvider(Protocol):
@@ -289,24 +261,6 @@ class RuleVerdictProvider:
             for option in scheme.option_letters
         )
         return LabelLogits(scheme, logits)
-
-
-class FixtureVerdictProvider:
-    """Fixture-backed provider: exact letter log-probabilities per prompt key.
-
-    Keys are substrings matched against the full prompt, useful for
-    pinning behavior per claim in tests.
-    """
-
-    def __init__(self, by_key: Mapping[str, Mapping[str, float]], floor: float = DEFAULT_LOGPROB_FLOOR):
-        self._by_key = {key: dict(val) for key, val in by_key.items()}
-        self._floor = floor
-
-    def choose(self, prompt: str, scheme: LabelScheme) -> LabelLogits:
-        for key, letter_logprobs in self._by_key.items():
-            if key in prompt:
-                return logits_from_letter_logprobs(scheme, letter_logprobs, self._floor)
-        raise NoValidOption("no fixture entry matched the prompt")
 
 
 class RemoteVerdictProvider:

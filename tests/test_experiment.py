@@ -46,12 +46,13 @@ class TestLoadDataset:
             json.dumps({"id": "c", "claim": "", "label": "Refuted"}),
             "not json",
             json.dumps({"id": "d", "claim": "Fish swim.", "label": "Refuted"}),
+            "[1, 2]",
         ]
         path.write_text("\n".join(lines) + "\n")
         with caplog.at_level("WARNING"):
             claims = load_dataset(DatasetDescriptor(name="t", scheme=scheme, path=path))
         assert [c.id for c in claims] == ["a", "d"]
-        assert caplog.text.count("rejected") == 3
+        assert caplog.text.count("rejected") == 4
         assert "line 2" in caplog.text
 
     def test_rejects_duplicate_claim_ids(self, tmp_path, scheme, caplog):
@@ -218,6 +219,7 @@ class TestVerifyClaim:
         result = verify_claim(claim, providers, scheme, template, cfg=MOCK_CONFIG)
         rebuilt = ClaimVerification.from_dict(json.loads(json.dumps(result.to_dict())))
         assert rebuilt.to_dict() == result.to_dict()
+        assert rebuilt == result
 
 
 def run_plan(tmp_path, providers, scheme, condition=ClaimCondition.ORIGINAL_PLUS_NEGATED,
@@ -271,6 +273,21 @@ class TestRunExperiment:
             (resumed / "traces" / name).write_bytes((full / "traces" / name).read_bytes())
         run_plan(tmp_path, providers, scheme, out_name="resumed")
         assert tree_bytes(full) == tree_bytes(resumed)
+
+    def test_resume_fills_defaults_for_missing_trace_keys(self, tmp_path, providers, scheme):
+        full = run_plan(tmp_path, providers, scheme, out_name="full")
+        resumed = tmp_path / "resumed"
+        (resumed / "traces").mkdir(parents=True)
+        # traces written before source_errors and abstained existed lack both keys
+        for path in sorted((full / "traces").glob("*.json")):
+            trace = json.loads(path.read_text())
+            del trace["source_errors"]
+            for verdicts in (trace["verdicts"], trace["profile"]["verdicts"]):
+                for verdict in verdicts.values():
+                    del verdict["abstained"]
+            (resumed / "traces" / path.name).write_text(json.dumps(trace))
+        run_plan(tmp_path, providers, scheme, out_name="resumed")
+        assert (resumed / "metrics.json").read_bytes() == (full / "metrics.json").read_bytes()
 
     def test_condition_mismatch_on_resume_aborts(self, tmp_path, providers, scheme):
         run_plan(tmp_path, providers, scheme, out_name="r", condition=ClaimCondition.ORIGINAL_ONLY)

@@ -107,6 +107,14 @@ class TestLabelScheme:
     def test_round_trip(self, scheme3):
         assert LabelScheme.from_dict(scheme3.to_dict()) == scheme3
 
+    def test_from_dict_runs_constructor_checks(self, scheme3):
+        data = scheme3.to_dict()
+        with pytest.raises(ValueError):
+            LabelScheme.from_dict({**data, "option_letters": ["A", "A", "B"]})
+        del data["option_letters"]
+        with pytest.raises(TypeError):
+            LabelScheme.from_dict(data)
+
 
 class TestPipelineConfig:
     def test_defaults_valid(self):
