@@ -5,14 +5,22 @@ retrieve per source for both the claim and its negation, select
 sentence evidence per polarity, deduplicate by symmetric difference,
 merge split segments, rank against the original claim and truncate,
 union across sources, then predict one verdict per source plus one over
-the merged evidence.  Sources are queried concurrently; a failing
-source is recorded and the rest proceed.
+the merged evidence.  A failing source is recorded and the rest proceed.
+
+Only calls that wait on the network use threads.  Retrieval from web
+search and from any source class not known to run in-process is
+submitted to a per-claim thread pool first; the local BM25 and fixture
+sources then run on the caller's thread while those requests are in
+flight.  With a remote verdict provider (or any unknown one) the four
+verdict calls of a claim overlap; the rule-based provider runs inline.
+The pool starts its threads lazily, so an all-local claim starts none.
+Selection and ranking share one batched embedding call per claim.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -29,12 +37,23 @@ from .aggregation import (
 from .analysis import SourceConfidenceProfile, build_profile
 from .errors import ConfigurationError, ProviderUnavailable, RankingFailed, SourceUnavailable
 from .negation import NegationProvider, negate_claim
-from .selection import EmbeddingProvider, Polarity, select_evidence
-from .sources import KnowledgeSource
+from .selection import EmbeddingMemo, EmbeddingProvider, Polarity, select_evidence, split_sentences
+from .sources import BiomedicalSource, FixtureSource, KnowledgeSource, LocalCorpusSource
 from .types import MERGED, ClaimPair, JsonRecord, LabelScheme, PipelineConfig, SourceKind, source_order_key
-from .verdict import VeracityVerdict, VerdictProvider, abstain_verdict, predict_verdict
+from .verdict import (
+    RuleVerdictProvider,
+    VeracityVerdict,
+    VerdictProvider,
+    abstain_verdict,
+    predict_verdict,
+)
 
 log = logging.getLogger(__name__)
+
+#: Provider classes whose calls do no I/O; they run on the caller's thread.
+#: Every other source or verdict provider is treated as waiting on the network.
+_IN_PROCESS_SOURCES = (LocalCorpusSource, BiomedicalSource, FixtureSource)
+_IN_PROCESS_VERDICTS = (RuleVerdictProvider,)
 
 
 class ClaimCondition(Enum):
@@ -75,6 +94,62 @@ class ClaimVerification(JsonRecord):
     source_errors: dict[SourceKind, str] = field(default_factory=dict)
 
 
+def _run_calls(pool, calls: dict) -> dict[object, Future]:
+    """Start every call and return key -> Future, in the order of calls.
+
+    calls maps a key to (waits_on_network, fn, *args).  Network-bound
+    calls are submitted to the pool first; the rest then run here, on the
+    caller's thread, while those requests are in flight.  An exception is
+    kept in its call's Future either way, so callers handle both alike.
+    """
+    futures: dict[object, Future] = {}
+    for key, (network, fn, *args) in calls.items():
+        if network:
+            futures[key] = pool.submit(fn, *args)
+    for key, (network, fn, *args) in calls.items():
+        if not network:
+            futures[key] = done = Future()
+            try:
+                done.set_result(fn(*args))
+            except Exception as exc:
+                done.set_exception(exc)
+    return {key: futures[key] for key in calls}
+
+
+def _claim_embedder(
+    claim: ClaimPair,
+    retrieved: dict[SourceKind, tuple[list, list]],
+    embedder: EmbeddingProvider,
+    cfg: PipelineConfig,
+    dual: bool,
+) -> EmbeddingProvider:
+    """Embed every text selection will score in one call; return the memo.
+
+    The texts are the claim, the negation (under the dual condition) and
+    every sentence of the first selection_docs documents of each source
+    and polarity.  When that one call fails it is logged and the plain
+    embedder is returned, so selection falls back to one call per
+    document with per-document failure isolation, as without the batch.
+    """
+    sentences = [
+        sentence
+        for docs_pos, docs_neg in retrieved.values()
+        for doc in docs_pos[: cfg.selection_docs] + docs_neg[: cfg.selection_docs]
+        for sentence in split_sentences(doc.body)
+    ]
+    if not sentences:
+        return embedder
+    memo = EmbeddingMemo(embedder)
+    try:
+        memo.prefetch([claim.text] + ([claim.negated_text] if dual else []) + sentences)
+    except Exception as exc:  # the per-document path below isolates the failure
+        log.warning(
+            "batched embedding failed for claim %s, embedding per document: %s", claim.id, exc
+        )
+        return embedder
+    return memo
+
+
 def verify_claim(
     claim: ClaimPair,
     providers: ProviderSet,
@@ -90,6 +165,14 @@ def verify_claim(
     positive evidence.  Per-source retrieval failures and per-verdict
     provider failures become recorded abstentions; only configuration
     errors abort.
+
+    After retrieval, the claim, its negation and the sentences of the
+    selected documents are embedded in one call, and selection and
+    ranking read that call's rows from a per-claim EmbeddingMemo; only
+    texts the call did not cover (sentences fused by merge_segments) are
+    embedded again.  If the batched call fails, it is logged and
+    selection and ranking call the embedder per document as they would
+    without it, so one bad document still only costs that document.
     """
     cfg = cfg or PipelineConfig()
     dual = condition is ClaimCondition.ORIGINAL_PLUS_NEGATED
@@ -101,20 +184,23 @@ def verify_claim(
         claim = negate_claim(claim, providers.negator)
 
     kinds = sorted(providers.sources, key=source_order_key)
-    source_errors: dict[SourceKind, str] = {}
-    retrieved: dict[SourceKind, tuple[list, list]] = {}
-    # one retrieval task per source per polarity
-    with ThreadPoolExecutor(max_workers=max(1, 2 * len(kinds))) as pool:
-        futures = {}
+    remote_verdicts = not isinstance(providers.verdicts, _IN_PROCESS_VERDICTS)
+    with ThreadPoolExecutor(max_workers=max(2 * len(kinds), len(kinds) + 1)) as pool:
+        # one retrieval call per source per polarity
+        calls = {}
         for kind in kinds:
             source = providers.sources[kind]
-            futures[(kind, Polarity.FROM_CLAIM)] = pool.submit(
-                source.retrieve, claim.text, cfg.retrieval_depth
+            network = not isinstance(source, _IN_PROCESS_SOURCES)
+            calls[(kind, Polarity.FROM_CLAIM)] = (
+                network, source.retrieve, claim.text, cfg.retrieval_depth
             )
             if dual:
-                futures[(kind, Polarity.FROM_NEGATION)] = pool.submit(
-                    source.retrieve, claim.negated_text, cfg.retrieval_depth
+                calls[(kind, Polarity.FROM_NEGATION)] = (
+                    network, source.retrieve, claim.negated_text, cfg.retrieval_depth
                 )
+        futures = _run_calls(pool, calls)
+        source_errors: dict[SourceKind, str] = {}
+        retrieved: dict[SourceKind, tuple[list, list]] = {}
         for kind in kinds:
             try:
                 docs_pos = futures[(kind, Polarity.FROM_CLAIM)].result()
@@ -127,64 +213,65 @@ def verify_claim(
                 source_errors[kind] = str(exc)
                 retrieved[kind] = ([], [])
 
-    bundles: dict[SourceKind, EvidenceBundle] = {}
-    for kind in kinds:
-        docs_pos, docs_neg = retrieved[kind]
-        positive = select_evidence(
-            claim.text, docs_pos, providers.embedder, cfg, polarity=Polarity.FROM_CLAIM
-        )
-        negative = (
-            select_evidence(
-                claim.negated_text, docs_neg, providers.embedder, cfg,
-                polarity=Polarity.FROM_NEGATION,
+        embedder = _claim_embedder(claim, retrieved, providers.embedder, cfg, dual)
+        bundles: dict[SourceKind, EvidenceBundle] = {}
+        for kind in kinds:
+            docs_pos, docs_neg = retrieved[kind]
+            positive = select_evidence(
+                claim.text, docs_pos, embedder, cfg, polarity=Polarity.FROM_CLAIM
             )
-            if dual and docs_neg
-            else []
-        )
-        candidates = dedup_by_normalized(
-            merge_segments(
-                symmetric_difference_dedup(positive, negative),
-                dangling_merge=cfg.merge_heuristic,
+            negative = (
+                select_evidence(
+                    claim.negated_text, docs_neg, embedder, cfg,
+                    polarity=Polarity.FROM_NEGATION,
+                )
+                if dual and docs_neg
+                else []
             )
-        )
-        try:
-            final = rank_and_truncate(candidates, claim.text, providers.embedder, cfg.final_top_p)
-        except RankingFailed as exc:
-            log.warning("ranking failed for claim %s source %s: %s", claim.id, kind, exc)
-            source_errors.setdefault(kind, str(exc))
-            final = []
-        bundles[kind] = EvidenceBundle(
-            claim_id=claim.id,
-            source=kind,
-            positive=tuple(positive),
-            negative=tuple(negative),
-            candidates=tuple(candidates),
-            final=tuple(final),
-        )
+            candidates = dedup_by_normalized(
+                merge_segments(
+                    symmetric_difference_dedup(positive, negative),
+                    dangling_merge=cfg.merge_heuristic,
+                )
+            )
+            try:
+                final = rank_and_truncate(candidates, claim.text, embedder, cfg.final_top_p)
+            except RankingFailed as exc:
+                log.warning("ranking failed for claim %s source %s: %s", claim.id, kind, exc)
+                source_errors.setdefault(kind, str(exc))
+                final = []
+            bundles[kind] = EvidenceBundle(
+                claim_id=claim.id,
+                source=kind,
+                positive=tuple(positive),
+                negative=tuple(negative),
+                candidates=tuple(candidates),
+                final=tuple(final),
+            )
 
-    aggregated = aggregate_sources(bundles, claim_id=claim.id)
+        aggregated = aggregate_sources(bundles, claim_id=claim.id)
+
+        calls = {
+            kind: (remote_verdicts, predict_verdict, claim, bundles[kind],
+                   providers.verdicts, scheme, template, kind)
+            for kind in kinds
+            if kind not in source_errors
+        }
+        calls[MERGED] = (remote_verdicts, predict_verdict, claim, aggregated,
+                         providers.verdicts, scheme, template, MERGED)
+        futures = _run_calls(pool, calls)
 
     verdicts: dict[SourceKind, VeracityVerdict] = {}
-    for kind in kinds:
+    for kind in kinds + [MERGED]:
         if kind in source_errors:
             verdicts[kind] = abstain_verdict(claim.id, kind, scheme)
             continue
         try:
-            verdicts[kind] = predict_verdict(
-                claim, bundles[kind], providers.verdicts, scheme, template, source=kind
-            )
+            verdicts[kind] = futures[kind].result()
         except ProviderUnavailable as exc:
             log.warning("verdict provider failed for claim %s source %s: %s", claim.id, kind, exc)
             source_errors[kind] = str(exc)
             verdicts[kind] = abstain_verdict(claim.id, kind, scheme)
-    try:
-        verdicts[MERGED] = predict_verdict(
-            claim, aggregated, providers.verdicts, scheme, template, source=MERGED
-        )
-    except ProviderUnavailable as exc:
-        log.warning("verdict provider failed for claim %s merged: %s", claim.id, exc)
-        source_errors[MERGED] = str(exc)
-        verdicts[MERGED] = abstain_verdict(claim.id, MERGED, scheme)
 
     profile = build_profile(claim.id, verdicts)
     return ClaimVerification(

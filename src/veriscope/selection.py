@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Protocol, Sequence
@@ -27,7 +28,7 @@ log = logging.getLogger(__name__)
 ENV_EMBED_URL = "EMBED_API_URL"
 ENV_EMBED_KEY = "EMBED_API_KEY"
 
-_TERMINATORS = ".!?"
+_TERMINATORS = re.compile(r"[.!?]")
 _MIN_SENTENCE_CHARS = 3
 
 
@@ -71,12 +72,11 @@ def split_sentences(body: str) -> list[str]:
     sentences: list[str] = []
     start = 0
     n = len(body)
-    for i, ch in enumerate(body):
-        if ch not in _TERMINATORS:
-            continue
+    for match in _TERMINATORS.finditer(body):
+        i = match.start()
         if i + 1 < n and not body[i + 1].isspace():
             continue
-        if ch == "." and _is_initial(body, i):
+        if body[i] == "." and _is_initial(body, i):
             continue
         segment = body[start : i + 1].strip()
         if len(segment) >= _MIN_SENTENCE_CHARS:
@@ -139,11 +139,14 @@ class HashedBowEmbedder:
         return bucket
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        vectors = np.zeros((len(texts), self.dim), dtype=np.float64)
-        for row, text in enumerate(texts):
-            for token in normalize_sentence(text).split():
-                vectors[row, self._bucket(token)] += 1.0
-        return vectors
+        # One bincount over (row * dim + bucket) counts every token of the batch.
+        cells = [
+            row * self.dim + self._bucket(token)
+            for row, text in enumerate(texts)
+            for token in normalize_sentence(text).split()
+        ]
+        counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(texts) * self.dim)
+        return counts.reshape(len(texts), self.dim).astype(np.float64)
 
 
 class FixtureEmbedder:
@@ -178,12 +181,55 @@ class RemoteEmbedder:
         self._client = client or JsonHttpClient(url, api_key or os.environ.get(ENV_EMBED_KEY))
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """One row per text, in order.
+
+        A reply whose rows differ in length, or whose row count differs
+        from len(texts), raises ProviderUnavailable: callers map rows to
+        texts by position.
+        """
         data = self._client.post({"input": list(texts)})
         try:
             vectors = data["embeddings"] if "embeddings" in data else data["data"]
-        except (KeyError, TypeError) as exc:
+            matrix = np.asarray(vectors, dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ProviderUnavailable(f"unexpected embedding payload: {exc}") from exc
-        return np.asarray(vectors, dtype=np.float64)
+        if len(matrix) != len(texts) or (len(texts) and matrix.ndim != 2):
+            raise ProviderUnavailable(
+                f"embedding reply has shape {matrix.shape} for {len(texts)} texts"
+            )
+        return matrix
+
+
+class EmbeddingMemo:
+    """An EmbeddingProvider that memoizes another one's rows by text.
+
+    embed() serves cached rows and sends only the texts not seen yet to
+    the wrapped embedder, in one call.  This is valid because every
+    embedder here maps a text to the same vector whatever else is in the
+    call.  A reply whose row count differs from the texts sent raises
+    ProviderUnavailable and caches nothing.  verify_claim builds one memo
+    per claim, so the memo's size is bounded by one claim's texts.
+    """
+
+    def __init__(self, embedder: EmbeddingProvider):
+        self._embedder = embedder
+        self._rows: dict[str, np.ndarray] = {}
+
+    def prefetch(self, texts: Sequence[str]) -> None:
+        """Embed, in one call, the texts not cached yet."""
+        missing = [text for text in dict.fromkeys(texts) if text not in self._rows]
+        if not missing:
+            return
+        vectors = np.asarray(self._embedder.embed(missing), dtype=np.float64)
+        if vectors.ndim != 2 or len(vectors) != len(missing):
+            raise ProviderUnavailable(
+                f"embedder returned shape {vectors.shape} for {len(missing)} texts"
+            )
+        self._rows.update(zip(missing, vectors))
+
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        self.prefetch(texts)
+        return np.stack([self._rows[text] for text in texts])
 
 
 def select_evidence(
@@ -200,6 +246,13 @@ def select_evidence(
     earlier sentence.  A document whose embedding fails is skipped with a
     warning while the others proceed; zero-vector sentences are skipped
     rather than scored.
+
+    verify_claim embeds the claim, its negation and every sentence of the
+    selected documents in one batched call and passes an EmbeddingMemo
+    here, so the per-document calls below are served from memory.  When
+    that batched call fails, verify_claim logs it and passes the plain
+    embedder instead: one call per document, and a failing document is
+    skipped on its own.
     """
     selected: list[EvidenceSentence] = []
     for doc in docs[: cfg.selection_docs]:

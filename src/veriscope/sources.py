@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 from urllib.parse import quote_plus
 
+import numpy as np
 import requests
 
-from .errors import ConfigurationError, SourceUnavailable, ZeroVector
+from .errors import ConfigurationError, ProviderUnavailable, SourceUnavailable
 from .index import LocalIndex
 from .types import ClaimPair, PipelineConfig, SourceKind, WEB
 
@@ -73,12 +74,19 @@ class BiomedicalSource:
     reciprocal-rank fusion of the lexical and cosine-similarity orders:
     fused(d) = 1/(60 + lexical_rank) + 1/(60 + dense_rank).  Candidate
     generation stays lexical, so fusion reorders but never adds documents.
+
+    Each candidate's vector and norm are cached by doc_id the first time
+    it is fused; the index is read-only, so they never go stale.  A query
+    embeds itself plus only the candidates not cached yet.  The cache
+    grows to at most docs x dim x 8 bytes (200 docs at 256 dimensions:
+    400 KB).  An embedder failure raises SourceUnavailable.
     """
 
     def __init__(self, kind: SourceKind, index: LocalIndex, embedder=None):
         self.kind = kind
         self._index = index
         self._embedder = embedder
+        self._doc_vectors: dict[str, tuple[np.ndarray, float]] = {}
 
     def retrieve(self, query_text: str, k: int) -> list[RetrievedDocument]:
         ranked = self._index.ranked(query_text)
@@ -90,19 +98,37 @@ class BiomedicalSource:
         ]
 
     def _fuse(self, query_text, ranked):
-        from .selection import cosine_similarity
-
         docs = [doc for doc, _ in ranked]
-        vectors = self._embedder.embed([query_text] + [doc.body for doc in docs])
+        cache = self._doc_vectors
+        missing = [doc for doc in docs if doc.doc_id not in cache]
+        try:
+            vectors = np.asarray(
+                self._embedder.embed([query_text] + [doc.body for doc in missing]),
+                dtype=np.float64,
+            )
+        except ProviderUnavailable as exc:
+            raise SourceUnavailable(f"dense fusion embedding failed: {exc}") from exc
+        if vectors.ndim != 2 or len(vectors) != len(missing) + 1:
+            raise SourceUnavailable(
+                f"dense fusion embedding returned shape {vectors.shape} "
+                f"for {len(missing) + 1} texts"
+            )
+        for doc, vec in zip(missing, vectors[1:]):
+            cache[doc.doc_id] = (vec, float(np.linalg.norm(vec)))
         query_vec = vectors[0]
-        dense_scores = []
-        for doc, vec in zip(docs, vectors[1:]):
-            try:
-                sim = cosine_similarity(query_vec, vec)
-            except ZeroVector:
-                sim = -1.0
-            dense_scores.append((sim, doc.doc_id))
-        dense_order = sorted(dense_scores, key=lambda pair: (-pair[0], pair[1]))
+        query_norm = float(np.linalg.norm(query_vec))
+        matrix = np.stack([cache[doc.doc_id][0] for doc in docs])
+        doc_norms = np.array([cache[doc.doc_id][1] for doc in docs])
+        # cosine_similarity's expression, one row per document; a zero norm scores -1.0.
+        # The product sums in another order than np.dot per row: for non-integer
+        # vectors a similarity can differ in its last bit, so only documents whose
+        # similarities lie within rounding of each other could swap dense ranks.
+        # Integer-valued embeddings (counts) give identical values.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sims = np.dot(matrix, query_vec) / (query_norm * doc_norms)
+        sims[(doc_norms == 0.0) | (query_norm == 0.0)] = -1.0
+        dense_order = sorted(zip(sims.tolist(), (doc.doc_id for doc in docs)),
+                             key=lambda pair: (-pair[0], pair[1]))
         dense_rank = {doc_id: pos for pos, (_, doc_id) in enumerate(dense_order, start=1)}
         fused = []
         for lexical_rank, doc in enumerate(docs, start=1):

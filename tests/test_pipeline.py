@@ -1,0 +1,194 @@
+import json
+import threading
+
+import pytest
+
+from veriscope.assets import fixture_path, load_prompt, load_scheme
+from veriscope.errors import ProviderUnavailable
+from veriscope.datasets import DatasetDescriptor
+from veriscope.experiment import ExperimentPlan, run_experiment
+from veriscope.index import build_local_index
+from veriscope.mock import MOCK_CONFIG, mock_claims_path, mock_provider_set
+from veriscope.pipeline import ClaimCondition, ProviderSet, verify_claim
+from veriscope.sources import BiomedicalSource, LocalCorpusSource
+from veriscope.types import CANONICAL_SOURCES, MERGED, PUBMED, WEB, ClaimPair
+
+
+@pytest.fixture(scope="module")
+def mock():
+    return mock_provider_set()
+
+
+@pytest.fixture(scope="module")
+def scheme():
+    return load_scheme("scifact")
+
+
+@pytest.fixture(scope="module")
+def template():
+    return load_prompt("verdict")
+
+
+@pytest.fixture(scope="module")
+def claim():
+    record = json.loads(mock_claims_path().read_text(encoding="utf-8").splitlines()[0])
+    return ClaimPair(id=record["id"], text=record["claim"], gold_label=record["label"])
+
+
+def with_providers(base, **changes):
+    fields = {
+        "sources": base.sources,
+        "embedder": base.embedder,
+        "verdicts": base.verdicts,
+        "negator": base.negator,
+    }
+    fields.update(changes)
+    return ProviderSet(**fields)
+
+
+class CountingEmbedder:
+    """Records every call; fails any call with more than max_texts texts."""
+
+    def __init__(self, inner, max_texts=None):
+        self.inner = inner
+        self.max_texts = max_texts
+        self.calls = []
+        self.failures = 0
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        if self.max_texts is not None and len(texts) > self.max_texts:
+            self.failures += 1
+            raise ProviderUnavailable(f"{len(texts)} texts exceed {self.max_texts}")
+        return self.inner.embed(texts)
+
+
+class TestEmbeddingPass:
+    def test_fixture_claim_embeds_once(self, mock, claim, scheme, template):
+        counting = CountingEmbedder(mock.embedder)
+        result = verify_claim(
+            claim, with_providers(mock, embedder=counting), scheme, template, MOCK_CONFIG
+        )
+        assert len(counting.calls) == 1
+        batch = counting.calls[0]
+        assert batch[:2] == [result.claim.text, result.claim.negated_text]
+        assert len(batch) == len(set(batch))
+        assert result == verify_claim(claim, mock, scheme, template, MOCK_CONFIG)
+
+    def test_failed_batch_falls_back_to_per_document_calls(
+        self, mock, claim, scheme, template, caplog
+    ):
+        healthy = verify_claim(claim, mock, scheme, template, MOCK_CONFIG)
+        limited = CountingEmbedder(mock.embedder, max_texts=10)
+        with caplog.at_level("WARNING"):
+            result = verify_claim(
+                claim, with_providers(mock, embedder=limited), scheme, template, MOCK_CONFIG
+            )
+        assert limited.failures == 1
+        assert len(limited.calls[0]) > 10
+        assert len(limited.calls) > 2
+        assert "batched embedding failed" in caplog.text
+        assert result == healthy
+        assert result.source_errors == {}
+
+
+class BarrierVerdicts:
+    """A verdict provider of a class the pipeline does not know: treated as remote.
+
+    Every choose() waits until four calls are inside it at once, so the
+    run completes only if the four verdict calls of a claim overlap.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.barrier = threading.Barrier(4, timeout=5)
+        self.threads = set()
+
+    def choose(self, prompt, scheme):
+        self.threads.add(threading.get_ident())
+        self.barrier.wait()
+        return self.inner.choose(prompt, scheme)
+
+
+class RecordingLocalSource(LocalCorpusSource):
+    def __init__(self, source):
+        super().__init__(source.kind, source._index)
+        self.threads = []
+
+    def retrieve(self, query_text, k):
+        self.threads.append(threading.get_ident())
+        return super().retrieve(query_text, k)
+
+
+class RecordingRemoteSource:
+    """A source of a class the pipeline does not know: treated as remote."""
+
+    def __init__(self, source):
+        self.kind = source.kind
+        self._source = source
+        self.threads = []
+
+    def retrieve(self, query_text, k):
+        self.threads.append(threading.get_ident())
+        return self._source.retrieve(query_text, k)
+
+
+class TestThreads:
+    def test_remote_verdict_calls_overlap(self, mock, claim, scheme, template):
+        verdicts = BarrierVerdicts(mock.verdicts)
+        result = verify_claim(
+            claim, with_providers(mock, verdicts=verdicts), scheme, template, MOCK_CONFIG
+        )
+        assert len(verdicts.threads) == 4
+        assert threading.get_ident() not in verdicts.threads
+        assert result == verify_claim(claim, mock, scheme, template, MOCK_CONFIG)
+
+    def test_local_sources_run_on_the_callers_thread(self, mock, claim, scheme, template):
+        sources = dict(mock.sources)
+        local = sources[PUBMED] = RecordingLocalSource(mock.sources[PUBMED])
+        remote = sources[WEB] = RecordingRemoteSource(mock.sources[WEB])
+        result = verify_claim(
+            claim, with_providers(mock, sources=sources), scheme, template, MOCK_CONFIG
+        )
+        caller = threading.get_ident()
+        assert local.threads == [caller, caller]
+        assert len(remote.threads) == 2 and caller not in remote.threads
+        assert result == verify_claim(claim, mock, scheme, template, MOCK_CONFIG)
+
+
+class FailingEmbedder:
+    def embed(self, texts):
+        raise ProviderUnavailable("embedding endpoint down")
+
+
+class TestFusionOutage:
+    @pytest.fixture(scope="class")
+    def providers(self, mock):
+        index = build_local_index(fixture_path("corpus_pubmed.jsonl"))
+        sources = dict(mock.sources)
+        sources[PUBMED] = BiomedicalSource(PUBMED, index, embedder=FailingEmbedder())
+        return with_providers(mock, sources=sources)
+
+    def test_verify_claim_records_the_source_and_abstains(
+        self, providers, claim, scheme, template
+    ):
+        result = verify_claim(claim, providers, scheme, template, MOCK_CONFIG)
+        assert set(result.source_errors) == {PUBMED}
+        assert "embedding endpoint down" in result.source_errors[PUBMED]
+        assert result.verdicts[PUBMED].abstained
+        assert not result.verdicts[MERGED].abstained
+        assert result.bundles[PUBMED].final == ()
+
+    def test_run_experiment_completes(self, providers, scheme, tmp_path):
+        plan = ExperimentPlan(
+            dataset=DatasetDescriptor(name="fixture", scheme=scheme, path=mock_claims_path()),
+            sources=CANONICAL_SOURCES,
+            condition=ClaimCondition.ORIGINAL_PLUS_NEGATED,
+            cfg=MOCK_CONFIG,
+        )
+        run_dir = run_experiment(plan, providers, tmp_path / "run", max_workers=2)
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        assert metrics["abstentions"]["pubmed"] == 5
+        assert metrics["abstentions"]["wikipedia"] == 0
+        for path in sorted((run_dir / "traces").glob("*.json")):
+            assert set(json.loads(path.read_text())["source_errors"]) == {"pubmed"}

@@ -2,10 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_doc
 from veriscope.errors import ProviderUnavailable, ZeroVector
 from veriscope.selection import (
+    EmbeddingMemo,
     EvidenceSentence,
     FixtureEmbedder,
     HashedBowEmbedder,
@@ -15,6 +18,42 @@ from veriscope.selection import (
     split_sentences,
 )
 from veriscope.types import PUBMED, PipelineConfig, normalize_sentence
+
+
+def loop_split_sentences(body):
+    """split_sentences as a scan over every character, its earlier form."""
+    sentences, start, n = [], 0, len(body)
+    for i, ch in enumerate(body):
+        if ch not in ".!?":
+            continue
+        if i + 1 < n and not body[i + 1].isspace():
+            continue
+        if ch == "." and i > 0 and body[i - 1].isalpha() and body[i - 1].isupper():
+            if i < 2 or not body[i - 2].isalnum():
+                continue
+        segment = body[start : i + 1].strip()
+        if len(segment) >= 3:
+            sentences.append(segment)
+        start = i + 1
+    tail = body[start:].strip()
+    if len(tail) >= 3:
+        sentences.append(tail)
+    return sentences
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    body=st.one_of(
+        st.text(max_size=60),
+        st.lists(
+            st.sampled_from(["J.", "Dr.", "cats", "sleep.", "Why?", "no!", ".", "!?", " ", "\n",
+                             "\u2003", "\x1c", "A.B.", "e.g.", "3.5", "x"]),
+            max_size=20,
+        ).map("".join),
+    )
+)
+def test_split_sentences_equals_character_scan(body):
+    assert split_sentences(body) == loop_split_sentences(body)
 
 
 class TestSplitSentences:
@@ -103,6 +142,70 @@ class TestHashedBowEmbedder:
         assert embedder.embed(["..."])[0].sum() == 0.0
 
 
+def loop_embed(texts, dim):
+    """The per-token accumulation HashedBowEmbedder.embed replaced."""
+    vectors = np.zeros((len(texts), dim), dtype=np.float64)
+    for row, text in enumerate(texts):
+        for token in normalize_sentence(text).split():
+            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+            vectors[row, int.from_bytes(digest, "big") % dim] += 1.0
+    return vectors
+
+
+_EMBED_TEXTS = st.one_of(
+    st.text(max_size=40),
+    st.lists(
+        st.sampled_from(["cat", "Cat,", "dog", "the", "...", "?!", "", "ß", "é"]), max_size=15
+    ).map(" ".join),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(texts=st.lists(_EMBED_TEXTS, max_size=8), dim=st.sampled_from([1, 7, 256]))
+def test_bincount_embedding_equals_per_token_loop(texts, dim):
+    texts = texts + ["", "?! ... ;", "cat cat cat"]
+    got = HashedBowEmbedder(dim=dim).embed(texts)
+    assert got.dtype == np.float64
+    assert got.shape == (len(texts), dim)
+    assert (got == loop_embed(texts, dim)).all()
+    assert HashedBowEmbedder(dim=dim).embed([]).shape == (0, dim)
+
+
+class _CountingEmbedder:
+    def __init__(self, rows=None):
+        self._inner = HashedBowEmbedder(dim=16)
+        self.calls = []
+        self.rows = rows
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        vectors = self._inner.embed(texts)
+        return vectors if self.rows is None else vectors[: self.rows]
+
+
+class TestEmbeddingMemo:
+    def test_serves_cached_rows_and_embeds_only_misses(self):
+        inner = _CountingEmbedder()
+        memo = EmbeddingMemo(inner)
+        memo.prefetch(["cats sleep", "dogs bark", "cats sleep"])
+        assert inner.calls == [["cats sleep", "dogs bark"]]
+        texts = ["dogs bark", "birds sing", "cats sleep", "birds sing"]
+        got = memo.embed(texts)
+        assert inner.calls[1] == ["birds sing"]
+        assert (got == HashedBowEmbedder(dim=16).embed(texts)).all()
+        memo.embed(["cats sleep"])
+        assert len(inner.calls) == 2
+
+    def test_short_reply_raises_and_caches_nothing(self):
+        inner = _CountingEmbedder(rows=1)
+        memo = EmbeddingMemo(inner)
+        with pytest.raises(ProviderUnavailable):
+            memo.prefetch(["cats sleep", "dogs bark"])
+        inner.rows = None
+        memo.embed(["cats sleep"])
+        assert inner.calls[-1] == ["cats sleep"]
+
+
 class TestEvidenceSentence:
     def test_normalized_always_recomputed(self):
         sentence = EvidenceSentence(
@@ -163,6 +266,25 @@ class TestRemoteEmbedder:
         vectors = embedder.embed(["a", "b"])
         assert vectors.shape == (2, 2)
         assert session.payloads[0] == {"input": ["a", "b"]}
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [[1.0, 2.0]],
+            [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+            [[1.0, 2.0], [3.0]],
+            [1.0, 2.0],
+            [[1.0, 2.0], ["x", 4.0]],
+        ],
+        ids=["short", "long", "ragged", "flat", "non-numeric"],
+    )
+    def test_reply_not_one_row_per_text_raises(self, vectors):
+        from veriscope.selection import RemoteEmbedder
+
+        client, _ = self._client({"embeddings": vectors})
+        embedder = RemoteEmbedder(url="http://fake/embed", client=client)
+        with pytest.raises(ProviderUnavailable):
+            embedder.embed(["a", "b"])
 
     def test_bad_payload_raises(self):
         from veriscope.selection import RemoteEmbedder

@@ -1,10 +1,16 @@
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_doc
-from veriscope.errors import ConfigurationError, SourceUnavailable
+from veriscope.errors import ConfigurationError, ProviderUnavailable, SourceUnavailable, ZeroVector
 from veriscope.index import LocalIndex
-from veriscope.selection import HashedBowEmbedder
+from veriscope.selection import HashedBowEmbedder, cosine_similarity
 from veriscope.sources import (
     BiomedicalSource,
     FixtureSource,
@@ -136,6 +142,130 @@ class TestBiomedicalSourceFusion:
             assert [d.doc_id for d in source.retrieve("zinc deficiency", k)] == [
                 d.doc_id for d in full[:k]
             ]
+
+
+class _RecordingEmbedder:
+    """HashedBowEmbedder that records each call and zeroes texts containing "zz"."""
+
+    def __init__(self, dim=32):
+        self._inner = HashedBowEmbedder(dim=dim)
+        self.calls = []
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        vectors = self._inner.embed(texts)
+        for row, text in enumerate(texts):
+            if "zz" in text.split():
+                vectors[row] = 0.0
+        return vectors
+
+
+def reference_fusion(index, embedder, query):
+    """Fused order and scores from per-document cosine_similarity, no cache."""
+    lexical = [doc for doc, _ in index.ranked(query)]
+    vectors = embedder.embed([query] + [doc.body for doc in lexical])
+    sims = {}
+    for doc, vec in zip(lexical, vectors[1:]):
+        try:
+            sims[doc.doc_id] = cosine_similarity(vectors[0], vec)
+        except ZeroVector:
+            sims[doc.doc_id] = -1.0
+    dense = sorted(sims, key=lambda doc_id: (-sims[doc_id], doc_id))
+    scores = {
+        doc.doc_id: 1.0 / (60 + pos) + 1.0 / (60 + dense.index(doc.doc_id) + 1)
+        for pos, doc in enumerate(lexical, start=1)
+    }
+    return sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
+
+
+def zipf_corpus(seed, docs, vocab=40):
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(vocab)] + ["zz"]
+    weights = [1.0 / rank for rank in range(1, len(words) + 1)]
+    return {
+        f"d{i:03d}": " ".join(rng.choices(words, weights, k=rng.randint(0, 12)))
+        for i in range(docs)
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), docs=st.integers(2, 40), queries=st.integers(1, 4))
+def test_cached_fusion_equals_per_document_reference(seed, docs, queries):
+    corpus = zipf_corpus(seed, docs)
+    index = LocalIndex.from_documents((doc_id, "", body) for doc_id, body in corpus.items())
+    rng = random.Random(seed + 1)
+    asked = [" ".join(rng.choice(list(corpus.values())).split()[:4]) for _ in range(queries)]
+    fused = [query for query in asked if len(index.ranked(query)) > 1]
+    embedder = _RecordingEmbedder()
+    source = BiomedicalSource(PUBMED, index, embedder=embedder)
+    for query in fused + fused:
+        got = [(doc.doc_id, doc.score) for doc in source.retrieve(query, docs)]
+        assert got == reference_fusion(index, _RecordingEmbedder(), query)
+    # each candidate's body reached the embedder once, however often it was fused
+    candidates = {doc.doc_id for query in fused for doc, _ in index.ranked(query)}
+    assert sum(len(call) - 1 for call in embedder.calls) == len(candidates)
+    for query in fused:
+        embedder.calls.clear()
+        source.retrieve(query, docs)
+        assert embedder.calls == [[query]]
+
+
+def test_shared_cache_under_concurrent_queries():
+    # run_experiment's workers share one source; fills race on the cache.
+    corpus = zipf_corpus(7, 120)
+    index = LocalIndex.from_documents((doc_id, "", body) for doc_id, body in corpus.items())
+    bodies = [body for body in corpus.values() if body]
+    queries = [" ".join(body.split()[:3]) for body in bodies[:48]]
+    expected = {query: reference_fusion(index, _RecordingEmbedder(), query) for query in queries}
+    source = BiomedicalSource(PUBMED, index, embedder=_RecordingEmbedder())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda q: source.retrieve(q, len(corpus)), queries * 2, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for query, docs in zip(queries * 2, got):
+        if len(index.ranked(query)) > 1:
+            assert [(doc.doc_id, doc.score) for doc in docs] == expected[query]
+
+
+class TestBiomedicalSourceCache:
+    def test_vectors_fill_lazily(self):
+        embedder = _RecordingEmbedder()
+        index = LocalIndex.from_documents(
+            [("a", "", "zinc therapy"), ("b", "", "zinc trial"), ("c", "", "copper")]
+        )
+        source = BiomedicalSource(PUBMED, index, embedder=embedder)
+        assert embedder.calls == []
+        source.retrieve("zinc", 2)
+        assert embedder.calls == [["zinc", "zinc therapy", "zinc trial"]]
+        source.retrieve("zinc copper", 3)
+        assert embedder.calls[1] == ["zinc copper", "copper"]
+
+    @pytest.mark.parametrize("reply", ["outage", "short"])
+    def test_embedder_failure_is_a_source_outage(self, reply):
+        class Broken:
+            def embed(self, texts):
+                if reply == "outage":
+                    raise ProviderUnavailable("embedding endpoint down")
+                return HashedBowEmbedder(dim=8).embed(texts[:-1])
+
+        index = LocalIndex.from_documents([("a", "", "zinc therapy"), ("b", "", "zinc trial")])
+        source = BiomedicalSource(PUBMED, index, embedder=Broken())
+        with pytest.raises(SourceUnavailable, match="dense fusion embedding"):
+            source.retrieve("zinc", 2)
+
+    def test_zero_vectors_score_minus_one(self):
+        index = LocalIndex.from_documents(
+            [("a", "", "zinc zz"), ("b", "", "zinc trial"), ("c", "", "zinc")]
+        )
+        source = BiomedicalSource(PUBMED, index, embedder=_RecordingEmbedder())
+        expected = reference_fusion(index, _RecordingEmbedder(), "zinc")
+        assert [(d.doc_id, d.score) for d in source.retrieve("zinc", 3)] == expected
+        zeroed = BiomedicalSource(PUBMED, index, embedder=_RecordingEmbedder())
+        expected = reference_fusion(index, _RecordingEmbedder(), "zinc zz")
+        assert [(d.doc_id, d.score) for d in zeroed.retrieve("zinc zz", 3)] == expected
 
 
 class _FakeWebSession:
