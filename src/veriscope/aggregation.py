@@ -17,10 +17,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .errors import RankingFailed, ZeroVector
-from .selection import EmbeddingProvider, EvidenceSentence, Polarity, cosine_similarity
+from .errors import RankingFailed
+from .selection import (
+    EmbeddingProvider,
+    EvidenceSentence,
+    Polarity,
+    cosines_to_first,
+    embed_with_norms,
+)
 from .types import JsonRecord, SourceKind, source_order_key
 
 log = logging.getLogger(__name__)
@@ -163,17 +167,14 @@ def rank_and_truncate(
     if not candidates:
         return []
     try:
-        vectors = embedder.embed([claim_text] + [c.text for c in candidates])
+        vectors, norms = embed_with_norms(embedder, [claim_text] + [c.text for c in candidates])
     except Exception as exc:
         raise RankingFailed(f"embedding failed while ranking: {exc}") from exc
-    claim_vec = vectors[0]
+    if norms[0] == 0.0:
+        raise RankingFailed("claim embedded to a zero vector")
     rescored: list[tuple[float, int, int, EvidenceSentence]] = []
-    for position, (candidate, vector) in enumerate(zip(candidates, vectors[1:])):
-        try:
-            sim = cosine_similarity(claim_vec, vector)
-        except ZeroVector as exc:
-            if position == 0 and _norm_is_zero(claim_vec):
-                raise RankingFailed("claim embedded to a zero vector") from exc
+    for position, (candidate, sim) in enumerate(zip(candidates, cosines_to_first(vectors, norms))):
+        if sim is None:
             continue
         polarity_rank = 0 if candidate.polarity is Polarity.FROM_CLAIM else 1
         rescored.append((sim, polarity_rank, position, candidate))
@@ -182,10 +183,6 @@ def rank_and_truncate(
         dataclasses.replace(candidate, similarity=sim)
         for sim, _, _, candidate in rescored[:p]
     ]
-
-
-def _norm_is_zero(vector) -> bool:
-    return float(np.linalg.norm(np.asarray(vector, dtype=np.float64))) == 0.0
 
 
 def aggregate_sources(

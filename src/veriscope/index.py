@@ -2,12 +2,18 @@
 
 Documents come from JSONL files (one object per line with doc_id, title
 and body).  Only the body is indexed; web-style adapters fold titles
-into the body before they reach this layer.  Queries are scored
-term-at-a-time: each query term's postings add its BM25 contribution to
-a per-document accumulator, so a query touches only the postings of its
-own terms.  The persisted layout is a directory of manifest.json +
-postings.json + docs.jsonl, written with sorted keys so identical
-corpora always produce identical bytes.
+into the body before they reach this layer.
+
+Queries are scored term-at-a-time from precomputed impacts (Anh & Moffat
+2006): a (term, doc) posting's BM25 contribution never changes, so each
+term keeps an array of document positions and an array of contributions,
+and a query is one array addition per query term.  The arrays are built
+the first time a query uses the term, so building and loading an index
+do no per-posting work beyond reading the postings.
+
+The persisted layout is a directory of manifest.json + postings.json +
+docs.jsonl, written with sorted keys so identical corpora always produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -16,8 +22,11 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .bm25 import K1, CorpusStats, idf, length_norm, tokenize
 from .errors import EmptyCorpus, MalformedDocument
@@ -40,7 +49,12 @@ class StoredDocument:
 
 
 class LocalIndex:
-    """Read-only after construction; safe for concurrent retrieval."""
+    """Read-only after construction; safe for concurrent retrieval.
+
+    The scoring arrays are filled on first use.  Threads that race on a
+    first use compute the same values, and whichever store lands last
+    replaces an equal one.
+    """
 
     def __init__(
         self,
@@ -57,9 +71,7 @@ class LocalIndex:
             avg_doc_length=total_length / len(documents) if documents else 0.0,
             doc_frequencies={term: len(entry) for term, entry in postings.items()},
         )
-        self._length_norms = {
-            doc_id: length_norm(doc.length, self.stats) for doc_id, doc in documents.items()
-        }
+        self._impacts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def doc_count(self) -> int:
@@ -86,25 +98,61 @@ class LocalIndex:
             raise EmptyCorpus("no valid documents to index")
         return cls(documents, postings, skipped=skipped)
 
-    def ranked(self, query_text: str) -> list[tuple[StoredDocument, float]]:
-        """Full BM25 ranking of every document matching at least one query term.
+    @cached_property
+    def _by_position(self) -> list[StoredDocument]:
+        return [self._documents[doc_id] for doc_id in sorted(self._documents)]
 
-        Contributions are added per query term, in query order and with
-        bm25_score's expression, so every score equals brute-force scoring
-        of the whole corpus bit for bit.  Ties break by ascending doc_id.
-        """
-        norms = self._length_norms
-        scores: dict[str, float] = {}
-        for term in tokenize(query_text):
+    @cached_property
+    def positions(self) -> Mapping[str, int]:
+        """Each doc_id's position in ascending doc_id order: the scoring arrays' row order."""
+        return {doc.doc_id: position for position, doc in enumerate(self._by_position)}
+
+    @cached_property
+    def _length_norms(self) -> np.ndarray:
+        return np.array([length_norm(doc.length, self.stats) for doc in self._by_position])
+
+    def _term_impacts(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """(positions, contributions) of the term's postings; None for an unindexed term."""
+        impacts = self._impacts.get(term)
+        if impacts is None:
             entry = self._postings.get(term)
             if not entry:
-                continue
-            weight = idf(term, self.stats)
-            for doc_id, tf in entry.items():
-                contribution = weight * tf * (K1 + 1.0) / (tf + K1 * norms[doc_id])
-                scores[doc_id] = scores.get(doc_id, 0.0) + contribution
-        ranking = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-        return [(self._documents[doc_id], score) for doc_id, score in ranking]
+                return None
+            positions = self.positions
+            rows = np.fromiter((positions[doc_id] for doc_id in entry), np.intp, len(entry))
+            tf = np.fromiter(entry.values(), np.float64, len(entry))
+            # bm25_score's expression, evaluated element-wise in the same order.
+            contributions = (
+                idf(term, self.stats) * tf * (K1 + 1.0) / (tf + K1 * self._length_norms[rows])
+            )
+            impacts = self._impacts[term] = (rows, contributions)
+        return impacts
+
+    def ranked(self, query_text: str, k: int | None = None) -> list[tuple[StoredDocument, float]]:
+        """BM25 ranking of the documents matching at least one query term, top k first.
+
+        Each query term adds its postings' precomputed contributions to a
+        per-document accumulator, in query order and with repeats.  The
+        contributions use bm25_score's expression and are summed in the
+        same order from 0.0, so every score equals brute-force scoring of
+        the whole corpus bit for bit.  Every contribution is positive, so
+        the matching documents are the accumulator's nonzero entries.
+
+        Documents are ordered by (-score, doc_id): accumulator rows are in
+        doc_id order and the sort on score is stable.  That order is
+        total, so ranked(q, k) == ranked(q)[:k]; with k, only the top k
+        result tuples are built.  k=None returns every matching document.
+        """
+        scores = np.zeros(self.stats.doc_count)
+        for term in tokenize(query_text):
+            impacts = self._term_impacts(term)
+            if impacts is not None:
+                rows, contributions = impacts
+                scores[rows] += contributions
+        matching = scores.nonzero()[0]
+        top = matching[(-scores[matching]).argsort(kind="stable")[:k]]
+        docs = self._by_position
+        return [(docs[row], score) for row, score in zip(top.tolist(), scores[top].tolist())]
 
     def save(self, out_dir: Path) -> None:
         out_dir = Path(out_dir)

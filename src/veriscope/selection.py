@@ -110,6 +110,25 @@ def cosine_similarity(u, v) -> float:
     return float(np.dot(u, v) / (norm_u * norm_v))
 
 
+def cosines_to_first(
+    vectors: Sequence[np.ndarray], norms: Sequence[float]
+) -> list[float | None]:
+    """cosine_similarity of vectors[0] with each later row, given every row's norm.
+
+    Each value is cosine_similarity's expression for that one pair, so it
+    equals cosine_similarity bit for bit (a matrix product would sum in
+    another order).  None stands for the ZeroVector case: either norm is
+    zero.
+    """
+    query, query_norm = vectors[0], norms[0]
+    if query_norm == 0.0:
+        return [None] * (len(vectors) - 1)
+    return [
+        float(np.dot(query, row) / (query_norm * norm)) if norm != 0.0 else None
+        for row, norm in zip(vectors[1:], norms[1:])
+    ]
+
+
 class EmbeddingProvider(Protocol):
     def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
@@ -207,13 +226,16 @@ class EmbeddingMemo:
     the wrapped embedder, in one call.  This is valid because every
     embedder here maps a text to the same vector whatever else is in the
     call.  A reply whose row count differs from the texts sent raises
-    ProviderUnavailable and caches nothing.  verify_claim builds one memo
-    per claim, so the memo's size is bounded by one claim's texts.
+    ProviderUnavailable and caches nothing.  Each row's norm is kept
+    beside it, so a text's norm is computed once however often it is
+    scored.  verify_claim builds one memo per claim, so the memo's size
+    is bounded by one claim's texts.
     """
 
     def __init__(self, embedder: EmbeddingProvider):
         self._embedder = embedder
         self._rows: dict[str, np.ndarray] = {}
+        self._norms: dict[str, float] = {}
 
     def prefetch(self, texts: Sequence[str]) -> None:
         """Embed, in one call, the texts not cached yet."""
@@ -225,11 +247,32 @@ class EmbeddingMemo:
             raise ProviderUnavailable(
                 f"embedder returned shape {vectors.shape} for {len(missing)} texts"
             )
+        self._norms.update(
+            (text, float(np.linalg.norm(row))) for text, row in zip(missing, vectors)
+        )
         self._rows.update(zip(missing, vectors))
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         self.prefetch(texts)
         return np.stack([self._rows[text] for text in texts])
+
+    def embed_with_norms(self, texts: Sequence[str]) -> tuple[list[np.ndarray], list[float]]:
+        self.prefetch(texts)
+        return [self._rows[text] for text in texts], [self._norms[text] for text in texts]
+
+
+def embed_with_norms(
+    embedder: EmbeddingProvider, texts: Sequence[str]
+) -> tuple[Sequence[np.ndarray], list[float]]:
+    """The texts' float64 rows, and each row's np.linalg.norm.
+
+    An EmbeddingMemo serves both from memory; other embedders are called
+    once and the norms computed here.
+    """
+    if isinstance(embedder, EmbeddingMemo):
+        return embedder.embed_with_norms(texts)
+    vectors = np.asarray(embedder.embed(texts), dtype=np.float64)
+    return vectors, [float(np.linalg.norm(row)) for row in vectors]
 
 
 def select_evidence(
@@ -260,18 +303,16 @@ def select_evidence(
         if not sentences:
             continue
         try:
-            vectors = embedder.embed([query_text] + sentences)
+            vectors, norms = embed_with_norms(embedder, [query_text] + sentences)
         except Exception as exc:  # provider-specific failures must not kill the stage
             log.warning("embedding failed for doc %r: %s", doc.doc_id, exc)
             continue
-        query_vec = vectors[0]
-        scored: list[tuple[float, int, str]] = []
-        for position, (sentence, vector) in enumerate(zip(sentences, vectors[1:])):
-            try:
-                sim = cosine_similarity(query_vec, vector)
-            except ZeroVector:
-                continue
-            scored.append((sim, position, sentence))
+        sims = cosines_to_first(vectors, norms)
+        scored = [
+            (sim, position, sentence)
+            for position, (sentence, sim) in enumerate(zip(sentences, sims))
+            if sim is not None
+        ]
         scored.sort(key=lambda item: (-item[0], item[1]))
         for sim, _, sentence in scored[: cfg.sentences_per_doc]:
             selected.append(

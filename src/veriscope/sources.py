@@ -1,7 +1,8 @@
 """Knowledge-source adapters and dual (claim + negation) retrieval.
 
 Every adapter answers retrieve(query, k) with at most k documents in
-rank order.  The full ranking is computed before truncation, so
+rank order.  The local sources order documents by a total order,
+(-score, doc_id) for BM25 and for fusion, and cut it at k, so
 retrieve(q, k') is always a prefix of retrieve(q, k) for k' <= k.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 from urllib.parse import quote_plus
@@ -60,7 +62,7 @@ class LocalCorpusSource:
         self._index = index
 
     def retrieve(self, query_text: str, k: int) -> list[RetrievedDocument]:
-        ranked = self._index.ranked(query_text)[:k]
+        ranked = self._index.ranked(query_text, k)
         return [
             RetrievedDocument(doc.doc_id, self.kind, doc.title, doc.body, rank, score)
             for rank, (doc, score) in enumerate(ranked, start=1)
@@ -75,50 +77,59 @@ class BiomedicalSource:
     fused(d) = 1/(60 + lexical_rank) + 1/(60 + dense_rank).  Candidate
     generation stays lexical, so fusion reorders but never adds documents.
 
-    Each candidate's vector and norm are cached by doc_id the first time
-    it is fused; the index is read-only, so they never go stale.  A query
-    embeds itself plus only the candidates not cached yet.  The cache
-    grows to at most docs x dim x 8 bytes (200 docs at 256 dimensions:
-    400 KB).  An embedder failure raises SourceUnavailable.
+    Each candidate's vector and norm are cached the first time it is
+    fused, in the row of a docs x dim matrix given by the index's
+    positions; the index is read-only, so they never go stale.  A query
+    embeds itself plus only the candidates not cached yet.  The matrix
+    is allocated at the first fill and takes docs x dim x 8 bytes (200
+    docs at 256 dimensions: 400 KB).  The index's scoring arrays add
+    postings x 16 bytes once every term has been queried: an 8-byte
+    position (numpy's native index type, which fancy indexing uses
+    without a conversion) and an 8-byte contribution per posting.  An
+    embedder failure raises SourceUnavailable.
     """
 
     def __init__(self, kind: SourceKind, index: LocalIndex, embedder=None):
         self.kind = kind
         self._index = index
         self._embedder = embedder
-        self._doc_vectors: dict[str, tuple[np.ndarray, float]] = {}
+        self._doc_vectors: np.ndarray | None = None
+        self._doc_norms = np.zeros(index.doc_count)
+        self._cached = np.zeros(index.doc_count, dtype=bool)
+        self._fill_lock = threading.Lock()
 
     def retrieve(self, query_text: str, k: int) -> list[RetrievedDocument]:
-        ranked = self._index.ranked(query_text)
-        if self._embedder is not None and len(ranked) > 1:
-            ranked = self._fuse(query_text, ranked)
+        if self._embedder is None:
+            ranked = self._index.ranked(query_text, k)
+        else:
+            ranked = self._index.ranked(query_text)
+            if len(ranked) > 1:
+                ranked = self._fuse(query_text, ranked, k)
         return [
             RetrievedDocument(doc.doc_id, self.kind, doc.title, doc.body, rank, score)
             for rank, (doc, score) in enumerate(ranked[:k], start=1)
         ]
 
-    def _fuse(self, query_text, ranked):
-        docs = [doc for doc, _ in ranked]
-        cache = self._doc_vectors
-        missing = [doc for doc in docs if doc.doc_id not in cache]
+    def _fuse(self, query_text, ranked, k):
+        """The top k of ranked re-ordered by fusion, as (document, fused score)."""
+        positions = self._index.positions
+        rows = np.fromiter((positions[doc.doc_id] for doc, _ in ranked), np.intp, len(ranked))
+        missing = np.flatnonzero(~self._cached[rows])
+        texts = [query_text] + [ranked[i][0].body for i in missing.tolist()]
         try:
-            vectors = np.asarray(
-                self._embedder.embed([query_text] + [doc.body for doc in missing]),
-                dtype=np.float64,
-            )
+            vectors = np.asarray(self._embedder.embed(texts), dtype=np.float64)
         except ProviderUnavailable as exc:
             raise SourceUnavailable(f"dense fusion embedding failed: {exc}") from exc
-        if vectors.ndim != 2 or len(vectors) != len(missing) + 1:
+        if vectors.ndim != 2 or len(vectors) != len(texts):
             raise SourceUnavailable(
-                f"dense fusion embedding returned shape {vectors.shape} "
-                f"for {len(missing) + 1} texts"
+                f"dense fusion embedding returned shape {vectors.shape} for {len(texts)} texts"
             )
-        for doc, vec in zip(missing, vectors[1:]):
-            cache[doc.doc_id] = (vec, float(np.linalg.norm(vec)))
+        if len(missing):
+            self._store(rows[missing], vectors[1:])
         query_vec = vectors[0]
         query_norm = float(np.linalg.norm(query_vec))
-        matrix = np.stack([cache[doc.doc_id][0] for doc in docs])
-        doc_norms = np.array([cache[doc.doc_id][1] for doc in docs])
+        matrix = self._doc_vectors[rows]
+        doc_norms = self._doc_norms[rows]
         # cosine_similarity's expression, one row per document; a zero norm scores -1.0.
         # The product sums in another order than np.dot per row: for non-integer
         # vectors a similarity can differ in its last bit, so only documents whose
@@ -127,17 +138,24 @@ class BiomedicalSource:
         with np.errstate(divide="ignore", invalid="ignore"):
             sims = np.dot(matrix, query_vec) / (query_norm * doc_norms)
         sims[(doc_norms == 0.0) | (query_norm == 0.0)] = -1.0
-        dense_order = sorted(zip(sims.tolist(), (doc.doc_id for doc in docs)),
-                             key=lambda pair: (-pair[0], pair[1]))
-        dense_rank = {doc_id: pos for pos, (_, doc_id) in enumerate(dense_order, start=1)}
-        fused = []
-        for lexical_rank, doc in enumerate(docs, start=1):
-            score = 1.0 / (RRF_CONSTANT + lexical_rank) + 1.0 / (
-                RRF_CONSTANT + dense_rank[doc.doc_id]
-            )
-            fused.append((score, doc))
-        fused.sort(key=lambda pair: (-pair[0], pair[1].doc_id))
-        return [(doc, score) for score, doc in fused]
+        # Rows are in doc_id order, so lexsort's secondary key breaks ties by doc_id.
+        lexical_rank = np.arange(1, len(rows) + 1)
+        dense_rank = np.empty_like(lexical_rank)
+        dense_rank[np.lexsort((rows, -sims))] = lexical_rank
+        fused = 1.0 / (RRF_CONSTANT + lexical_rank) + 1.0 / (RRF_CONSTANT + dense_rank)
+        top = np.lexsort((rows, -fused))[:k]
+        return [(ranked[i][0], score) for i, score in zip(top.tolist(), fused[top].tolist())]
+
+    def _store(self, rows: np.ndarray, vectors: np.ndarray) -> None:
+        """Cache the vectors and norms of rows not cached yet; each row is written once."""
+        norms = np.array([np.linalg.norm(vec) for vec in vectors])
+        with self._fill_lock:
+            if self._doc_vectors is None:
+                self._doc_vectors = np.zeros((len(self._cached), vectors.shape[1]))
+            fresh = ~self._cached[rows]
+            self._doc_vectors[rows[fresh]] = vectors[fresh]
+            self._doc_norms[rows[fresh]] = norms[fresh]
+            self._cached[rows[fresh]] = True
 
 
 class WebSearchSource:

@@ -175,3 +175,33 @@ def test_ranked_equals_bm25_score_exactly(bodies, queries):
         for candidate in (index, loaded):
             got = [(doc.doc_id, score) for doc, score in candidate.ranked(query)]
             assert got == expected
+
+
+# Ids whose string order differs from their insertion and numeric order.
+_ID_POOL = ["d9", "d10", "é1", "d2", "D1", "z0", "d01", "a", "d100", "ä", "d1", "b10"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bodies=st.lists(st.lists(_BODY_TOKENS, max_size=8).map(" ".join), min_size=1, max_size=8),
+    copies=st.lists(st.integers(0, 7), max_size=4),
+    ids=st.permutations(_ID_POOL),
+    queries=st.lists(st.lists(_QUERY_TOKENS, max_size=6).map(" ".join), min_size=1, max_size=3),
+)
+def test_ranked_top_k_is_a_prefix_of_the_exact_ranking(bodies, copies, ids, queries):
+    # Copied bodies force score ties, which must break by ascending doc_id.
+    all_bodies = bodies + [bodies[i % len(bodies)] for i in copies]
+    docs = dict(zip(ids, all_bodies))
+    index = LocalIndex.from_documents((doc_id, "", body) for doc_id, body in docs.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        index.save(tmp)
+        loaded = LocalIndex.load(tmp)
+    # Repeated terms, out-of-vocabulary terms and the empty query.
+    asked = queries + [f"{queries[0]} {queries[0]} cat", "unseen absent", ""]
+    for query in asked:
+        expected = exact_oracle_ranking(query, docs)
+        for candidate in (index, loaded):
+            full = candidate.ranked(query)
+            assert [(doc.doc_id, score) for doc, score in full] == expected
+            for k in range(len(docs) + 2):
+                assert candidate.ranked(query, k) == full[:k]

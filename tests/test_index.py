@@ -1,4 +1,8 @@
 import json
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -115,3 +119,36 @@ class TestPersistence:
         (index_dir / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError):
             LocalIndex.load(index_dir)
+
+
+def test_fresh_index_ranks_the_same_from_threads():
+    # The scoring arrays are filled on first use.  Eight threads start together
+    # on one fresh index and ask the same queries in the same order, so they
+    # race on every first use, and each must get the serial results.
+    rng = random.Random(5)
+    words = [f"w{i}" for i in range(60)]
+    weights = [1.0 / rank for rank in range(1, len(words) + 1)]
+    docs = [
+        (f"d{i}", "", " ".join(rng.choices(words, weights, k=rng.randint(1, 15))))
+        for i in range(150)
+    ]
+    queries = [" ".join(rng.choices(words, weights, k=rng.randint(1, 5))) for _ in range(60)]
+    asked = [(query, k) for query in queries for k in (None, 5)]
+    serial = LocalIndex.from_documents(docs)
+    expected = [serial.ranked(query, k) for query, k in asked]
+    fresh = LocalIndex.from_documents(docs)
+    start = threading.Barrier(8, timeout=10)
+
+    def worker(_):
+        start.wait()
+        return [fresh.ranked(query, k) for query, k in asked]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(worker, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert got == expected

@@ -14,6 +14,8 @@ from veriscope.selection import (
     HashedBowEmbedder,
     Polarity,
     cosine_similarity,
+    cosines_to_first,
+    embed_with_norms,
     select_evidence,
     split_sentences,
 )
@@ -104,6 +106,30 @@ class TestCosineSimilarity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cosine_similarity([1.0], [1.0, 2.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), dim=st.integers(1, 300))
+def test_cosines_to_first_equals_cosine_similarity(seed, rows, dim):
+    # Float vectors, so a different summation order would show in the last bits.
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((rows + 1, dim))
+    vectors[rng.random(rows + 1) < 0.2] = 0.0
+    texts = [f"t{i}" for i in range(rows + 1)]
+    memo = EmbeddingMemo(FixtureEmbedder(dict(zip(texts, vectors))))
+    for rows_given, norms_given in (
+        (vectors, [float(np.linalg.norm(row)) for row in vectors]),
+        embed_with_norms(memo, texts),
+        embed_with_norms(FixtureEmbedder(dict(zip(texts, vectors))), texts),
+    ):
+        got = cosines_to_first(rows_given, norms_given)
+        assert len(got) == rows
+        for vector, sim in zip(vectors[1:], got):
+            try:
+                want = cosine_similarity(vectors[0], vector)
+            except ZeroVector:
+                want = None
+            assert sim == want
 
 
 class TestHashedBowEmbedder:

@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -228,6 +229,35 @@ def test_shared_cache_under_concurrent_queries():
     for query, docs in zip(queries * 2, got):
         if len(index.ranked(query)) > 1:
             assert [(doc.doc_id, doc.score) for doc in docs] == expected[query]
+
+
+def test_fresh_index_and_cache_under_concurrent_queries():
+    # Neither the index's scoring arrays nor the fusion cache exist yet when
+    # eight threads start together on the same queries, so every first use races.
+    corpus = zipf_corpus(11, 120)
+    docs = [(doc_id, "", body) for doc_id, body in corpus.items()]
+    bodies = [body for body in corpus.values() if body]
+    asked = [(" ".join(body.split()[:3]), k) for body in bodies[:48] for k in (5, len(corpus))]
+    serial, fresh = (
+        BiomedicalSource(PUBMED, LocalIndex.from_documents(docs), embedder=_RecordingEmbedder())
+        for _ in range(2)
+    )
+    expected = [serial.retrieve(query, k) for query, k in asked]
+    start = threading.Barrier(8, timeout=10)
+
+    def worker(_):
+        start.wait()
+        return [fresh.retrieve(query, k) for query, k in asked]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(worker, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert got == expected
 
 
 class TestBiomedicalSourceCache:
