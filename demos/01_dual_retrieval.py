@@ -12,7 +12,6 @@ from veriscope import (
     PipelineConfig,
     build_local_index,
     negate_claim,
-    retrieve_dual,
 )
 from veriscope.assets import fixture_path
 from veriscope.mock import mock_negations
@@ -35,10 +34,12 @@ print("Negation:", claim.negated_text)
 index = build_local_index(fixture_path("corpus_pubmed.jsonl"))
 print(f"\nIndexed {index.doc_count} documents, {index.term_count} terms.")
 
-# 3. Retrieve for both the claim and its negation.
+# 3. Retrieve for both the claim and its negation: two separate queries
+#    whose result lists never mix (verify_claim does the same per source).
 source = LocalCorpusSource(PUBMED, index)
 cfg = PipelineConfig(retrieval_depth=3, selection_docs=3)
-docs_pos, docs_neg = retrieve_dual(claim, source, cfg)
+docs_pos = source.retrieve(claim.text, cfg.retrieval_depth)
+docs_neg = source.retrieve(claim.negated_text, cfg.retrieval_depth)
 
 print("\nTop documents for the claim:")
 for doc in docs_pos:

@@ -15,7 +15,6 @@ from veriscope import (
     build_local_index,
     merge_segments,
     rank_and_truncate,
-    retrieve_dual,
     select_evidence,
     symmetric_difference_dedup,
 )
@@ -41,7 +40,8 @@ def show(title, sentences):
 
 
 # 1. Retrieve documents for both polarities.
-docs_pos, docs_neg = retrieve_dual(claim, source, cfg)
+docs_pos = source.retrieve(claim.text, cfg.retrieval_depth)
+docs_neg = source.retrieve(claim.negated_text, cfg.retrieval_depth)
 
 # 2. Per polarity, keep the sentence most similar to the retrieving query.
 positive = select_evidence(claim.text, docs_pos, embedder, cfg, polarity=Polarity.FROM_CLAIM)

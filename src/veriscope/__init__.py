@@ -6,59 +6,35 @@ are deduplicated by symmetric difference and unioned, and a pluggable
 zero-shot verdict provider labels each claim per source and over the
 merged evidence.  Per-source confidence log-probabilities quantify
 inter-source disagreement.
+
+The names in __all__ are the public surface; everything else is
+reached through its submodule.
 """
 
 from .aggregation import (
-    AggregatedEvidence,
-    EvidenceBundle,
     aggregate_sources,
     merge_segments,
     rank_and_truncate,
     symmetric_difference_dedup,
 )
-from .analysis import (
-    AgreementRegime,
-    KdeCurve,
-    MetricsReport,
-    SourceConfidenceProfile,
-    agreement_regime,
-    build_profile,
-    compute_metrics,
-    dispersion,
-    kde,
-)
+from .analysis import agreement_regime, dispersion, kde
 from .assets import load_prompt, load_scheme
-from .bm25 import CorpusStats, bm25_score, tokenize
-from .datasets import DatasetDescriptor, load_dataset
+from .bm25 import tokenize
+from .datasets import DatasetDescriptor
 from .errors import VeriscopeError
 from .experiment import ExperimentPlan, run_experiment
 from .index import LocalIndex, build_local_index
-from .negation import (
-    FixtureNegationProvider,
-    RemoteNegationProvider,
-    RuleBasedNegator,
-    negate_claim,
-    rule_based_negate,
-)
-from .pipeline import ClaimCondition, ClaimVerification, ProviderSet, verify_claim
+from .negation import RemoteNegationProvider, RuleBasedNegator, negate_claim
+from .pipeline import ClaimCondition, ProviderSet, verify_claim
 from .selection import (
     EvidenceSentence,
-    FixtureEmbedder,
     HashedBowEmbedder,
     Polarity,
     RemoteEmbedder,
-    cosine_similarity,
     select_evidence,
     split_sentences,
 )
-from .sources import (
-    BiomedicalSource,
-    FixtureSource,
-    LocalCorpusSource,
-    RetrievedDocument,
-    WebSearchSource,
-    retrieve_dual,
-)
+from .sources import BiomedicalSource, LocalCorpusSource, WebSearchSource
 from .types import (
     CANONICAL_SOURCES,
     MERGED,
@@ -66,7 +42,6 @@ from .types import (
     WEB,
     WIKIPEDIA,
     ClaimPair,
-    LabelScheme,
     PipelineConfig,
     SourceKind,
     normalize_sentence,
@@ -75,7 +50,6 @@ from .verdict import (
     LabelLogits,
     RemoteVerdictProvider,
     RuleVerdictProvider,
-    VeracityVerdict,
     build_prompt,
     confidence_from_logits,
     predict_verdict,
@@ -84,29 +58,18 @@ from .verdict import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatedEvidence",
-    "AgreementRegime",
     "BiomedicalSource",
     "CANONICAL_SOURCES",
     "ClaimCondition",
     "ClaimPair",
-    "ClaimVerification",
-    "CorpusStats",
     "DatasetDescriptor",
-    "EvidenceBundle",
     "EvidenceSentence",
     "ExperimentPlan",
-    "FixtureEmbedder",
-    "FixtureNegationProvider",
-    "FixtureSource",
     "HashedBowEmbedder",
-    "KdeCurve",
     "LabelLogits",
-    "LabelScheme",
     "LocalCorpusSource",
     "LocalIndex",
     "MERGED",
-    "MetricsReport",
     "PUBMED",
     "PipelineConfig",
     "Polarity",
@@ -114,28 +77,20 @@ __all__ = [
     "RemoteEmbedder",
     "RemoteNegationProvider",
     "RemoteVerdictProvider",
-    "RetrievedDocument",
     "RuleBasedNegator",
     "RuleVerdictProvider",
-    "SourceConfidenceProfile",
     "SourceKind",
-    "VeracityVerdict",
     "VeriscopeError",
     "WEB",
     "WIKIPEDIA",
     "WebSearchSource",
-    "agreement_regime",
     "aggregate_sources",
-    "bm25_score",
+    "agreement_regime",
     "build_local_index",
-    "build_profile",
     "build_prompt",
-    "compute_metrics",
     "confidence_from_logits",
-    "cosine_similarity",
     "dispersion",
     "kde",
-    "load_dataset",
     "load_prompt",
     "load_scheme",
     "merge_segments",
@@ -143,8 +98,6 @@ __all__ = [
     "normalize_sentence",
     "predict_verdict",
     "rank_and_truncate",
-    "retrieve_dual",
-    "rule_based_negate",
     "run_experiment",
     "select_evidence",
     "split_sentences",

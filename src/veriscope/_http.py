@@ -1,8 +1,9 @@
-"""Small JSON-over-HTTP client shared by the remote providers.
+"""Small JSON-over-HTTP client shared by the remote providers and web search.
 
 Bounds the number of in-flight requests with a semaphore and retries
-rate-limit (429) and server (5xx) responses with exponential backoff.
-Transport failures surface as ProviderUnavailable.
+rate-limit (429) and server (5xx) responses and transport errors with
+exponential backoff.  Every other failure surfaces as
+ProviderUnavailable.
 """
 
 from __future__ import annotations
@@ -42,15 +43,20 @@ class JsonHttpClient:
         self._session = session or requests.Session()
         self._sleep = sleep
 
-    def post(self, payload: dict) -> dict:
+    def post(self, payload: dict):
         """POST a JSON payload and return the decoded JSON response."""
+        return self._request(self._session.post, json=payload, headers=self._headers)
+
+    def get(self, params: dict):
+        """GET with query parameters, no headers; return the decoded JSON response."""
+        return self._request(self._session.get, params=params)
+
+    def _request(self, send, **kwargs):
         with self._semaphore:
             last_error = None
             for attempt in range(self._max_retries + 1):
                 try:
-                    response = self._session.post(
-                        self.url, json=payload, headers=self._headers, timeout=self._timeout
-                    )
+                    response = send(self.url, timeout=self._timeout, **kwargs)
                 except requests.RequestException as exc:
                     last_error = str(exc)
                 else:

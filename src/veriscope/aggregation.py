@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -26,8 +25,6 @@ from .selection import (
     embed_with_norms,
 )
 from .types import JsonRecord, SourceKind, source_order_key
-
-log = logging.getLogger(__name__)
 
 SEGMENT_MARKER = "[SEP]"
 _TERMINAL_PUNCTUATION = (".", "!", "?")
@@ -224,12 +221,3 @@ def write_aggregated_jsonl(items: Iterable[AggregatedEvidence], path: Path) -> N
         for item in items:
             handle.write(json.dumps(item.to_dict(), sort_keys=True) + "\n")
 
-
-def read_aggregated_jsonl(path: Path) -> list[AggregatedEvidence]:
-    path = Path(path)
-    items = []
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                items.append(AggregatedEvidence.from_dict(json.loads(line)))
-    return items

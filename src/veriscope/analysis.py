@@ -2,7 +2,12 @@
 
 Per-source verdicts for one claim are summarized into an agreement
 regime (all / two / none of the three sources agree) and a dispersion
-statistic over their confidences.  Confidence distributions are
+statistic over their confidences.  Only answers count: an abstained
+verdict (a failed source or provider, or no option letter with any
+probability) is kept in the profile's verdicts, but it is neither a
+label for the regime nor a confidence for the dispersion.  The regime
+therefore exists only when all three sources answered, and the
+dispersion only when at least two did.  Confidence distributions are
 visualized through Gaussian kernel density estimates grouped by regime
 and source, and predictions are scored with accuracy plus macro
 precision / recall / F1.
@@ -22,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateSamples, TooFewSamples, UnknownGoldLabel, WrongArity
-from .types import MERGED, JsonRecord, LabelScheme, SourceKind, source_order_key
+from .types import MERGED, JsonRecord, LabelScheme, SourceKind
 from .verdict import VeracityVerdict
 
 log = logging.getLogger(__name__)
@@ -64,8 +69,9 @@ def dispersion(confidences: Sequence[float]) -> float:
 class SourceConfidenceProfile(JsonRecord):
     """Per-source verdicts for one claim with their agreement summary.
 
-    regime is defined only for exactly three per-source verdicts;
-    dispersion only for two or more.
+    regime is defined only when exactly three per-source verdicts are
+    all answers; dispersion only for two or more answers.  verdicts
+    keeps abstentions too.
     """
 
     claim_id: str
@@ -83,10 +89,10 @@ def build_profile(
 ) -> SourceConfidenceProfile:
     """Summarize per-source verdicts (the merged pseudo-source is excluded)."""
     per_source = {kind: v for kind, v in verdicts.items() if kind != MERGED}
-    labels = [per_source[kind].label for kind in sorted(per_source, key=source_order_key)]
-    regime = agreement_regime(labels) if len(labels) == 3 else None
-    confidences = [v.confidence for v in per_source.values()]
-    spread = dispersion(confidences) if len(confidences) >= 2 else None
+    answers = [v for v in per_source.values() if not v.abstained]
+    labels = [v.label for v in answers]
+    regime = agreement_regime(labels) if len(per_source) == len(labels) == 3 else None
+    spread = dispersion([v.confidence for v in answers]) if len(answers) >= 2 else None
     return SourceConfidenceProfile(
         claim_id=claim_id, verdicts=per_source, regime=regime, dispersion=spread
     )

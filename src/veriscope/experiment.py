@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import random
 import re
@@ -27,8 +26,6 @@ from .datasets import DatasetDescriptor, load_dataset
 from .errors import ConfigurationError
 from .pipeline import ClaimCondition, ClaimVerification, ProviderSet, verify_claim
 from .types import MERGED, ClaimPair, PipelineConfig, source_order_key
-
-log = logging.getLogger(__name__)
 
 TRACES_DIR = "traces"
 MANIFEST_FILE = "run-manifest.json"

@@ -9,10 +9,10 @@ the merged evidence.  A failing source is recorded and the rest proceed.
 
 Only calls that wait on the network use threads.  Retrieval from web
 search and from any source class not known to run in-process is
-submitted to a per-claim thread pool first; the local BM25 and fixture
-sources then run on the caller's thread while those requests are in
-flight.  With a remote verdict provider (or any unknown one) the four
-verdict calls of a claim overlap; the rule-based provider runs inline.
+submitted to a per-claim thread pool first; the local BM25 sources then
+run on the caller's thread while those requests are in flight.  With a
+remote verdict provider (or any unknown one) the four verdict calls of
+a claim overlap; the rule-based provider runs inline.
 The pool starts its threads lazily, so an all-local claim starts none.
 Selection and ranking share one batched embedding call per claim.
 """
@@ -38,7 +38,7 @@ from .analysis import SourceConfidenceProfile, build_profile
 from .errors import ConfigurationError, ProviderUnavailable, RankingFailed, SourceUnavailable
 from .negation import NegationProvider, negate_claim
 from .selection import EmbeddingMemo, EmbeddingProvider, Polarity, select_evidence, split_sentences
-from .sources import BiomedicalSource, FixtureSource, KnowledgeSource, LocalCorpusSource
+from .sources import BiomedicalSource, KnowledgeSource, LocalCorpusSource
 from .types import MERGED, ClaimPair, JsonRecord, LabelScheme, PipelineConfig, SourceKind, source_order_key
 from .verdict import (
     RuleVerdictProvider,
@@ -52,7 +52,7 @@ log = logging.getLogger(__name__)
 
 #: Provider classes whose calls do no I/O; they run on the caller's thread.
 #: Every other source or verdict provider is treated as waiting on the network.
-_IN_PROCESS_SOURCES = (LocalCorpusSource, BiomedicalSource, FixtureSource)
+_IN_PROCESS_SOURCES = (LocalCorpusSource, BiomedicalSource)
 _IN_PROCESS_VERDICTS = (RuleVerdictProvider,)
 
 
@@ -122,15 +122,16 @@ def _claim_embedder(
     embedder: EmbeddingProvider,
     cfg: PipelineConfig,
     dual: bool,
-) -> EmbeddingProvider:
+) -> EmbeddingMemo:
     """Embed every text selection will score in one call; return the memo.
 
     The texts are the claim, the negation (under the dual condition) and
     every sentence of the first selection_docs documents of each source
-    and polarity.  When that one call fails it is logged and the plain
-    embedder is returned, so selection falls back to one call per
-    document with per-document failure isolation, as without the batch.
+    and polarity.  When that one call fails it is logged and the memo is
+    returned with nothing cached, so selection embeds through it one
+    call per document with per-document failure isolation.
     """
+    memo = EmbeddingMemo(embedder)
     sentences = [
         sentence
         for docs_pos, docs_neg in retrieved.values()
@@ -138,15 +139,13 @@ def _claim_embedder(
         for sentence in split_sentences(doc.body)
     ]
     if not sentences:
-        return embedder
-    memo = EmbeddingMemo(embedder)
+        return memo
     try:
         memo.prefetch([claim.text] + ([claim.negated_text] if dual else []) + sentences)
-    except Exception as exc:  # the per-document path below isolates the failure
+    except Exception as exc:  # selection's per-document calls isolate the failure
         log.warning(
             "batched embedding failed for claim %s, embedding per document: %s", claim.id, exc
         )
-        return embedder
     return memo
 
 
@@ -166,13 +165,19 @@ def verify_claim(
     provider failures become recorded abstentions; only configuration
     errors abort.
 
+    This is the pipeline's one dual retrieval: every source is asked for
+    the claim and, under the dual condition, for its negation, with the
+    network-bound requests of all sources in flight together.  The two
+    result lists of a source never mix.
+
     After retrieval, the claim, its negation and the sentences of the
     selected documents are embedded in one call, and selection and
     ranking read that call's rows from a per-claim EmbeddingMemo; only
     texts the call did not cover (sentences fused by merge_segments) are
     embedded again.  If the batched call fails, it is logged and
-    selection and ranking call the embedder per document as they would
-    without it, so one bad document still only costs that document.
+    selection embeds through the same memo one call per document, each
+    sending only texts not cached yet, so one bad document still only
+    costs that document.
     """
     cfg = cfg or PipelineConfig()
     dual = condition is ClaimCondition.ORIGINAL_PLUS_NEGATED
@@ -252,12 +257,12 @@ def verify_claim(
         aggregated = aggregate_sources(bundles, claim_id=claim.id)
 
         calls = {
-            kind: (remote_verdicts, predict_verdict, claim, bundles[kind],
+            kind: (remote_verdicts, predict_verdict, claim, bundles[kind].final,
                    providers.verdicts, scheme, template, kind)
             for kind in kinds
             if kind not in source_errors
         }
-        calls[MERGED] = (remote_verdicts, predict_verdict, claim, aggregated,
+        calls[MERGED] = (remote_verdicts, predict_verdict, claim, aggregated.sentences,
                          providers.verdicts, scheme, template, MERGED)
         futures = _run_calls(pool, calls)
 

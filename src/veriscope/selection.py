@@ -14,7 +14,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -168,22 +168,6 @@ class HashedBowEmbedder:
         return counts.reshape(len(texts), self.dim).astype(np.float64)
 
 
-class FixtureEmbedder:
-    """Fixture-backed embedder: exact vectors per text."""
-
-    def __init__(self, vectors: Mapping[str, Sequence[float]]):
-        self._vectors = {text: np.asarray(vec, dtype=np.float64) for text, vec in vectors.items()}
-        dims = {vec.shape for vec in self._vectors.values()}
-        if len(dims) > 1:
-            raise ValueError("fixture vectors must share one dimension")
-
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        try:
-            return np.stack([self._vectors[text] for text in texts])
-        except KeyError as exc:
-            raise ProviderUnavailable(f"no fixture vector for {exc.args[0]!r}") from exc
-
-
 class RemoteEmbedder:
     """HTTP embedding endpoint: request a list of strings, receive float arrays."""
 
@@ -229,7 +213,9 @@ class EmbeddingMemo:
     ProviderUnavailable and caches nothing.  Each row's norm is kept
     beside it, so a text's norm is computed once however often it is
     scored.  verify_claim builds one memo per claim, so the memo's size
-    is bounded by one claim's texts.
+    is bounded by one claim's texts.  A failed prefetch caches nothing,
+    and a later embed() sends only that call's missing texts, so the
+    memo also serves the per-document fallback after a failed batch.
     """
 
     def __init__(self, embedder: EmbeddingProvider):
@@ -290,12 +276,12 @@ def select_evidence(
     warning while the others proceed; zero-vector sentences are skipped
     rather than scored.
 
-    verify_claim embeds the claim, its negation and every sentence of the
-    selected documents in one batched call and passes an EmbeddingMemo
-    here, so the per-document calls below are served from memory.  When
-    that batched call fails, verify_claim logs it and passes the plain
-    embedder instead: one call per document, and a failing document is
-    skipped on its own.
+    verify_claim passes an EmbeddingMemo that has embedded the claim, its
+    negation and every sentence of the selected documents in one batched
+    call, so the per-document calls below are served from memory.  When
+    that batched call failed, the same memo embeds, per document, only
+    the texts it has not cached yet: one call per document, and a failing
+    document is skipped on its own.
     """
     selected: list[EvidenceSentence] = []
     for doc in docs[: cfg.selection_docs]:

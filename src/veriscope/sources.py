@@ -1,28 +1,28 @@
-"""Knowledge-source adapters and dual (claim + negation) retrieval.
+"""Knowledge-source adapters.
 
 Every adapter answers retrieve(query, k) with at most k documents in
 rank order.  The local sources order documents by a total order,
 (-score, doc_id) for BM25 and for fusion, and cut it at k, so
 retrieve(q, k') is always a prefix of retrieve(q, k) for k' <= k.
+verify_claim runs the dual retrieval: each source is asked once for
+the claim and once for its negation.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol
 from urllib.parse import quote_plus
 
 import numpy as np
 import requests
 
+from ._http import JsonHttpClient
 from .errors import ConfigurationError, ProviderUnavailable, SourceUnavailable
 from .index import LocalIndex
-from .types import ClaimPair, PipelineConfig, SourceKind, WEB
-
-log = logging.getLogger(__name__)
+from .types import SourceKind, WEB
 
 ENV_SEARCH_KEY = "SEARCH_API_KEY"
 ENV_SEARCH_ENGINE = "SEARCH_ENGINE_ID"
@@ -70,10 +70,10 @@ class LocalCorpusSource:
 
 
 class BiomedicalSource:
-    """BM25 over an abstract corpus, optionally fused with a dense ranking.
+    """BM25 over an abstract corpus, fused with a dense ranking.
 
-    With an embedder configured, the BM25 candidate set is re-ranked by
-    reciprocal-rank fusion of the lexical and cosine-similarity orders:
+    The BM25 candidate set is re-ranked by reciprocal-rank fusion of the
+    lexical and cosine-similarity orders:
     fused(d) = 1/(60 + lexical_rank) + 1/(60 + dense_rank).  Candidate
     generation stays lexical, so fusion reorders but never adds documents.
 
@@ -86,10 +86,11 @@ class BiomedicalSource:
     postings x 16 bytes once every term has been queried: an 8-byte
     position (numpy's native index type, which fancy indexing uses
     without a conversion) and an 8-byte contribution per posting.  An
-    embedder failure raises SourceUnavailable.
+    embedder failure raises SourceUnavailable.  For plain BM25 without
+    an embedder, use LocalCorpusSource.
     """
 
-    def __init__(self, kind: SourceKind, index: LocalIndex, embedder=None):
+    def __init__(self, kind: SourceKind, index: LocalIndex, embedder):
         self.kind = kind
         self._index = index
         self._embedder = embedder
@@ -99,12 +100,9 @@ class BiomedicalSource:
         self._fill_lock = threading.Lock()
 
     def retrieve(self, query_text: str, k: int) -> list[RetrievedDocument]:
-        if self._embedder is None:
-            ranked = self._index.ranked(query_text, k)
-        else:
-            ranked = self._index.ranked(query_text)
-            if len(ranked) > 1:
-                ranked = self._fuse(query_text, ranked, k)
+        ranked = self._index.ranked(query_text)
+        if len(ranked) > 1:
+            ranked = self._fuse(query_text, ranked, k)
         return [
             RetrievedDocument(doc.doc_id, self.kind, doc.title, doc.body, rank, score)
             for rank, (doc, score) in enumerate(ranked[:k], start=1)
@@ -161,8 +159,13 @@ class BiomedicalSource:
 class WebSearchSource:
     """Search-API adapter: GET endpoint returning items[].title/snippet/link.
 
-    The title and the snippet together form the document body, so the
-    downstream sentence stages see everything the result page showed.
+    Requests go through JsonHttpClient (no headers; the key travels as a
+    query parameter), so 429, 5xx and transport errors are retried with
+    backoff under the client's in-flight bound.  The title and the
+    snippet together form the document body, so the downstream sentence
+    stages see everything the result page showed.  A failed request, or
+    a reply that is not an object whose items are a list of objects,
+    raises SourceUnavailable.
     """
 
     def __init__(
@@ -175,33 +178,28 @@ class WebSearchSource:
         timeout: float = 10.0,
     ):
         self.kind = kind
-        self._endpoint = endpoint
         self._api_key = api_key or os.environ.get(ENV_SEARCH_KEY)
         self._engine_id = engine_id or os.environ.get(ENV_SEARCH_ENGINE)
         if not self._api_key or not self._engine_id:
             raise ConfigurationError(
                 f"web search needs {ENV_SEARCH_KEY} and {ENV_SEARCH_ENGINE}"
             )
-        self._session = session or requests.Session()
-        self._timeout = timeout
+        self._client = JsonHttpClient(endpoint, session=session, timeout=timeout)
 
     def retrieve(self, query_text: str, k: int) -> list[RetrievedDocument]:
         params = {"key": self._api_key, "cx": self._engine_id, "q": query_text, "num": k}
         try:
-            response = self._session.get(self._endpoint, params=params, timeout=self._timeout)
-        except requests.RequestException as exc:
-            # The exception text can quote the request URL, key included, so
-            # the key is redacted and the chained exception is dropped.
+            data = self._client.get(params)
+        except ProviderUnavailable as exc:
+            # The message can quote the request URL, key included, so the
+            # key is redacted and the chained exception is dropped.
             message = str(exc)
             for form in (self._api_key, quote_plus(self._api_key)):
                 message = message.replace(form, "<redacted>")
             raise SourceUnavailable(f"web search failed: {message}") from None
-        if response.status_code != 200:
-            raise SourceUnavailable(f"web search HTTP {response.status_code}")
-        try:
-            items = response.json().get("items", [])
-        except ValueError as exc:
-            raise SourceUnavailable(f"web search returned non-JSON: {exc}") from exc
+        items = data.get("items", []) if isinstance(data, dict) else None
+        if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+            raise SourceUnavailable("web search reply has no list of result objects")
         documents = []
         for position, item in enumerate(items[:k], start=1):
             title = str(item.get("title", "")).strip()
@@ -212,31 +210,3 @@ class WebSearchSource:
                 RetrievedDocument(link, self.kind, title, body, position, 1.0 / position)
             )
         return documents
-
-
-class FixtureSource:
-    """Fixture-backed source: canned rank-ordered documents per query."""
-
-    def __init__(self, kind: SourceKind, docs_by_query: Mapping[str, Sequence[RetrievedDocument]]):
-        self.kind = kind
-        self._docs_by_query = {query: list(docs) for query, docs in docs_by_query.items()}
-
-    def retrieve(self, query_text: str, k: int) -> list[RetrievedDocument]:
-        return self._docs_by_query.get(query_text, [])[:k]
-
-
-def retrieve_dual(
-    claim: ClaimPair,
-    source: KnowledgeSource,
-    cfg: PipelineConfig,
-) -> tuple[list[RetrievedDocument], list[RetrievedDocument]]:
-    """Retrieve top-k documents for the claim and, separately, its negation.
-
-    The two lists never mix; either may be shorter than k or empty.
-    SourceUnavailable propagates for the caller to record per source.
-    """
-    if claim.negated_text is None:
-        raise ValueError(f"claim {claim.id!r} has no negation; run negate_claim first")
-    docs_pos = source.retrieve(claim.text, cfg.retrieval_depth)
-    docs_neg = source.retrieve(claim.negated_text, cfg.retrieval_depth)
-    return docs_pos, docs_neg

@@ -206,12 +206,6 @@ class LabelScheme(JsonRecord):
     def m(self) -> int:
         return len(self.labels)
 
-    def label_for_letter(self, letter: str) -> str:
-        return self.labels[self.option_letters.index(letter)]
-
-    def letter_for_label(self, label: str) -> str:
-        return self.option_letters[self.labels.index(label)]
-
 
 @dataclass(frozen=True)
 class PipelineConfig(JsonRecord):

@@ -17,7 +17,6 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from ._http import JsonHttpClient
-from .aggregation import AggregatedEvidence, EvidenceBundle
 from .errors import ConfigurationError, NoValidOption, ProviderUnavailable, TemplateMissingPlaceholder
 from .selection import EvidenceSentence
 from .types import MERGED, ClaimPair, JsonRecord, LabelScheme, SourceKind
@@ -91,32 +90,22 @@ def logits_from_letter_logprobs(
     )
 
 
-def _evidence_sentences(evidence) -> Sequence[EvidenceSentence]:
-    if isinstance(evidence, AggregatedEvidence):
-        return evidence.sentences
-    if isinstance(evidence, EvidenceBundle):
-        return evidence.final
-    return tuple(evidence)
-
-
 def build_prompt(
     claim_text: str,
-    evidence,
+    evidence: Sequence[EvidenceSentence],
     scheme: LabelScheme,
     template: str,
 ) -> str:
     """Render the verdict prompt; deterministic for identical inputs.
 
-    evidence may be AggregatedEvidence, an EvidenceBundle (its final set
-    is used), or any sequence of EvidenceSentence.  Evidence renders as
-    numbered lines, options as "A) <label>" lines in scheme order.
+    Evidence renders as numbered lines, options as "A) <label>" lines in
+    scheme order.
     """
     missing = [p for p in _PLACEHOLDERS if p not in template]
     if missing:
         raise TemplateMissingPlaceholder(f"template lacks {', '.join(missing)}")
-    sentences = _evidence_sentences(evidence)
-    if sentences:
-        evidence_block = "\n".join(f"{i}. {s.text}" for i, s in enumerate(sentences, start=1))
+    if evidence:
+        evidence_block = "\n".join(f"{i}. {s.text}" for i, s in enumerate(evidence, start=1))
     else:
         evidence_block = _EMPTY_EVIDENCE_BLOCK
     options_block = "\n".join(
@@ -165,7 +154,7 @@ def abstain_verdict(
 
 def predict_verdict(
     claim: ClaimPair,
-    evidence,
+    evidence: Sequence[EvidenceSentence],
     provider: VerdictProvider,
     scheme: LabelScheme,
     template: str,
@@ -269,7 +258,9 @@ class RemoteVerdictProvider:
     Reads LLM_API_URL / LLM_API_KEY / LLM_MODEL unless configured
     explicitly.  The response's top_logprobs entries are matched to
     option letters (a token like " A" or "A)" counts as letter A,
-    keeping the best log-probability per letter).
+    keeping the best log-probability per letter).  A reply without a
+    top_logprobs list, or with an entry that is not an object or whose
+    letter lacks a finite numeric logprob, raises ProviderUnavailable.
     """
 
     def __init__(
@@ -317,12 +308,21 @@ class RemoteVerdictProvider:
             entries = data["choices"][0]["logprobs"]["content"][0]["top_logprobs"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderUnavailable(f"completion lacked top_logprobs: {exc}") from exc
+        if not isinstance(entries, list):
+            raise ProviderUnavailable(f"top_logprobs is a {type(entries).__name__}, not a list")
         letter_logprobs: dict[str, float] = {}
         for entry in entries:
+            if not isinstance(entry, dict):
+                raise ProviderUnavailable(f"top_logprobs entry is a {type(entry).__name__}")
             letter = self._letter_of(str(entry.get("token", "")), scheme.option_letters)
             if letter is None:
                 continue
-            logprob = float(entry["logprob"])
+            try:
+                logprob = float(entry["logprob"])
+            except (KeyError, TypeError, ValueError):
+                logprob = math.nan
+            if not math.isfinite(logprob):
+                raise ProviderUnavailable(f"no finite logprob for option {letter}: {entry!r:.200}")
             if letter not in letter_logprobs or logprob > letter_logprobs[letter]:
                 letter_logprobs[letter] = logprob
         return logits_from_letter_logprobs(scheme, letter_logprobs, self._floor)

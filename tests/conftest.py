@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from veriscope.errors import ProviderUnavailable
 from veriscope.selection import EvidenceSentence, HashedBowEmbedder, Polarity
 from veriscope.sources import RetrievedDocument
 from veriscope.types import PUBMED, WIKIPEDIA, LabelScheme, PipelineConfig
@@ -57,3 +59,30 @@ def make_doc(doc_id, body, rank, title="", source=WIKIPEDIA, score=None):
         rank=rank,
         score=score if score is not None else 1.0 / rank,
     )
+
+
+class FixtureSource:
+    """Knowledge source serving canned rank-ordered documents per query."""
+
+    def __init__(self, kind, docs_by_query):
+        self.kind = kind
+        self._docs_by_query = {query: list(docs) for query, docs in docs_by_query.items()}
+
+    def retrieve(self, query_text, k):
+        return self._docs_by_query.get(query_text, [])[:k]
+
+
+class FixtureEmbedder:
+    """Embedder serving exact vectors per text; an unknown text is a provider failure."""
+
+    def __init__(self, vectors):
+        self._vectors = {text: np.asarray(vec, dtype=np.float64) for text, vec in vectors.items()}
+        dims = {vec.shape for vec in self._vectors.values()}
+        if len(dims) > 1:
+            raise ValueError("fixture vectors must share one dimension")
+
+    def embed(self, texts):
+        try:
+            return np.stack([self._vectors[text] for text in texts])
+        except KeyError as exc:
+            raise ProviderUnavailable(f"no fixture vector for {exc.args[0]!r}") from exc

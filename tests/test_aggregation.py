@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -5,19 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_sentence
+from conftest import FixtureEmbedder, make_sentence
 from veriscope.aggregation import (
+    AggregatedEvidence,
     EvidenceBundle,
     aggregate_sources,
     dedup_by_normalized,
     merge_segments,
     rank_and_truncate,
-    read_aggregated_jsonl,
     symmetric_difference_dedup,
     write_aggregated_jsonl,
 )
 from veriscope.errors import RankingFailed
-from veriscope.selection import FixtureEmbedder, Polarity
+from veriscope.selection import Polarity
 from veriscope.types import PUBMED, WEB, WIKIPEDIA
 
 
@@ -297,7 +298,8 @@ class TestSerialization:
         )
         path = tmp_path / "evidence.jsonl"
         write_aggregated_jsonl([agg], path)
-        loaded = read_aggregated_jsonl(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        loaded = [AggregatedEvidence.from_dict(json.loads(line)) for line in lines]
         assert len(loaded) == 1
         assert loaded[0] == agg
 

@@ -27,7 +27,7 @@ from veriscope.errors import (
     WrongArity,
 )
 from veriscope.types import MERGED, PUBMED, WEB, WIKIPEDIA, LabelScheme
-from veriscope.verdict import LabelLogits, VeracityVerdict
+from veriscope.verdict import LabelLogits, VeracityVerdict, abstain_verdict
 
 
 class TestAgreementRegime:
@@ -247,6 +247,29 @@ class TestBuildProfile:
         profile = build_profile("c1", verdicts)
         assert profile.regime is None
         assert profile.dispersion is not None
+
+    def test_abstention_is_not_an_answer(self, scheme3):
+        verdicts = {
+            WIKIPEDIA: _verdict("c1", WIKIPEDIA, "Supported", -0.2, scheme3),
+            PUBMED: abstain_verdict("c1", PUBMED, scheme3),
+            WEB: _verdict("c1", WEB, "Refuted", -1.2, scheme3),
+            MERGED: _verdict("c1", MERGED, "Supported", -0.1, scheme3),
+        }
+        profile = build_profile("c1", verdicts)
+        assert profile.regime is None
+        assert profile.dispersion == dispersion([-0.2, -1.2])
+        assert profile.verdicts[PUBMED].abstained
+        assert set(profile.verdicts) == {WIKIPEDIA, PUBMED, WEB}
+
+    def test_one_answer_among_abstentions_has_no_dispersion(self, scheme3):
+        verdicts = {
+            WIKIPEDIA: _verdict("c1", WIKIPEDIA, "Supported", -0.2, scheme3),
+            PUBMED: abstain_verdict("c1", PUBMED, scheme3),
+            WEB: abstain_verdict("c1", WEB, scheme3),
+        }
+        profile = build_profile("c1", verdicts)
+        assert profile.regime is None
+        assert profile.dispersion is None
 
     def test_single_source_no_dispersion(self, scheme3):
         verdicts = {WIKIPEDIA: _verdict("c1", WIKIPEDIA, "Supported", -0.2, scheme3)}

@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from veriscope._http import JsonHttpClient
 from veriscope.assets import fixture_path, load_prompt, load_scheme
 from veriscope.errors import ProviderUnavailable
 from veriscope.datasets import DatasetDescriptor
@@ -10,8 +11,9 @@ from veriscope.experiment import ExperimentPlan, run_experiment
 from veriscope.index import build_local_index
 from veriscope.mock import MOCK_CONFIG, mock_claims_path, mock_provider_set
 from veriscope.pipeline import ClaimCondition, ProviderSet, verify_claim
-from veriscope.sources import BiomedicalSource, LocalCorpusSource
+from veriscope.sources import BiomedicalSource, LocalCorpusSource, WebSearchSource
 from veriscope.types import CANONICAL_SOURCES, MERGED, PUBMED, WEB, ClaimPair
+from veriscope.verdict import RemoteVerdictProvider
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +194,39 @@ class TestFusionOutage:
         assert metrics["abstentions"]["wikipedia"] == 0
         for path in sorted((run_dir / "traces").glob("*.json")):
             assert set(json.loads(path.read_text())["source_errors"]) == {"pubmed"}
+
+
+class _Reply:
+    status_code = 200
+
+    def __init__(self, payload):
+        self._payload = payload
+
+    def json(self):
+        return self._payload
+
+
+class MalformedSession:
+    """Web search answers with a JSON list; completions with a string top_logprobs."""
+
+    def get(self, url, params=None, timeout=None):
+        return _Reply([{"title": "a list", "link": "http://a"}])
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return _Reply({"choices": [{"logprobs": {"content": [{"top_logprobs": "A"}]}}]})
+
+
+def test_malformed_replies_become_abstentions(mock, claim, scheme, template):
+    session = MalformedSession()
+    providers = with_providers(
+        mock,
+        sources={**mock.sources, WEB: WebSearchSource(api_key="k", engine_id="e", session=session)},
+        verdicts=RemoteVerdictProvider(
+            "http://fake/llm", client=JsonHttpClient("http://fake/llm", session=session)
+        ),
+    )
+    result = verify_claim(claim, providers, scheme, template, MOCK_CONFIG)
+    assert "no list of result objects" in result.source_errors[WEB]
+    assert set(result.source_errors) == set(CANONICAL_SOURCES) | {MERGED}
+    assert all(verdict.abstained for verdict in result.verdicts.values())
+    assert result.profile.regime is None and result.profile.dispersion is None

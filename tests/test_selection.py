@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_doc
+from conftest import FixtureEmbedder, make_doc
 from veriscope.errors import ProviderUnavailable, ZeroVector
 from veriscope.selection import (
     EmbeddingMemo,
     EvidenceSentence,
-    FixtureEmbedder,
     HashedBowEmbedder,
     Polarity,
     cosine_similarity,

@@ -8,19 +8,15 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_doc
+from conftest import FixtureSource, make_doc
+from veriscope.assets import load_prompt, load_scheme
 from veriscope.errors import ConfigurationError, ProviderUnavailable, SourceUnavailable, ZeroVector
 from veriscope.index import LocalIndex
+from veriscope.pipeline import ProviderSet, verify_claim
 from veriscope.selection import HashedBowEmbedder, cosine_similarity
-from veriscope.sources import (
-    BiomedicalSource,
-    FixtureSource,
-    LocalCorpusSource,
-    RetrievedDocument,
-    WebSearchSource,
-    retrieve_dual,
-)
+from veriscope.sources import BiomedicalSource, LocalCorpusSource, RetrievedDocument, WebSearchSource
 from veriscope.types import PUBMED, WIKIPEDIA, ClaimPair, PipelineConfig
+from veriscope.verdict import RuleVerdictProvider
 
 
 class TestRetrievedDocument:
@@ -43,25 +39,39 @@ class TestFixtureSource:
         assert source.retrieve("anything", 3) == []
 
 
+def dual_bundle(source, claim, cfg):
+    """The evidence bundle verify_claim's dual retrieval builds from one source."""
+    providers = ProviderSet(
+        sources={source.kind: source},
+        embedder=HashedBowEmbedder(),
+        verdicts=RuleVerdictProvider(),
+    )
+    result = verify_claim(claim, providers, load_scheme("scifact"), load_prompt("verdict"), cfg)
+    return result.bundles[source.kind]
+
+
 class TestRetrieveDual:
+    """The dual retrieval of verify_claim: claim and negation queried apart."""
+
     def test_requires_negation(self, cfg):
         claim = ClaimPair(id="c", text="cats are nice")
-        with pytest.raises(ValueError):
-            retrieve_dual(claim, FixtureSource(WIKIPEDIA, {}), cfg)
+        with pytest.raises(ConfigurationError):
+            dual_bundle(FixtureSource(WIKIPEDIA, {}), claim, cfg)
 
     def test_mock_source_fixture_lists(self, cfg):
-        pos = [make_doc("p1", "cats are nice", 1)]
-        neg = [make_doc("n1", "cats are not nice", 1)]
+        pos = [make_doc("p1", "cats are nice.", 1)]
+        neg = [make_doc("n1", "cats are not nice.", 1)]
         source = FixtureSource(WIKIPEDIA, {"cats are nice": pos, "cats are not nice": neg})
         claim = ClaimPair(id="c", text="cats are nice", negated_text="cats are not nice")
-        docs_pos, docs_neg = retrieve_dual(claim, source, cfg)
-        assert docs_pos == pos
-        assert docs_neg == neg
+        bundle = dual_bundle(source, claim, cfg)
+        assert [(s.doc_id, s.text) for s in bundle.positive] == [("p1", "cats are nice.")]
+        assert [(s.doc_id, s.text) for s in bundle.negative] == [("n1", "cats are not nice.")]
 
     def test_empty_corpus_yields_empty_lists(self, cfg):
         source = FixtureSource(WIKIPEDIA, {})
         claim = ClaimPair(id="c", text="cats are nice", negated_text="cats are not nice")
-        assert retrieve_dual(claim, source, cfg) == ([], [])
+        bundle = dual_bundle(source, claim, cfg)
+        assert bundle.positive == bundle.negative == bundle.final == ()
 
     def test_three_doc_corpus_oracle(self, cfg):
         from test_bm25 import brute_force_ranking
@@ -77,18 +87,19 @@ class TestRetrieveDual:
         source = LocalCorpusSource(WIKIPEDIA, index)
         claim = ClaimPair(id="c", text="cats", negated_text="no cats at all")
         cfg2 = PipelineConfig(retrieval_depth=2, selection_docs=2)
-        docs_pos, _ = retrieve_dual(claim, source, cfg2)
+        docs_pos = source.retrieve(claim.text, cfg2.retrieval_depth)
         expected = brute_force_ranking(tokenize("cats"), docs, 2)
         assert [d.doc_id for d in docs_pos] == [doc_id for doc_id, _ in expected]
         assert [d.rank for d in docs_pos] == [1, 2]
 
     def test_never_mixes_lists(self, cfg):
-        pos = [make_doc("p1", "positive only", 1)]
-        neg = [make_doc("n1", "negative only", 1)]
+        pos = [make_doc(f"p{i}", f"positive only {i}.", i) for i in (1, 2)]
+        neg = [make_doc(f"n{i}", f"negative only {i}.", i) for i in (1, 2)]
         source = FixtureSource(WIKIPEDIA, {"a is b": pos, "a is not b": neg})
         claim = ClaimPair(id="c", text="a is b", negated_text="a is not b")
-        docs_pos, docs_neg = retrieve_dual(claim, source, cfg)
-        assert {d.doc_id for d in docs_pos}.isdisjoint({d.doc_id for d in docs_neg})
+        bundle = dual_bundle(source, claim, cfg)
+        assert {s.doc_id for s in bundle.positive} == {"p1", "p2"}
+        assert {s.doc_id for s in bundle.negative} == {"n1", "n2"}
 
 
 class TestBiomedicalSourceFusion:
@@ -99,14 +110,6 @@ class TestBiomedicalSourceFusion:
             "d3": "copper and zinc metabolism in deficiency states",
         }
         return LocalIndex.from_documents((i, "", b) for i, b in docs.items())
-
-    def test_without_embedder_is_plain_bm25(self):
-        index = self._index()
-        plain = LocalCorpusSource(PUBMED, index)
-        fused = BiomedicalSource(PUBMED, index, embedder=None)
-        assert [d.doc_id for d in fused.retrieve("zinc deficiency", 3)] == [
-            d.doc_id for d in plain.retrieve("zinc deficiency", 3)
-        ]
 
     def test_rrf_oracle(self):
         # Oracle: recompute 1/(60+r_lex) + 1/(60+r_dense) from the two
@@ -299,13 +302,17 @@ class TestBiomedicalSourceCache:
 
 
 class _FakeWebSession:
+    """Answers every GET alike: raises error, or replies status with payload."""
+
     def __init__(self, payload=None, status=200, error=None):
-        self.payload = payload or {}
+        self.payload = {} if payload is None else payload
         self.status = status
         self.error = error
         self.params = None
+        self.requests = 0
 
     def get(self, url, params=None, timeout=None):
+        self.requests += 1
         if self.error is not None:
             raise self.error
         self.params = params
@@ -318,6 +325,14 @@ class _FakeWebSession:
                 return fake.payload
 
         return _Resp()
+
+
+def web_source(session, api_key="k"):
+    """A WebSearchSource, and the list its client records backoff sleeps in instead of sleeping."""
+    source = WebSearchSource(api_key=api_key, engine_id="e", session=session)
+    sleeps = []
+    source._client._sleep = sleeps.append
+    return source, sleeps
 
 
 class TestWebSearchSource:
@@ -343,30 +358,36 @@ class TestWebSearchSource:
         assert docs[0].score >= docs[1].score
         assert session.params["q"] == "zinc"
         assert session.params["num"] == 2
+        assert session.requests == 1
 
     def test_http_error(self):
-        source = WebSearchSource(
-            api_key="k", engine_id="e", session=_FakeWebSession(status=503)
-        )
-        with pytest.raises(SourceUnavailable):
+        # 503 is retried with exponential backoff, then the source gives up
+        session = _FakeWebSession(status=503)
+        source, sleeps = web_source(session)
+        with pytest.raises(SourceUnavailable, match="HTTP 503"):
             source.retrieve("zinc", 2)
+        assert session.requests == 5
+        assert sleeps == [0.5, 1.0, 2.0, 4.0]
+
+    def test_client_error_is_not_retried(self):
+        session = _FakeWebSession(status=403)
+        source, _ = web_source(session)
+        with pytest.raises(SourceUnavailable, match="HTTP 403"):
+            source.retrieve("zinc", 2)
+        assert session.requests == 1
 
     def test_network_error(self):
-        source = WebSearchSource(
-            api_key="k",
-            engine_id="e",
-            session=_FakeWebSession(error=requests.ConnectionError("x")),
-        )
+        session = _FakeWebSession(error=requests.ConnectionError("x"))
+        source, _ = web_source(session)
         with pytest.raises(SourceUnavailable):
             source.retrieve("zinc", 2)
+        assert session.requests == 5
 
     def test_network_error_redacts_api_key(self):
         key = "sk/secret+key"
         url = "https://search.example/v1?key=sk%2Fsecret%2Bkey&cx=e&q=zinc"
         error = requests.ConnectionError(f"Max retries exceeded with url: {url} ({key})")
-        source = WebSearchSource(
-            api_key=key, engine_id="e", session=_FakeWebSession(error=error)
-        )
+        source, _ = web_source(_FakeWebSession(error=error), api_key=key)
         with pytest.raises(SourceUnavailable) as info:
             source.retrieve("zinc", 2)
         assert key not in str(info.value)
@@ -377,3 +398,20 @@ class TestWebSearchSource:
     def test_no_items(self):
         source = WebSearchSource(api_key="k", engine_id="e", session=_FakeWebSession({}))
         assert source.retrieve("zinc", 2) == []
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [{"title": "A list, not an object", "link": "http://a"}],
+            {"items": "not a list"},
+            {"items": {"title": "an object, not a list"}},
+            {"items": None},
+            {"items": ["a string, not an object"]},
+            {"items": [{"title": "fine", "link": "http://a"}, 7]},
+        ],
+        ids=["reply-list", "items-string", "items-object", "items-null", "item-string", "item-number"],
+    )
+    def test_malformed_reply_is_a_source_outage(self, payload):
+        source = WebSearchSource(api_key="k", engine_id="e", session=_FakeWebSession(payload))
+        with pytest.raises(SourceUnavailable, match="no list of result objects"):
+            source.retrieve("zinc", 2)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import make_sentence
-from veriscope.aggregation import EvidenceBundle
 from veriscope.errors import (
     NoValidOption,
     ProviderUnavailable,
@@ -51,13 +50,6 @@ class TestBuildPrompt:
         assert build_prompt("c", evidence, scheme3, TEMPLATE) == build_prompt(
             "c", evidence, scheme3, TEMPLATE
         )
-
-    def test_accepts_bundle_final(self, scheme3):
-        bundle = EvidenceBundle(
-            claim_id="c1", source=PUBMED, final=(make_sentence("Bundle fact."),)
-        )
-        prompt = build_prompt("c", bundle, scheme3, TEMPLATE)
-        assert "1. Bundle fact." in prompt
 
     def test_missing_placeholder_rejected(self, scheme3):
         with pytest.raises(TemplateMissingPlaceholder):
@@ -300,3 +292,30 @@ class TestRemoteVerdictProvider:
         logits = provider.choose("prompt", scheme6)
         label, _ = confidence_from_logits(logits)
         assert label == "True"
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            "A",
+            {"token": "A", "logprob": -0.1},
+            None,
+            ["A"],
+            [{"token": "A", "logprob": -0.1}, ["B", -0.2]],
+            [{"token": "A"}],
+            [{"token": "A", "logprob": None}],
+            [{"token": "A", "logprob": "high"}],
+            [{"token": "A", "logprob": float("nan")}],
+        ],
+        ids=[
+            "top-string", "top-object", "top-null", "entry-string", "entry-list",
+            "logprob-missing", "logprob-null", "logprob-text", "logprob-nan",
+        ],
+    )
+    def test_malformed_top_logprobs_is_provider_unavailable(self, scheme3, entries):
+        provider, _ = self._provider(entries)
+        with pytest.raises(ProviderUnavailable):
+            provider.choose("prompt", scheme3)
+
+    def test_entries_without_a_letter_need_no_logprob(self, scheme3):
+        provider, _ = self._provider([{"token": "The"}, {"token": "A", "logprob": -0.1}])
+        assert provider.choose("prompt", scheme3).logits[0] == -0.1
