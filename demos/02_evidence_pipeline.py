@@ -20,6 +20,7 @@ from veriscope import (
 )
 from veriscope.aggregation import EvidenceBundle, dedup_by_normalized
 from veriscope.assets import fixture_path
+from veriscope.selection import EmbeddingMemo
 
 claim = ClaimPair(
     id="demo-2",
@@ -27,7 +28,9 @@ claim = ClaimPair(
     negated_text="A surplus of vitamin B12 decreases homocysteine levels.",
 )
 cfg = PipelineConfig(retrieval_depth=3, selection_docs=3, sentences_per_doc=1, final_top_p=5)
-embedder = HashedBowEmbedder()
+# Selection and ranking score every text through one memo: it embeds each
+# text once and returns its cosine similarity to the query.
+memo = EmbeddingMemo(HashedBowEmbedder())
 source = LocalCorpusSource(PUBMED, build_local_index(fixture_path("corpus_pubmed.jsonl")))
 
 
@@ -44,9 +47,9 @@ docs_pos = source.retrieve(claim.text, cfg.retrieval_depth)
 docs_neg = source.retrieve(claim.negated_text, cfg.retrieval_depth)
 
 # 2. Per polarity, keep the sentence most similar to the retrieving query.
-positive = select_evidence(claim.text, docs_pos, embedder, cfg, polarity=Polarity.FROM_CLAIM)
+positive = select_evidence(claim.text, docs_pos, memo, cfg, polarity=Polarity.FROM_CLAIM)
 negative = select_evidence(
-    claim.negated_text, docs_neg, embedder, cfg, polarity=Polarity.FROM_NEGATION
+    claim.negated_text, docs_neg, memo, cfg, polarity=Polarity.FROM_NEGATION
 )
 show("Positive evidence (retrieved via the claim):", positive)
 show("Negative evidence (retrieved via the negation):", negative)
@@ -60,7 +63,7 @@ print(f"  ({len(dropped)} contested sentence(s) dropped)")
 
 # 4. Merge split segments, then re-rank everything against the original claim.
 candidates = dedup_by_normalized(merge_segments(candidates, dangling_merge=cfg.merge_heuristic))
-final = rank_and_truncate(candidates, claim.text, embedder, cfg.final_top_p)
+final = rank_and_truncate(candidates, claim.text, memo, cfg.final_top_p)
 show(f"Final per-source evidence (top {cfg.final_top_p}, ranked vs the claim):", final)
 
 # 5. Union across sources. With one source this is just its final set, but

@@ -40,9 +40,10 @@ print(prompt)
 print("-" * 60)
 
 # 2. A provider returns log-probabilities per option letter.  Letters the
-#    provider never surfaced get a floor value so the vector stays finite.
+#    provider never surfaced get a floor value (-20.0) so the vector stays
+#    finite.
 letter_logprobs = {"B": -0.12, "C": -2.8}
-logits = logits_from_letter_logprobs(scheme, letter_logprobs, floor=-20.0)
+logits = logits_from_letter_logprobs(scheme, letter_logprobs)
 print("Logits over options:", dict(zip(scheme.option_letters, logits.logits)))
 
 label, confidence = confidence_from_logits(logits)

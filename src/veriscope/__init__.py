@@ -32,9 +32,8 @@ from .selection import (
     Polarity,
     RemoteEmbedder,
     select_evidence,
-    split_sentences,
 )
-from .sources import BiomedicalSource, LocalCorpusSource, WebSearchSource
+from .sources import BiomedicalSource, LocalCorpusSource, WebSearchSource, split_sentences
 from .types import (
     CANONICAL_SOURCES,
     MERGED,

@@ -17,13 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import RankingFailed
-from .selection import (
-    EmbeddingProvider,
-    EvidenceSentence,
-    Polarity,
-    cosines_to_first,
-    embed_with_norms,
-)
+from .selection import EmbeddingMemo, EvidenceSentence, Polarity
 from .types import JsonRecord, SourceKind, source_order_key
 
 SEGMENT_MARKER = "[SEP]"
@@ -86,18 +80,9 @@ def symmetric_difference_dedup(
     each surviving side, duplicates collapse to the first occurrence.
     Output order: positives in original order, then negatives.
     """
-    positive_keys = {s.normalized for s in positive}
-    negative_keys = {s.normalized for s in negative}
-    contested = positive_keys & negative_keys
-    out: list[EvidenceSentence] = []
-    seen: set[str] = set()
-    for sentence in list(positive) + list(negative):
-        key = sentence.normalized
-        if key in contested or key in seen:
-            continue
-        seen.add(key)
-        out.append(sentence)
-    return out
+    contested = {s.normalized for s in positive} & {s.normalized for s in negative}
+    kept = [s for s in [*positive, *negative] if s.normalized not in contested]
+    return dedup_by_normalized(kept)
 
 
 def _joinable(left_text: str, right_text: str, dangling_merge: bool) -> bool:
@@ -151,26 +136,28 @@ def merge_segments(
 def rank_and_truncate(
     candidates: Sequence[EvidenceSentence],
     claim_text: str,
-    embedder: EmbeddingProvider,
+    memo: EmbeddingMemo,
     p: int,
 ) -> list[EvidenceSentence]:
     """Re-rank candidates by similarity to the original claim; keep the top p.
 
-    Similarities are recomputed against the claim regardless of which
-    query surfaced a candidate.  Ties prefer claim-derived evidence, then
-    the earlier original position.  Zero-vector candidates are skipped;
-    embedding failures raise RankingFailed.
+    Similarities are recomputed against the claim, through
+    memo.similarities, regardless of which query surfaced a candidate.
+    Ties prefer claim-derived evidence, then the earlier original
+    position.  Zero-vector candidates are skipped; embedding failures and
+    a zero claim vector (no similarity of the claim to itself) raise
+    RankingFailed.
     """
     if not candidates:
         return []
     try:
-        vectors, norms = embed_with_norms(embedder, [claim_text] + [c.text for c in candidates])
+        sims = memo.similarities(claim_text, [claim_text] + [c.text for c in candidates])
     except Exception as exc:
         raise RankingFailed(f"embedding failed while ranking: {exc}") from exc
-    if norms[0] == 0.0:
+    if sims[0] is None:
         raise RankingFailed("claim embedded to a zero vector")
     rescored: list[tuple[float, int, int, EvidenceSentence]] = []
-    for position, (candidate, sim) in enumerate(zip(candidates, cosines_to_first(vectors, norms))):
+    for position, (candidate, sim) in enumerate(zip(candidates, sims[1:])):
         if sim is None:
             continue
         polarity_rank = 0 if candidate.polarity is Polarity.FROM_CLAIM else 1
@@ -203,14 +190,9 @@ def aggregate_sources(
     if claim_id is None:
         raise ValueError("claim_id required when no bundles are given")
 
-    sentences: list[EvidenceSentence] = []
-    seen: set[str] = set()
-    for kind in sorted(bundles, key=source_order_key):
-        for sentence in bundles[kind].final:
-            if sentence.normalized in seen:
-                continue
-            seen.add(sentence.normalized)
-            sentences.append(sentence)
+    sentences = dedup_by_normalized(
+        [s for kind in sorted(bundles, key=source_order_key) for s in bundles[kind].final]
+    )
     return AggregatedEvidence(claim_id=claim_id, sentences=tuple(sentences), per_source=bundles)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateSamples, TooFewSamples, UnknownGoldLabel, WrongArity
 from .types import MERGED, JsonRecord, LabelScheme, SourceKind
-from .verdict import VeracityVerdict
+from .verdict import ABSTAIN_LABEL, VeracityVerdict
 
 log = logging.getLogger(__name__)
 
@@ -294,14 +294,15 @@ def kde_by_group(
 ) -> tuple[dict[tuple[str, str], KdeCurve], list[tuple[str, str, str]]]:
     """One KDE per (regime, source) group of confidence rows.
 
-    Rows without a regime are ignored.  Groups that cannot support an
-    automatic bandwidth (fewer than two samples, or zero spread) are
-    skipped and reported in the second return value as
+    Rows without a regime, and abstentions (label ABSTAIN_LABEL, whose
+    confidence is the floor, not an answer's), are ignored.  Groups that
+    cannot support an automatic bandwidth (fewer than two samples, or
+    zero spread) are skipped and reported in the second return value as
     (regime, source, reason).
     """
     groups: dict[tuple[str, str], list[float]] = {}
     for row in rows:
-        if not row.regime:
+        if not row.regime or row.label == ABSTAIN_LABEL:
             continue
         groups.setdefault((row.regime, row.source), []).append(row.confidence)
     curves: dict[tuple[str, str], KdeCurve] = {}

@@ -279,11 +279,12 @@ def cmd_verify(claim_text, mock, config_path, sources_spec, condition, scheme_na
 @click.option("--sources", "sources_spec", default=None)
 @click.option("--condition", type=click.Choice([c.value for c in ClaimCondition]),
               default=ClaimCondition.ORIGINAL_PLUS_NEGATED.value, show_default=True)
-@click.option("--limit", type=int, default=None, help="Evaluate only N claims (seeded shuffle).")
+@click.option("--limit", type=click.IntRange(min=1), default=None,
+              help="Evaluate only N claims (seeded shuffle).")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None,
               help="Run directory [default: runs/<dataset>-<condition>].")
-@click.option("--max-workers", type=int, default=4, show_default=True)
+@click.option("--max-workers", type=click.IntRange(min=1), default=4, show_default=True)
 def cmd_evaluate(claims_path, dataset_name, scheme_name, mock, config_path, sources_spec,
                  condition, limit, seed, out_dir, max_workers):
     """Run the experiment grid over a claims file and report metrics."""
@@ -329,7 +330,7 @@ def cmd_evaluate(claims_path, dataset_name, scheme_name, mock, config_path, sour
 
 @main.command("analyze")
 @click.argument("run_dir", type=click.Path(path_type=Path))
-@click.option("--grid-points", type=int, default=512, show_default=True)
+@click.option("--grid-points", type=click.IntRange(min=2), default=512, show_default=True)
 @click.option("--svg", "with_svg", is_flag=True, help="Also render kde.svg.")
 def cmd_analyze(run_dir: Path, grid_points: int, with_svg: bool) -> None:
     """Compute confidence-density curves per (regime, source) from a run."""

@@ -53,7 +53,7 @@ def mock_negations() -> dict[str, str]:
     return json.loads(fixture_path("negations.json").read_text(encoding="utf-8"))
 
 
-def mock_provider_set(embedder_dim: int = 256) -> ProviderSet:
+def mock_provider_set() -> ProviderSet:
     """Build the full offline provider set over the bundled corpora."""
     sources = {
         WIKIPEDIA: LocalCorpusSource(WIKIPEDIA, build_local_index(fixture_path("corpus_wikipedia.jsonl"))),
@@ -62,7 +62,7 @@ def mock_provider_set(embedder_dim: int = 256) -> ProviderSet:
     }
     return ProviderSet(
         sources=sources,
-        embedder=HashedBowEmbedder(dim=embedder_dim),
+        embedder=HashedBowEmbedder(),
         verdicts=RuleVerdictProvider(MOCK_VERDICT_RULES, default_letter="C"),
         negator=FixtureNegationProvider(mock_negations(), fallback=RuleBasedNegator()),
     )

@@ -14,6 +14,7 @@ import os
 from typing import Mapping, Protocol
 
 from ._http import JsonHttpClient
+from .assets import load_prompt
 from .errors import ConfigurationError, DegenerateNegation, ProviderUnavailable
 from .types import ClaimPair, normalize_sentence
 
@@ -87,8 +88,9 @@ class RemoteNegationProvider:
     """Chat-completion negation via an HTTP endpoint.
 
     Endpoint, key, and model come from NEGATION_API_URL / NEGATION_API_KEY /
-    NEGATION_MODEL unless passed explicitly.  Requests are bounded to
-    max_in_flight concurrent calls with exponential backoff on rate limits.
+    NEGATION_MODEL unless passed explicitly; the prompt is the bundled
+    "negation" template.  Requests go through JsonHttpClient (4 in flight
+    by default, exponential backoff on rate limits).
     """
 
     def __init__(
@@ -97,24 +99,14 @@ class RemoteNegationProvider:
         api_key: str | None = None,
         model: str | None = None,
         *,
-        prompt_template: str | None = None,
-        max_in_flight: int = 4,
         client: JsonHttpClient | None = None,
     ):
         url = url or os.environ.get(ENV_URL)
         if not url:
             raise ConfigurationError(f"remote negation needs {ENV_URL}")
         self.model = model or os.environ.get(ENV_MODEL, "")
-        if prompt_template is None:
-            from .assets import load_prompt
-
-            prompt_template = load_prompt("negation")
-        self._template = prompt_template
-        self._client = client or JsonHttpClient(
-            url,
-            api_key or os.environ.get(ENV_KEY),
-            max_in_flight=max_in_flight,
-        )
+        self._template = load_prompt("negation")
+        self._client = client or JsonHttpClient(url, api_key or os.environ.get(ENV_KEY))
 
     def negate(self, claim_text: str) -> str:
         payload = {

@@ -37,7 +37,7 @@ from .aggregation import (
 from .analysis import SourceConfidenceProfile, build_profile
 from .errors import ConfigurationError, ProviderUnavailable, RankingFailed, SourceUnavailable
 from .negation import NegationProvider, negate_claim
-from .selection import EmbeddingMemo, EmbeddingProvider, Polarity, select_evidence, split_sentences
+from .selection import EmbeddingProvider, Polarity, claim_memo, select_evidence
 from .sources import BiomedicalSource, KnowledgeSource, LocalCorpusSource
 from .types import MERGED, ClaimPair, JsonRecord, LabelScheme, PipelineConfig, SourceKind, source_order_key
 from .verdict import (
@@ -116,39 +116,6 @@ def _run_calls(pool, calls: dict) -> dict[object, Future]:
     return {key: futures[key] for key in calls}
 
 
-def _claim_embedder(
-    claim: ClaimPair,
-    retrieved: dict[SourceKind, tuple[list, list]],
-    embedder: EmbeddingProvider,
-    cfg: PipelineConfig,
-    dual: bool,
-) -> EmbeddingMemo:
-    """Embed every text selection will score in one call; return the memo.
-
-    The texts are the claim, the negation (under the dual condition) and
-    every sentence of the first selection_docs documents of each source
-    and polarity.  When that one call fails it is logged and the memo is
-    returned with nothing cached, so selection embeds through it one
-    call per document with per-document failure isolation.
-    """
-    memo = EmbeddingMemo(embedder)
-    sentences = [
-        sentence
-        for docs_pos, docs_neg in retrieved.values()
-        for doc in docs_pos[: cfg.selection_docs] + docs_neg[: cfg.selection_docs]
-        for sentence in split_sentences(doc.body)
-    ]
-    if not sentences:
-        return memo
-    try:
-        memo.prefetch([claim.text] + ([claim.negated_text] if dual else []) + sentences)
-    except Exception as exc:  # selection's per-document calls isolate the failure
-        log.warning(
-            "batched embedding failed for claim %s, embedding per document: %s", claim.id, exc
-        )
-    return memo
-
-
 def verify_claim(
     claim: ClaimPair,
     providers: ProviderSet,
@@ -171,10 +138,10 @@ def verify_claim(
     result lists of a source never mix.
 
     After retrieval, the claim, its negation and the sentences of the
-    selected documents are embedded in one call, and selection and
-    ranking read that call's rows from a per-claim EmbeddingMemo; only
-    texts the call did not cover (sentences fused by merge_segments) are
-    embedded again.  If the batched call fails, it is logged and
+    selected documents are embedded in one call (claim_memo), and
+    selection and ranking score through that per-claim EmbeddingMemo;
+    only texts the call did not cover (sentences fused by merge_segments)
+    are embedded again.  If the batched call fails, it is logged and
     selection embeds through the same memo one call per document, each
     sending only texts not cached yet, so one bad document still only
     costs that document.
@@ -218,16 +185,16 @@ def verify_claim(
                 source_errors[kind] = str(exc)
                 retrieved[kind] = ([], [])
 
-        embedder = _claim_embedder(claim, retrieved, providers.embedder, cfg, dual)
+        memo = claim_memo(claim, retrieved, providers.embedder, cfg, dual)
         bundles: dict[SourceKind, EvidenceBundle] = {}
         for kind in kinds:
             docs_pos, docs_neg = retrieved[kind]
             positive = select_evidence(
-                claim.text, docs_pos, embedder, cfg, polarity=Polarity.FROM_CLAIM
+                claim.text, docs_pos, memo, cfg, polarity=Polarity.FROM_CLAIM
             )
             negative = (
                 select_evidence(
-                    claim.negated_text, docs_neg, embedder, cfg,
+                    claim.negated_text, docs_neg, memo, cfg,
                     polarity=Polarity.FROM_NEGATION,
                 )
                 if dual and docs_neg
@@ -240,7 +207,7 @@ def verify_claim(
                 )
             )
             try:
-                final = rank_and_truncate(candidates, claim.text, embedder, cfg.final_top_p)
+                final = rank_and_truncate(candidates, claim.text, memo, cfg.final_top_p)
             except RankingFailed as exc:
                 log.warning("ranking failed for claim %s source %s: %s", claim.id, kind, exc)
                 source_errors.setdefault(kind, str(exc))

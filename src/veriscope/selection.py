@@ -1,9 +1,11 @@
 """Sentence-level evidence selection by embedding similarity.
 
-Retrieved documents are split into sentences; each sentence is embedded
-together with the query that retrieved the document (the claim for the
-positive pass, the negation for the negative pass) and the most similar
-sentences per document survive.
+Retrieved documents are split into sentences once each
+(RetrievedDocument.sentences); each sentence is scored against the
+query that retrieved the document (the claim for the positive pass, the
+negation for the negative pass) and the most similar sentences per
+document survive.  Selection and ranking score every text through one
+EmbeddingMemo.similarities.
 """
 
 from __future__ import annotations
@@ -11,26 +13,21 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from ._http import JsonHttpClient
 from .errors import ConfigurationError, ProviderUnavailable, ZeroVector
 from .sources import RetrievedDocument
-from .types import JsonRecord, PipelineConfig, SourceKind, normalize_sentence
+from .types import ClaimPair, JsonRecord, PipelineConfig, SourceKind, normalize_sentence
 
 log = logging.getLogger(__name__)
 
 ENV_EMBED_URL = "EMBED_API_URL"
 ENV_EMBED_KEY = "EMBED_API_KEY"
-
-_TERMINATORS = re.compile(r"[.!?]")
-_MIN_SENTENCE_CHARS = 3
-
 
 class Polarity(Enum):
     """Which query surfaced a piece of evidence."""
@@ -62,41 +59,6 @@ class EvidenceSentence(JsonRecord):
         object.__setattr__(self, "similarity", min(1.0, max(-1.0, sim)))
 
 
-def split_sentences(body: str) -> list[str]:
-    """Split text on . ! ? followed by whitespace or end of text.
-
-    A period directly after a lone capital letter (an initial such as
-    "J.") never splits.  Segments shorter than 3 characters after
-    trimming are dropped.
-    """
-    sentences: list[str] = []
-    start = 0
-    n = len(body)
-    for match in _TERMINATORS.finditer(body):
-        i = match.start()
-        if i + 1 < n and not body[i + 1].isspace():
-            continue
-        if body[i] == "." and _is_initial(body, i):
-            continue
-        segment = body[start : i + 1].strip()
-        if len(segment) >= _MIN_SENTENCE_CHARS:
-            sentences.append(segment)
-        start = i + 1
-    tail = body[start:].strip()
-    if len(tail) >= _MIN_SENTENCE_CHARS:
-        sentences.append(tail)
-    return sentences
-
-
-def _is_initial(text: str, period_pos: int) -> bool:
-    if period_pos == 0:
-        return False
-    prev = text[period_pos - 1]
-    if not (prev.isalpha() and prev.isupper()):
-        return False
-    return period_pos < 2 or not text[period_pos - 2].isalnum()
-
-
 def cosine_similarity(u, v) -> float:
     """u.v / (|u||v|); raises ZeroVector when either norm is zero."""
     u = np.asarray(u, dtype=np.float64)
@@ -108,25 +70,6 @@ def cosine_similarity(u, v) -> float:
     if norm_u == 0.0 or norm_v == 0.0:
         raise ZeroVector("cosine similarity undefined for zero vectors")
     return float(np.dot(u, v) / (norm_u * norm_v))
-
-
-def cosines_to_first(
-    vectors: Sequence[np.ndarray], norms: Sequence[float]
-) -> list[float | None]:
-    """cosine_similarity of vectors[0] with each later row, given every row's norm.
-
-    Each value is cosine_similarity's expression for that one pair, so it
-    equals cosine_similarity bit for bit (a matrix product would sum in
-    another order).  None stands for the ZeroVector case: either norm is
-    zero.
-    """
-    query, query_norm = vectors[0], norms[0]
-    if query_norm == 0.0:
-        return [None] * (len(vectors) - 1)
-    return [
-        float(np.dot(query, row) / (query_norm * norm)) if norm != 0.0 else None
-        for row, norm in zip(vectors[1:], norms[1:])
-    ]
 
 
 class EmbeddingProvider(Protocol):
@@ -204,24 +147,24 @@ class RemoteEmbedder:
 
 
 class EmbeddingMemo:
-    """An EmbeddingProvider that memoizes another one's rows by text.
+    """Scores texts against a query from rows of another embedder, memoized by text.
 
-    embed() serves cached rows and sends only the texts not seen yet to
-    the wrapped embedder, in one call.  This is valid because every
-    embedder here maps a text to the same vector whatever else is in the
-    call.  A reply whose row count differs from the texts sent raises
+    similarities() is the one way selection and ranking score text.  It
+    embeds the texts not seen yet in one call to the wrapped embedder and
+    serves the rest from memory.  This is valid because every embedder
+    here maps a text to the same vector whatever else is in the call.  A
+    reply whose row count differs from the texts sent raises
     ProviderUnavailable and caches nothing.  Each row's norm is kept
     beside it, so a text's norm is computed once however often it is
-    scored.  verify_claim builds one memo per claim, so the memo's size
-    is bounded by one claim's texts.  A failed prefetch caches nothing,
-    and a later embed() sends only that call's missing texts, so the
-    memo also serves the per-document fallback after a failed batch.
+    scored.  verify_claim builds one memo per claim (claim_memo), so the
+    memo's size is bounded by one claim's texts.  A failed prefetch
+    caches nothing, and a later call sends only its own missing texts, so
+    the memo also serves the per-document fallback after a failed batch.
     """
 
     def __init__(self, embedder: EmbeddingProvider):
         self._embedder = embedder
-        self._rows: dict[str, np.ndarray] = {}
-        self._norms: dict[str, float] = {}
+        self._rows: dict[str, tuple[np.ndarray, float]] = {}
 
     def prefetch(self, texts: Sequence[str]) -> None:
         """Embed, in one call, the texts not cached yet."""
@@ -233,67 +176,89 @@ class EmbeddingMemo:
             raise ProviderUnavailable(
                 f"embedder returned shape {vectors.shape} for {len(missing)} texts"
             )
-        self._norms.update(
-            (text, float(np.linalg.norm(row))) for text, row in zip(missing, vectors)
+        self._rows.update(
+            (text, (row, float(np.linalg.norm(row)))) for text, row in zip(missing, vectors)
         )
-        self._rows.update(zip(missing, vectors))
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        self.prefetch(texts)
-        return np.stack([self._rows[text] for text in texts])
+    def similarities(self, query: str, texts: Sequence[str]) -> list[float | None]:
+        """cosine_similarity of the query's row with each text's row.
 
-    def embed_with_norms(self, texts: Sequence[str]) -> tuple[list[np.ndarray], list[float]]:
-        self.prefetch(texts)
-        return [self._rows[text] for text in texts], [self._norms[text] for text in texts]
+        Each value is cosine_similarity's expression for that one pair, so
+        it equals cosine_similarity bit for bit (a matrix product would sum
+        in another order).  None stands for the ZeroVector case: either
+        norm is zero.
+        """
+        self.prefetch([query, *texts])
+        query_row, query_norm = self._rows[query]
+        sims: list[float | None] = []
+        for text in texts:
+            row, norm = self._rows[text]
+            ok = query_norm != 0.0 and norm != 0.0
+            sims.append(float(np.dot(query_row, row) / (query_norm * norm)) if ok else None)
+        return sims
 
 
-def embed_with_norms(
-    embedder: EmbeddingProvider, texts: Sequence[str]
-) -> tuple[Sequence[np.ndarray], list[float]]:
-    """The texts' float64 rows, and each row's np.linalg.norm.
+def claim_memo(
+    claim: ClaimPair,
+    retrieved: Mapping[SourceKind, tuple[list, list]],
+    embedder: EmbeddingProvider,
+    cfg: PipelineConfig,
+    dual: bool,
+) -> EmbeddingMemo:
+    """Embed every text selection will score in one call; return the memo.
 
-    An EmbeddingMemo serves both from memory; other embedders are called
-    once and the norms computed here.
+    The texts are the claim, the negation (under the dual condition) and
+    every sentence of the first selection_docs documents of each source
+    and polarity, read from each document's one split.  When that one
+    call fails it is logged and the memo is returned with nothing cached,
+    so selection embeds through it one call per document with
+    per-document failure isolation.
     """
-    if isinstance(embedder, EmbeddingMemo):
-        return embedder.embed_with_norms(texts)
-    vectors = np.asarray(embedder.embed(texts), dtype=np.float64)
-    return vectors, [float(np.linalg.norm(row)) for row in vectors]
+    memo = EmbeddingMemo(embedder)
+    sentences = [
+        sentence
+        for docs_pos, docs_neg in retrieved.values()
+        for doc in docs_pos[: cfg.selection_docs] + docs_neg[: cfg.selection_docs]
+        for sentence in doc.sentences
+    ]
+    if not sentences:
+        return memo
+    try:
+        memo.prefetch([claim.text] + ([claim.negated_text] if dual else []) + sentences)
+    except Exception as exc:  # selection's per-document calls isolate the failure
+        log.warning(
+            "batched embedding failed for claim %s, embedding per document: %s", claim.id, exc
+        )
+    return memo
 
 
 def select_evidence(
     query_text: str,
     docs: Sequence[RetrievedDocument],
-    embedder: EmbeddingProvider,
+    memo: EmbeddingMemo,
     cfg: PipelineConfig,
     polarity: Polarity = Polarity.FROM_CLAIM,
 ) -> list[EvidenceSentence]:
     """Keep the most query-similar sentences from the first selection_docs docs.
 
-    Per document, all sentences are embedded alongside the query and the
-    sentences_per_doc highest-similarity ones survive; ties prefer the
-    earlier sentence.  A document whose embedding fails is skipped with a
-    warning while the others proceed; zero-vector sentences are skipped
-    rather than scored.
-
-    verify_claim passes an EmbeddingMemo that has embedded the claim, its
-    negation and every sentence of the selected documents in one batched
-    call, so the per-document calls below are served from memory.  When
-    that batched call failed, the same memo embeds, per document, only
-    the texts it has not cached yet: one call per document, and a failing
-    document is skipped on its own.
+    Per document, every sentence is scored against the query with
+    memo.similarities and the sentences_per_doc highest-similarity ones
+    survive; ties prefer the earlier sentence.  A document whose
+    embedding fails is skipped with a warning while the others proceed;
+    zero-vector sentences are skipped rather than scored.  Under
+    verify_claim the memo already holds every row (claim_memo), so this
+    embeds nothing unless that batched call failed.
     """
     selected: list[EvidenceSentence] = []
     for doc in docs[: cfg.selection_docs]:
-        sentences = split_sentences(doc.body)
+        sentences = doc.sentences
         if not sentences:
             continue
         try:
-            vectors, norms = embed_with_norms(embedder, [query_text] + sentences)
+            sims = memo.similarities(query_text, sentences)
         except Exception as exc:  # provider-specific failures must not kill the stage
             log.warning("embedding failed for doc %r: %s", doc.doc_id, exc)
             continue
-        sims = cosines_to_first(vectors, norms)
         scored = [
             (sim, position, sentence)
             for position, (sentence, sim) in enumerate(zip(sentences, sims))

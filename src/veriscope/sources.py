@@ -11,8 +11,10 @@ the claim and once for its negation.
 from __future__ import annotations
 
 import os
+import re
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 from urllib.parse import quote_plus
 
@@ -31,6 +33,44 @@ DEFAULT_SEARCH_ENDPOINT = "https://www.googleapis.com/customsearch/v1"
 #: Rank-reciprocal fusion constant for hybrid lexical/dense ranking.
 RRF_CONSTANT = 60
 
+_TERMINATORS = re.compile(r"[.!?]")
+_MIN_SENTENCE_CHARS = 3
+
+
+def split_sentences(body: str) -> list[str]:
+    """Split text on . ! ? followed by whitespace or end of text.
+
+    A period directly after a lone capital letter (an initial such as
+    "J.") never splits.  Segments shorter than 3 characters after
+    trimming are dropped.
+    """
+    sentences: list[str] = []
+    start = 0
+    n = len(body)
+    for match in _TERMINATORS.finditer(body):
+        i = match.start()
+        if i + 1 < n and not body[i + 1].isspace():
+            continue
+        if body[i] == "." and _is_initial(body, i):
+            continue
+        segment = body[start : i + 1].strip()
+        if len(segment) >= _MIN_SENTENCE_CHARS:
+            sentences.append(segment)
+        start = i + 1
+    tail = body[start:].strip()
+    if len(tail) >= _MIN_SENTENCE_CHARS:
+        sentences.append(tail)
+    return sentences
+
+
+def _is_initial(text: str, period_pos: int) -> bool:
+    if period_pos == 0:
+        return False
+    prev = text[period_pos - 1]
+    if not (prev.isalpha() and prev.isupper()):
+        return False
+    return period_pos < 2 or not text[period_pos - 2].isalnum()
+
 
 @dataclass(frozen=True)
 class RetrievedDocument:
@@ -46,6 +86,11 @@ class RetrievedDocument:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+
+    @cached_property
+    def sentences(self) -> tuple[str, ...]:
+        """split_sentences(body), computed once per document object."""
+        return tuple(split_sentences(self.body))
 
 
 class KnowledgeSource(Protocol):

@@ -28,6 +28,9 @@ ENV_LLM_MODEL = "LLM_MODEL"
 #: Log-probability assigned to option letters the provider never surfaced.
 DEFAULT_LOGPROB_FLOOR = -20.0
 
+#: Top tokens a remote completion is asked to return log-probabilities for.
+_TOP_LOGPROBS = 20
+
 #: Label recorded when no option letter received any probability.
 ABSTAIN_LABEL = "abstain"
 
@@ -75,18 +78,20 @@ class VerdictProvider(Protocol):
 def logits_from_letter_logprobs(
     scheme: LabelScheme,
     letter_logprobs: Mapping[str, float],
-    floor: float = DEFAULT_LOGPROB_FLOOR,
 ) -> LabelLogits:
     """Assemble full logits from a (possibly partial) letter->logprob map.
 
-    Missing letters receive the floor; raises NoValidOption when no
-    scheme letter appears in the map at all.
+    Missing letters receive DEFAULT_LOGPROB_FLOOR; raises NoValidOption
+    when no scheme letter appears in the map at all.
     """
     if not any(letter in letter_logprobs for letter in scheme.option_letters):
         raise NoValidOption(f"no valid option letter among {sorted(letter_logprobs)}")
     return LabelLogits(
         scheme,
-        tuple(float(letter_logprobs.get(letter, floor)) for letter in scheme.option_letters),
+        tuple(
+            float(letter_logprobs.get(letter, DEFAULT_LOGPROB_FLOOR))
+            for letter in scheme.option_letters
+        ),
     )
 
 
@@ -135,19 +140,14 @@ def confidence_from_logits(label_logits: LabelLogits) -> tuple[str, float]:
     return label_logits.scheme.labels[best], confidence
 
 
-def abstain_verdict(
-    claim_id: str,
-    source: SourceKind,
-    scheme: LabelScheme,
-    floor: float = DEFAULT_LOGPROB_FLOOR,
-) -> VeracityVerdict:
+def abstain_verdict(claim_id: str, source: SourceKind, scheme: LabelScheme) -> VeracityVerdict:
     """Verdict recorded when a provider yields no usable option probability."""
     return VeracityVerdict(
         claim_id=claim_id,
         source=source,
         label=ABSTAIN_LABEL,
-        confidence=floor,
-        logits=LabelLogits(scheme, (floor,) * scheme.m),
+        confidence=DEFAULT_LOGPROB_FLOOR,
+        logits=LabelLogits(scheme, (DEFAULT_LOGPROB_FLOOR,) * scheme.m),
         abstained=True,
     )
 
@@ -159,7 +159,6 @@ def predict_verdict(
     scheme: LabelScheme,
     template: str,
     source: SourceKind = MERGED,
-    floor: float = DEFAULT_LOGPROB_FLOOR,
 ) -> VeracityVerdict:
     """Prompt the provider and map its letter probabilities to a verdict.
 
@@ -172,7 +171,7 @@ def predict_verdict(
     try:
         label_logits = provider.choose(prompt, scheme)
     except NoValidOption:
-        return abstain_verdict(claim.id, source, scheme, floor)
+        return abstain_verdict(claim.id, source, scheme)
     label, confidence = confidence_from_logits(label_logits)
     return VeracityVerdict(
         claim_id=claim.id,
@@ -269,20 +268,13 @@ class RemoteVerdictProvider:
         api_key: str | None = None,
         model: str | None = None,
         *,
-        floor: float = DEFAULT_LOGPROB_FLOOR,
-        top_logprobs: int = 20,
-        max_in_flight: int = 4,
         client: JsonHttpClient | None = None,
     ):
         url = url or os.environ.get(ENV_LLM_URL)
         if not url:
             raise ConfigurationError(f"remote verdicts need {ENV_LLM_URL}")
         self.model = model or os.environ.get(ENV_LLM_MODEL, "")
-        self._floor = floor
-        self._top_logprobs = top_logprobs
-        self._client = client or JsonHttpClient(
-            url, api_key or os.environ.get(ENV_LLM_KEY), max_in_flight=max_in_flight
-        )
+        self._client = client or JsonHttpClient(url, api_key or os.environ.get(ENV_LLM_KEY))
 
     @staticmethod
     def _letter_of(token: str, letters: Sequence[str]) -> str | None:
@@ -300,7 +292,7 @@ class RemoteVerdictProvider:
             "temperature": 0,
             "max_tokens": 1,
             "logprobs": True,
-            "top_logprobs": self._top_logprobs,
+            "top_logprobs": _TOP_LOGPROBS,
             "messages": [{"role": "user", "content": prompt}],
         }
         data = self._client.post(payload)
@@ -325,4 +317,4 @@ class RemoteVerdictProvider:
                 raise ProviderUnavailable(f"no finite logprob for option {letter}: {entry!r:.200}")
             if letter not in letter_logprobs or logprob > letter_logprobs[letter]:
                 letter_logprobs[letter] = logprob
-        return logits_from_letter_logprobs(scheme, letter_logprobs, self._floor)
+        return logits_from_letter_logprobs(scheme, letter_logprobs)

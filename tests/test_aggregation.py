@@ -18,7 +18,7 @@ from veriscope.aggregation import (
     write_aggregated_jsonl,
 )
 from veriscope.errors import RankingFailed
-from veriscope.selection import Polarity
+from veriscope.selection import EmbeddingMemo, Polarity
 from veriscope.types import PUBMED, WEB, WIKIPEDIA
 
 
@@ -144,11 +144,11 @@ class TestMergeSegments:
 
 class TestRankAndTruncate:
     def test_empty(self, embedder):
-        assert rank_and_truncate([], "claim", embedder, 3) == []
+        assert rank_and_truncate([], "claim", EmbeddingMemo(embedder), 3) == []
 
     def test_all_kept_when_under_budget(self, embedder):
         candidates = [make_sentence("zinc helps colds"), make_sentence("iron is different")]
-        out = rank_and_truncate(candidates, "zinc helps colds", embedder, 5)
+        out = rank_and_truncate(candidates, "zinc helps colds", EmbeddingMemo(embedder), 5)
         assert len(out) == 2
         assert out[0].text == "zinc helps colds"
         sims = [s.similarity for s in out]
@@ -164,7 +164,7 @@ class TestRankAndTruncate:
             "colds are common in winter",
         ]
         candidates = [make_sentence(t, doc_id=f"d{i}") for i, t in enumerate(pool)]
-        out = rank_and_truncate(candidates, claim, embedder, 2)
+        out = rank_and_truncate(candidates, claim, EmbeddingMemo(embedder), 2)
 
         vectors = embedder.embed([claim] + pool)
         claim_vec = vectors[0]
@@ -186,7 +186,7 @@ class TestRankAndTruncate:
         # replace that with similarity to the original claim.
         candidate = make_sentence("cats purr loudly", similarity=0.01,
                                   polarity=Polarity.FROM_NEGATION)
-        out = rank_and_truncate([candidate], "cats purr loudly", embedder, 1)
+        out = rank_and_truncate([candidate], "cats purr loudly", EmbeddingMemo(embedder), 1)
         assert out[0].similarity == pytest.approx(1.0, abs=1e-9)
 
     def test_tie_break_claim_polarity_then_position(self):
@@ -203,17 +203,19 @@ class TestRankAndTruncate:
             make_sentence("from claim", polarity=Polarity.FROM_CLAIM),
             make_sentence("also claim", polarity=Polarity.FROM_CLAIM),
         ]
-        out = rank_and_truncate(candidates, "the claim", fixture, 3)
+        out = rank_and_truncate(candidates, "the claim", EmbeddingMemo(fixture), 3)
         assert [s.text for s in out] == ["from claim", "also claim", "from negation"]
 
     def test_embedding_failure_raises_ranking_failed(self):
         fixture = FixtureEmbedder({"the claim": [1.0, 0.0]})
         with pytest.raises(RankingFailed):
-            rank_and_truncate([make_sentence("unknown text")], "the claim", fixture, 2)
+            rank_and_truncate(
+                [make_sentence("unknown text")], "the claim", EmbeddingMemo(fixture), 2
+            )
 
     def test_zero_claim_vector_raises(self, embedder):
         with pytest.raises(RankingFailed):
-            rank_and_truncate([make_sentence("words here")], "...", embedder, 2)
+            rank_and_truncate([make_sentence("words here")], "...", EmbeddingMemo(embedder), 2)
 
 
 def bundle(claim_id, source, finals):
@@ -310,7 +312,7 @@ class TestSerialization:
 
         def run():
             cands = merge_segments(symmetric_difference_dedup(positive, negative))
-            final = rank_and_truncate(cands, "zinc helps colds", embedder, 2)
+            final = rank_and_truncate(cands, "zinc helps colds", EmbeddingMemo(embedder), 2)
             return aggregate_sources(
                 {PUBMED: EvidenceBundle(claim_id="c1", source=PUBMED, final=tuple(final))}
             ).to_dict()

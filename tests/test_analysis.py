@@ -27,7 +27,13 @@ from veriscope.errors import (
     WrongArity,
 )
 from veriscope.types import MERGED, PUBMED, WEB, WIKIPEDIA, LabelScheme
-from veriscope.verdict import LabelLogits, VeracityVerdict, abstain_verdict
+from veriscope.verdict import (
+    ABSTAIN_LABEL,
+    DEFAULT_LOGPROB_FLOOR,
+    LabelLogits,
+    VeracityVerdict,
+    abstain_verdict,
+)
 
 
 class TestAgreementRegime:
@@ -317,6 +323,22 @@ class TestKdeByGroup:
         assert ("all", "wikipedia") in curves
         assert [(r, s) for r, s, _ in skipped] == [("two", "pubmed")]
         assert all(key[0] for key in curves)
+
+    def test_abstentions_stay_out_of_every_curve(self):
+        # A merged abstention carries its claim's regime in confidences.csv,
+        # with the floor as its confidence; it is no answer to estimate.
+        answers = [ConfidenceRow(f"m{i}", "merged", "x", -0.1 * (i + 1), "all", 0.1)
+                   for i in range(3)]
+        floor = DEFAULT_LOGPROB_FLOOR
+        abstentions = [
+            ConfidenceRow("m3", "merged", ABSTAIN_LABEL, floor, "all", 0.1),
+            ConfidenceRow("m4", "web", ABSTAIN_LABEL, floor, "two", 0.2),
+            ConfidenceRow("m5", "web", ABSTAIN_LABEL, floor, "two", 0.2),
+        ]
+        curves, skipped = kde_by_group(self._rows() + answers + abstentions, grid_points=64)
+        assert curves[("all", "merged")] == kde([r.confidence for r in answers], grid_points=64)
+        assert ("two", "web") not in curves
+        assert ("two", "web") not in [(r, s) for r, s, _ in skipped]
 
     def test_kde_csv_rows(self, tmp_path):
         curves, _ = kde_by_group(self._rows(), grid_points=64)

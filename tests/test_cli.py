@@ -235,6 +235,34 @@ class TestEvaluateCommand:
         assert manifest["config"]["seed"] == 9
 
 
+class TestOptionRanges:
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--limit", "0"), ("--limit", "-1"), ("--max-workers", "0")],
+    )
+    def test_evaluate_rejects_out_of_range(self, runner, tmp_path, option, value):
+        out = tmp_path / "run"
+        result = runner.invoke(main, ["evaluate", "--mock", option, value, "--out", str(out)])
+        assert result.exit_code == 2
+        assert option in result.output
+        assert not out.exists()
+
+    def test_limit_one_runs_one_claim(self, runner, tmp_path, no_network):
+        out = tmp_path / "run"
+        result = runner.invoke(main, ["evaluate", "--mock", "--limit", "1", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(list((out / "traces").glob("*.json"))) == 1
+
+    def test_analyze_grid_points_range(self, runner, tmp_path, no_network):
+        out = tmp_path / "run"
+        assert runner.invoke(main, ["evaluate", "--mock", "--out", str(out)]).exit_code == 0
+        result = runner.invoke(main, ["analyze", str(out), "--grid-points", "1"])
+        assert result.exit_code == 2
+        assert "--grid-points" in result.output
+        result = runner.invoke(main, ["analyze", str(out), "--grid-points", "2"])
+        assert result.exit_code == 0, result.output
+
+
 class TestAnalyzeCommand:
     def _evaluated(self, runner, tmp_path):
         out = tmp_path / "run"

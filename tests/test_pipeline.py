@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from veriscope import sources as sources_module
 from veriscope._http import JsonHttpClient
 from veriscope.assets import fixture_path, load_prompt, load_scheme
 from veriscope.errors import ProviderUnavailable
@@ -92,6 +93,41 @@ class TestEmbeddingPass:
         assert "batched embedding failed" in caplog.text
         assert result == healthy
         assert result.source_errors == {}
+
+
+class ResultRecordingSource(LocalCorpusSource):
+    def __init__(self, source):
+        super().__init__(source.kind, source._index)
+        self.results = []
+
+    def retrieve(self, query_text, k):
+        self.results.append(super().retrieve(query_text, k))
+        return self.results[-1]
+
+
+@pytest.mark.parametrize("max_texts", [None, 10], ids=["batched", "per-document"])
+def test_each_selected_document_is_split_once(
+    mock, claim, scheme, template, monkeypatch, max_texts
+):
+    healthy = verify_claim(claim, mock, scheme, template, MOCK_CONFIG)
+    split = []
+    real_split = sources_module.split_sentences
+    monkeypatch.setattr(
+        sources_module, "split_sentences", lambda body: split.append(body) or real_split(body)
+    )
+    recording = {kind: ResultRecordingSource(src) for kind, src in mock.sources.items()}
+    providers = with_providers(
+        mock, sources=recording, embedder=CountingEmbedder(mock.embedder, max_texts)
+    )
+    assert verify_claim(claim, providers, scheme, template, MOCK_CONFIG) == healthy
+    selected = [
+        doc.body
+        for source in recording.values()
+        for docs in source.results
+        for doc in docs[: MOCK_CONFIG.selection_docs]
+    ]
+    assert len(selected) == 2 * len(recording) * MOCK_CONFIG.selection_docs
+    assert sorted(split) == sorted(selected)
 
 
 class BarrierVerdicts:

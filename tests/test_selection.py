@@ -13,11 +13,9 @@ from veriscope.selection import (
     HashedBowEmbedder,
     Polarity,
     cosine_similarity,
-    cosines_to_first,
-    embed_with_norms,
     select_evidence,
-    split_sentences,
 )
+from veriscope.sources import split_sentences
 from veriscope.types import PUBMED, PipelineConfig, normalize_sentence
 
 
@@ -109,26 +107,22 @@ class TestCosineSimilarity:
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), dim=st.integers(1, 300))
-def test_cosines_to_first_equals_cosine_similarity(seed, rows, dim):
+def test_memo_similarities_equal_cosine_similarity(seed, rows, dim):
     # Float vectors, so a different summation order would show in the last bits.
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((rows + 1, dim))
     vectors[rng.random(rows + 1) < 0.2] = 0.0
     texts = [f"t{i}" for i in range(rows + 1)]
     memo = EmbeddingMemo(FixtureEmbedder(dict(zip(texts, vectors))))
-    for rows_given, norms_given in (
-        (vectors, [float(np.linalg.norm(row)) for row in vectors]),
-        embed_with_norms(memo, texts),
-        embed_with_norms(FixtureEmbedder(dict(zip(texts, vectors))), texts),
-    ):
-        got = cosines_to_first(rows_given, norms_given)
-        assert len(got) == rows
-        for vector, sim in zip(vectors[1:], got):
-            try:
-                want = cosine_similarity(vectors[0], vector)
-            except ZeroVector:
-                want = None
-            assert sim == want
+    memo.prefetch(texts[rows // 2 :])  # some rows cached, the rest fetched by the call
+    got = memo.similarities(texts[0], texts[1:])
+    assert len(got) == rows
+    for vector, sim in zip(vectors[1:], got):
+        try:
+            want = cosine_similarity(vectors[0], vector)
+        except ZeroVector:
+            want = None
+        assert sim == want
 
 
 class TestHashedBowEmbedder:
@@ -215,10 +209,11 @@ class TestEmbeddingMemo:
         memo.prefetch(["cats sleep", "dogs bark", "cats sleep"])
         assert inner.calls == [["cats sleep", "dogs bark"]]
         texts = ["dogs bark", "birds sing", "cats sleep", "birds sing"]
-        got = memo.embed(texts)
+        got = memo.similarities("cats sleep", texts)
         assert inner.calls[1] == ["birds sing"]
-        assert (got == HashedBowEmbedder(dim=16).embed(texts)).all()
-        memo.embed(["cats sleep"])
+        vectors = HashedBowEmbedder(dim=16).embed(["cats sleep"] + texts)
+        assert got == [cosine_similarity(vectors[0], row) for row in vectors[1:]]
+        memo.similarities("cats sleep", ["dogs bark"])
         assert len(inner.calls) == 2
 
     def test_short_reply_raises_and_caches_nothing(self):
@@ -227,7 +222,7 @@ class TestEmbeddingMemo:
         with pytest.raises(ProviderUnavailable):
             memo.prefetch(["cats sleep", "dogs bark"])
         inner.rows = None
-        memo.embed(["cats sleep"])
+        assert memo.similarities("cats sleep", []) == []
         assert inner.calls[-1] == ["cats sleep"]
 
 
@@ -336,11 +331,11 @@ def brute_force_best_sentences(query, body, embedder, n):
 
 class TestSelectEvidence:
     def test_empty_docs(self, embedder, cfg):
-        assert select_evidence("claim", [], embedder, cfg) == []
+        assert select_evidence("claim", [], EmbeddingMemo(embedder), cfg) == []
 
     def test_identical_sentence_scores_one(self, embedder, cfg):
         doc = make_doc("d1", "The cat sat on the mat. Unrelated words here.", 1)
-        out = select_evidence("The cat sat on the mat.", [doc], embedder, cfg)
+        out = select_evidence("The cat sat on the mat.", [doc], EmbeddingMemo(embedder), cfg)
         assert len(out) == 1
         assert out[0].text == "The cat sat on the mat."
         assert out[0].similarity == pytest.approx(1.0, abs=1e-9)
@@ -351,7 +346,7 @@ class TestSelectEvidence:
         body1 = "Zinc shortens colds in trials. Copper does not. Iron is unrelated."
         body2 = "A cold lasts a week. Zinc lozenges may help colds. Vitamin C does little."
         docs = [make_doc("d1", body1, 1), make_doc("d2", body2, 2)]
-        out = select_evidence(query, docs, embedder, cfg)
+        out = select_evidence(query, docs, EmbeddingMemo(embedder), cfg)
         expected = [
             brute_force_best_sentences(query, body1, embedder, 1)[0],
             brute_force_best_sentences(query, body2, embedder, 1)[0],
@@ -364,13 +359,15 @@ class TestSelectEvidence:
             make_doc(f"d{i}", "Cats sleep a lot. Cats also purr. Dogs differ.", i)
             for i in range(1, 5)
         ]
-        out = select_evidence("cats sleep", docs, embedder, cfg)
+        out = select_evidence("cats sleep", docs, EmbeddingMemo(embedder), cfg)
         assert len(out) <= cfg.selection_docs * cfg.sentences_per_doc
         assert {s.doc_id for s in out} <= {"d1", "d2"}
 
     def test_polarity_and_provenance(self, embedder, cfg):
         doc = make_doc("d7", "Cats sleep.", 3, source=PUBMED)
-        out = select_evidence("cats", [doc], embedder, cfg, polarity=Polarity.FROM_NEGATION)
+        out = select_evidence(
+            "cats", [doc], EmbeddingMemo(embedder), cfg, polarity=Polarity.FROM_NEGATION
+        )
         assert out[0].polarity is Polarity.FROM_NEGATION
         assert out[0].doc_id == "d7"
         assert out[0].source == PUBMED
@@ -378,7 +375,7 @@ class TestSelectEvidence:
     def test_duplicate_documents_choose_same_text(self, embedder, cfg):
         body = "Cats sleep long hours. Dogs bark at night."
         docs = [make_doc("a", body, 1), make_doc("b", body, 2)]
-        out = select_evidence("cats sleep", docs, embedder, cfg)
+        out = select_evidence("cats sleep", docs, EmbeddingMemo(embedder), cfg)
         assert out[0].text == out[1].text
         assert [s.doc_id for s in out] == ["a", "b"]
 
@@ -394,11 +391,11 @@ class TestSelectEvidence:
             make_doc("good", "Cats sleep.", 2),
         ]
         with caplog.at_level("WARNING"):
-            out = select_evidence("cats", docs, fixture, cfg)
+            out = select_evidence("cats", docs, EmbeddingMemo(fixture), cfg)
         assert [s.doc_id for s in out] == ["good"]
         assert "bad" in caplog.text
 
     def test_zero_vector_sentences_skipped(self, embedder, cfg):
         doc = make_doc("d1", "Cats sleep. ... !!!", 1)
-        out = select_evidence("cats", [doc], embedder, cfg)
+        out = select_evidence("cats", [doc], EmbeddingMemo(embedder), cfg)
         assert [s.text for s in out] == ["Cats sleep."]

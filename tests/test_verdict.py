@@ -117,7 +117,7 @@ class TestLabelLogits:
 
 class TestLetterLogprobs:
     def test_missing_letters_floored(self, scheme3):
-        logits = logits_from_letter_logprobs(scheme3, {"B": -0.2}, floor=-20.0)
+        logits = logits_from_letter_logprobs(scheme3, {"B": -0.2})
         assert logits.logits == (-20.0, -0.2, -20.0)
 
     def test_no_valid_letter(self, scheme3):
