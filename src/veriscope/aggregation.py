@@ -47,15 +47,13 @@ class EvidenceBundle(JsonRecord):
 
 @dataclass(frozen=True)
 class AggregatedEvidence(JsonRecord):
-    """The cross-source evidence union fed to the verifier, with provenance."""
+    """The cross-source evidence union fed to the verifier; each sentence keeps its source."""
 
     claim_id: str
     sentences: tuple[EvidenceSentence, ...]
-    per_source: Mapping[SourceKind, EvidenceBundle]
 
     def __post_init__(self):
         object.__setattr__(self, "sentences", tuple(self.sentences))
-        object.__setattr__(self, "per_source", dict(self.per_source))
 
 
 def dedup_by_normalized(sentences: Iterable[EvidenceSentence]) -> list[EvidenceSentence]:
@@ -193,13 +191,19 @@ def aggregate_sources(
     sentences = dedup_by_normalized(
         [s for kind in sorted(bundles, key=source_order_key) for s in bundles[kind].final]
     )
-    return AggregatedEvidence(claim_id=claim_id, sentences=tuple(sentences), per_source=bundles)
+    return AggregatedEvidence(claim_id=claim_id, sentences=tuple(sentences))
 
 
-def write_aggregated_jsonl(items: Iterable[AggregatedEvidence], path: Path) -> None:
-    """Serialize aggregated evidence, one claim per line, with full provenance."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for item in items:
-            handle.write(json.dumps(item.to_dict(), sort_keys=True) + "\n")
+def write_aggregated_jsonl(
+    items: Iterable[tuple[AggregatedEvidence, Mapping[SourceKind, EvidenceBundle]]], path: Path
+) -> None:
+    """Serialize (union, per-source bundles) pairs, one claim per line.
+
+    A line holds the union's fields plus "per_source", the bundles by source name.
+    """
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for aggregated, bundles in items:
+            line = aggregated.to_dict()
+            line["per_source"] = {kind.name: bundle.to_dict() for kind, bundle in bundles.items()}
+            handle.write(json.dumps(line, sort_keys=True) + "\n")
 

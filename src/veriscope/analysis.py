@@ -4,7 +4,7 @@ Per-source verdicts for one claim are summarized into an agreement
 regime (all / two / none of the three sources agree) and a dispersion
 statistic over their confidences.  Only answers count: an abstained
 verdict (a failed source or provider, or no option letter with any
-probability) is kept in the profile's verdicts, but it is neither a
+probability) stays in the claim's verdicts, but it is neither a
 label for the regime nor a confidence for the dispersion.  The regime
 therefore exists only when all three sources answered, and the
 dispersion only when at least two did.  Confidence distributions are
@@ -67,20 +67,16 @@ def dispersion(confidences: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class SourceConfidenceProfile(JsonRecord):
-    """Per-source verdicts for one claim with their agreement summary.
+    """Agreement summary of one claim's per-source verdicts.
 
     regime is defined only when exactly three per-source verdicts are
-    all answers; dispersion only for two or more answers.  verdicts
-    keeps abstentions too.
+    all answers; dispersion only for two or more answers.  The verdicts
+    themselves live in the claim's trace (ClaimVerification.verdicts).
     """
 
     claim_id: str
-    verdicts: Mapping[SourceKind, VeracityVerdict]
     regime: AgreementRegime | None
     dispersion: float | None
-
-    def __post_init__(self):
-        object.__setattr__(self, "verdicts", dict(self.verdicts))
 
 
 def build_profile(
@@ -93,9 +89,7 @@ def build_profile(
     labels = [v.label for v in answers]
     regime = agreement_regime(labels) if len(per_source) == len(labels) == 3 else None
     spread = dispersion([v.confidence for v in answers]) if len(answers) >= 2 else None
-    return SourceConfidenceProfile(
-        claim_id=claim_id, verdicts=per_source, regime=regime, dispersion=spread
-    )
+    return SourceConfidenceProfile(claim_id=claim_id, regime=regime, dispersion=spread)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from the environment variables documented per provider.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import sys
@@ -147,12 +148,7 @@ def _provider_set(mock: bool, config: dict, sources: list[SourceKind]) -> Provid
                 "from the config or run without --mock"
             )
         full = mock_provider_set()
-        return ProviderSet(
-            sources={kind: full.sources[kind] for kind in sources},
-            embedder=full.embedder,
-            verdicts=full.verdicts,
-            negator=full.negator,
-        )
+        return dataclasses.replace(full, sources={kind: full.sources[kind] for kind in sources})
     return _live_provider_set(config, sources)
 
 
@@ -297,8 +293,6 @@ def cmd_evaluate(claims_path, dataset_name, scheme_name, mock, config_path, sour
         claims_path = mock_claims_path()
     cfg = _pipeline_config(config, mock)
     if seed is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, seed=seed)
     if out_dir is None:
         out_dir = Path("runs") / f"{dataset_name}-{condition.replace('+', '-')}"

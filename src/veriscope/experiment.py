@@ -6,11 +6,13 @@ per source and for the merged condition.  Runs are resumable: claims
 whose trace file already exists are loaded instead of recomputed, and
 all derived artifacts are rebuilt from the complete trace set, so an
 interrupted-and-resumed run is byte-identical to an uninterrupted one.
-Nothing in the artifacts depends on wall-clock time.
+Run-level facts live only in the run manifest, which a resume must
+match.  Nothing in the artifacts depends on wall-clock time.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -82,9 +84,15 @@ def run_experiment(
 ) -> Path:
     """Execute the plan and write the artifact directory; returns out_dir.
 
-    Per-claim provider failures are recorded as abstentions inside the
-    traces; only configuration errors abort the run.
+    Source and verdict failures become abstentions inside the traces.
+    Configuration errors and failed negations (ProviderUnavailable,
+    DegenerateNegation) abort the run: finished traces stay, no derived
+    artifact is written, and a re-run resumes.  Before any claim runs, an
+    existing manifest must equal this run's except for limit and claims,
+    and traces without a manifest are refused (ConfigurationError).
     """
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     if template is None:
         from .assets import load_prompt
 
@@ -92,17 +100,12 @@ def run_experiment(
     missing = [kind.name for kind in plan.sources if kind not in providers.sources]
     if missing:
         raise ConfigurationError(f"no knowledge source configured for: {', '.join(missing)}")
-    run_providers = ProviderSet(
-        sources={kind: providers.sources[kind] for kind in plan.sources},
-        embedder=providers.embedder,
-        verdicts=providers.verdicts,
-        negator=providers.negator,
+    run_providers = dataclasses.replace(
+        providers, sources={kind: providers.sources[kind] for kind in plan.sources}
     )
 
     out_dir = Path(out_dir)
     traces_dir = out_dir / TRACES_DIR
-    traces_dir.mkdir(parents=True, exist_ok=True)
-
     claims = plan_claims(plan)
     scheme = plan.dataset.scheme
     manifest = {
@@ -113,21 +116,18 @@ def run_experiment(
         "config": plan.cfg.to_dict(),
         "limit": plan.limit,
         "claims": len(claims),
-        "providers": providers.describe(),
+        "providers": run_providers.describe(),
+        "trace_format": 2,
+        "template_sha256": hashlib.sha256(template.encode("utf-8")).hexdigest(),
     }
+    _check_resumable(out_dir, manifest)
+    traces_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write_text(out_dir / MANIFEST_FILE, _json_dumps(manifest))
 
     def process(claim: ClaimPair) -> ClaimVerification:
         trace_path = traces_dir / _trace_filename(claim.id)
         if trace_path.exists():
-            data = json.loads(trace_path.read_text(encoding="utf-8"))
-            if data.get("condition") != plan.condition.value:
-                raise ConfigurationError(
-                    f"trace {trace_path.name} was produced under condition "
-                    f"{data.get('condition')!r}, not {plan.condition.value!r}; "
-                    "use a fresh output directory"
-                )
-            return ClaimVerification.from_dict(data)
+            return ClaimVerification.from_dict(json.loads(trace_path.read_text(encoding="utf-8")))
         result = verify_claim(
             claim,
             run_providers,
@@ -136,52 +136,54 @@ def run_experiment(
             cfg=plan.cfg,
             condition=plan.condition,
         )
-        _atomic_write_text(trace_path, _json_dumps(result.to_dict()))
+        _atomic_write_text(trace_path, json.dumps(result.to_dict(), sort_keys=True) + "\n")
         return result
 
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
         results = list(pool.map(process, claims))
 
     _write_artifacts(out_dir, plan, results)
     return out_dir
 
 
-def _write_artifacts(out_dir: Path, plan: ExperimentPlan, results: list[ClaimVerification]) -> None:
-    write_aggregated_jsonl((r.aggregated for r in results), out_dir / EVIDENCE_FILE)
+def _check_resumable(out_dir: Path, manifest: dict) -> None:
+    """Refuse a directory holding another run's manifest, or traces but no manifest."""
+    held = ""
+    if (out_dir / MANIFEST_FILE).exists():
+        previous = json.loads((out_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
+        keys = sorted((previous.keys() | manifest.keys()) - {"limit", "claims"})
+        differing = [key for key in keys if previous.get(key) != manifest.get(key)]
+        if differing:
+            held = f"a run with different {', '.join(differing)}"
+    elif any((out_dir / TRACES_DIR).glob("*.json")):
+        held = f"traces but no {MANIFEST_FILE}"
+    if held:
+        raise ConfigurationError(f"{out_dir} holds {held}; use a fresh output directory")
 
-    rows: list[ConfidenceRow] = []
-    for result in results:
-        regime = result.profile.regime.value if result.profile.regime else ""
-        spread = result.profile.dispersion
-        for kind in sorted(result.verdicts, key=source_order_key):
-            verdict = result.verdicts[kind]
-            rows.append(
-                ConfidenceRow(
-                    claim_id=result.claim.id,
-                    source=kind.name,
-                    label=verdict.label,
-                    confidence=verdict.confidence,
-                    regime=regime,
-                    dispersion=spread,
-                )
-            )
+
+def _write_artifacts(out_dir: Path, plan: ExperimentPlan, results: list[ClaimVerification]) -> None:
+    write_aggregated_jsonl(((r.aggregated, r.bundles) for r in results), out_dir / EVIDENCE_FILE)
+
+    rows = [
+        ConfidenceRow(
+            claim_id=result.claim.id,
+            source=kind.name,
+            label=verdict.label,
+            confidence=verdict.confidence,
+            regime=result.profile.regime.value if result.profile.regime else "",
+            dispersion=result.profile.dispersion,
+        )
+        for result in results
+        for kind, verdict in sorted(result.verdicts.items(), key=lambda kv: source_order_key(kv[0]))
+    ]
     write_confidences_csv(rows, out_dir / CONFIDENCES_FILE)
 
-    scheme = plan.dataset.scheme
-    per_source_metrics = {}
-    abstentions = {}
-    grid_kinds = sorted(plan.sources, key=source_order_key) + [MERGED]
-    for kind in grid_kinds:
-        pairs = []
-        abstained = 0
-        for result in results:
-            verdict = result.verdicts.get(kind)
-            if verdict is None:
-                continue
-            pairs.append((result.claim.gold_label, verdict.label))
-            abstained += int(verdict.abstained)
-        per_source_metrics[kind.name] = compute_metrics(pairs, scheme).to_dict()
-        abstentions[kind.name] = abstained
+    per_source_metrics, abstentions = {}, {}
+    for kind in sorted(plan.sources, key=source_order_key) + [MERGED]:
+        verdicts = [(r.claim.gold_label, r.verdicts[kind]) for r in results if kind in r.verdicts]
+        pairs = [(gold, verdict.label) for gold, verdict in verdicts]
+        per_source_metrics[kind.name] = compute_metrics(pairs, plan.dataset.scheme).to_dict()
+        abstentions[kind.name] = sum(verdict.abstained for _, verdict in verdicts)
     metrics = {
         "dataset": plan.dataset.name,
         "condition": plan.condition.value,

@@ -129,8 +129,9 @@ def verify_claim(
     Under ORIGINAL_ONLY no negation provider is consulted and the
     deduplication stage reduces to plain duplicate removal over the
     positive evidence.  Per-source retrieval failures and per-verdict
-    provider failures become recorded abstentions; only configuration
-    errors abort.
+    provider failures become recorded abstentions.  Configuration errors
+    and a failed negation (ProviderUnavailable, DegenerateNegation) raise:
+    a fallback negation would silently change the negative evidence.
 
     This is the pipeline's one dual retrieval: every source is asked for
     the claim and, under the dual condition, for its negation, with the

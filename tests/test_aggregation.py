@@ -292,18 +292,19 @@ class TestAggregateSources:
 
 class TestSerialization:
     def test_jsonl_round_trip(self, tmp_path):
-        agg = aggregate_sources(
-            {
-                WIKIPEDIA: bundle("c1", WIKIPEDIA, ["w sentence", "shared text"]),
-                PUBMED: bundle("c1", PUBMED, ["shared text", "p sentence"]),
-            }
-        )
+        bundles = {
+            WIKIPEDIA: bundle("c1", WIKIPEDIA, ["w sentence", "shared text"]),
+            PUBMED: bundle("c1", PUBMED, ["shared text", "p sentence"]),
+        }
+        agg = aggregate_sources(bundles)
         path = tmp_path / "evidence.jsonl"
-        write_aggregated_jsonl([agg], path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        loaded = [AggregatedEvidence.from_dict(json.loads(line)) for line in lines]
-        assert len(loaded) == 1
-        assert loaded[0] == agg
+        write_aggregated_jsonl([(agg, bundles)], path)
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert len(lines) == 1
+        assert AggregatedEvidence.from_dict(lines[0]) == agg
+        assert {
+            name: EvidenceBundle.from_dict(data) for name, data in lines[0]["per_source"].items()
+        } == {kind.name: b for kind, b in bundles.items()}
 
     def test_full_stage_determinism(self, embedder):
         positive = [make_sentence(t) for t in ("zinc helps colds", "colds last a week")]

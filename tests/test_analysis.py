@@ -240,7 +240,6 @@ class TestBuildProfile:
         }
         profile = build_profile("c1", verdicts)
         assert profile.regime is AgreementRegime.TWO_AGREE
-        assert MERGED not in profile.verdicts
         assert profile.dispersion == pytest.approx(
             dispersion([-0.2, -0.4, -1.2]), abs=1e-12
         )
@@ -264,8 +263,6 @@ class TestBuildProfile:
         profile = build_profile("c1", verdicts)
         assert profile.regime is None
         assert profile.dispersion == dispersion([-0.2, -1.2])
-        assert profile.verdicts[PUBMED].abstained
-        assert set(profile.verdicts) == {WIKIPEDIA, PUBMED, WEB}
 
     def test_one_answer_among_abstentions_has_no_dispersion(self, scheme3):
         verdicts = {

@@ -223,15 +223,23 @@ class TestVerifyClaim:
 
 
 def run_plan(tmp_path, providers, scheme, condition=ClaimCondition.ORIGINAL_PLUS_NEGATED,
-             out_name="run", limit=None):
+             out_name="run", limit=None, cfg=MOCK_CONFIG, sources=CANONICAL_SOURCES):
     plan = ExperimentPlan(
         dataset=fixture_descriptor(scheme),
-        sources=CANONICAL_SOURCES,
+        sources=sources,
         condition=condition,
-        cfg=MOCK_CONFIG,
+        cfg=cfg,
         limit=limit,
     )
     return run_experiment(plan, providers, tmp_path / out_name, max_workers=2)
+
+
+def seed_interrupted_run(full: Path, resumed: Path, trace_names) -> None:
+    """What an interruption leaves: the manifest (written first) and some traces."""
+    (resumed / "traces").mkdir(parents=True)
+    (resumed / "run-manifest.json").write_bytes((full / "run-manifest.json").read_bytes())
+    for name in trace_names:
+        (resumed / "traces" / name).write_bytes((full / "traces" / name).read_bytes())
 
 
 def tree_bytes(root: Path) -> dict:
@@ -267,27 +275,103 @@ class TestRunExperiment:
     def test_resume_matches_uninterrupted(self, tmp_path, providers, scheme):
         full = run_plan(tmp_path, providers, scheme, out_name="full")
         resumed = tmp_path / "resumed"
-        (resumed / "traces").mkdir(parents=True)
-        # simulate an interruption after three claims: pre-seed their traces
-        for name in ("c-001.json", "c-002.json", "c-003.json"):
-            (resumed / "traces" / name).write_bytes((full / "traces" / name).read_bytes())
+        # simulate an interruption after three claims
+        seed_interrupted_run(full, resumed, ("c-001.json", "c-002.json", "c-003.json"))
         run_plan(tmp_path, providers, scheme, out_name="resumed")
         assert tree_bytes(full) == tree_bytes(resumed)
 
     def test_resume_fills_defaults_for_missing_trace_keys(self, tmp_path, providers, scheme):
         full = run_plan(tmp_path, providers, scheme, out_name="full")
         resumed = tmp_path / "resumed"
-        (resumed / "traces").mkdir(parents=True)
+        seed_interrupted_run(full, resumed, ())
         # traces written before source_errors and abstained existed lack both keys
         for path in sorted((full / "traces").glob("*.json")):
             trace = json.loads(path.read_text())
             del trace["source_errors"]
-            for verdicts in (trace["verdicts"], trace["profile"]["verdicts"]):
-                for verdict in verdicts.values():
-                    del verdict["abstained"]
+            for verdict in trace["verdicts"].values():
+                del verdict["abstained"]
             (resumed / "traces" / path.name).write_text(json.dumps(trace))
         run_plan(tmp_path, providers, scheme, out_name="resumed")
         assert (resumed / "metrics.json").read_bytes() == (full / "metrics.json").read_bytes()
+
+    def test_resume_with_another_seed_is_refused(self, tmp_path, providers, scheme):
+        import dataclasses
+
+        run_plan(tmp_path, providers, scheme, out_name="r")
+        with pytest.raises(ConfigurationError, match="config"):
+            run_plan(tmp_path, providers, scheme, out_name="r",
+                     cfg=dataclasses.replace(MOCK_CONFIG, seed=MOCK_CONFIG.seed + 1))
+
+    def test_resume_with_another_source_set_is_refused(self, tmp_path, providers, scheme):
+        run_plan(tmp_path, providers, scheme, out_name="r")
+        with pytest.raises(ConfigurationError, match="sources"):
+            run_plan(tmp_path, providers, scheme, out_name="r", sources=(WIKIPEDIA, PUBMED))
+
+    def test_manifest_describes_only_the_planned_sources(self, tmp_path, providers, scheme):
+        run_dir = run_plan(tmp_path, providers, scheme, sources=(WIKIPEDIA, PUBMED))
+        manifest = json.loads((run_dir / "run-manifest.json").read_text())
+        assert set(manifest["providers"]["sources"]) == {"wikipedia", "pubmed"}
+        assert manifest["trace_format"] == 2
+
+    def test_traces_without_manifest_are_refused(self, tmp_path, providers, scheme):
+        full = run_plan(tmp_path, providers, scheme, out_name="full")
+        (full / "run-manifest.json").unlink()
+        (full / "metrics.json").unlink()
+        with pytest.raises(ConfigurationError, match="no run-manifest.json"):
+            run_plan(tmp_path, providers, scheme, out_name="full")
+        assert not (full / "run-manifest.json").exists()
+
+    def test_larger_limit_resumes(self, tmp_path, providers, scheme):
+        full = run_plan(tmp_path, providers, scheme, out_name="full")
+        run_plan(tmp_path, providers, scheme, out_name="grown", limit=2)
+        run_plan(tmp_path, providers, scheme, out_name="grown")
+        assert tree_bytes(full) == tree_bytes(tmp_path / "grown")
+
+    def test_negation_outage_aborts_and_rerun_resumes(self, tmp_path, providers, scheme):
+        import dataclasses
+
+        from veriscope.errors import ProviderUnavailable
+        from veriscope.mock import mock_negations
+        from veriscope.negation import FixtureNegationProvider
+
+        full = run_plan(tmp_path, providers, scheme, out_name="full")
+        failing_claim = load_dataset(fixture_descriptor(scheme))[0]
+        # the same provider class, with one claim's negation unavailable
+        negations = {k: v for k, v in mock_negations().items() if k != failing_claim.text}
+        outage = dataclasses.replace(providers, negator=FixtureNegationProvider(negations))
+        with pytest.raises(ProviderUnavailable):
+            run_plan(tmp_path, outage, scheme, out_name="resumed")
+        resumed = tmp_path / "resumed"
+        # claims that finished keep their traces; no derived artifact is written
+        assert not (resumed / "traces" / f"{failing_claim.id}.json").exists()
+        assert sorted(p.name for p in resumed.iterdir()) == ["run-manifest.json", "traces"]
+        run_plan(tmp_path, providers, scheme, out_name="resumed")
+        assert tree_bytes(full) == tree_bytes(resumed)
+
+    @pytest.mark.parametrize("max_workers", [0, -3])
+    def test_max_workers_below_one_is_refused(self, tmp_path, providers, scheme, max_workers):
+        plan = ExperimentPlan(
+            dataset=fixture_descriptor(scheme), sources=CANONICAL_SOURCES,
+            condition=ClaimCondition.ORIGINAL_ONLY, cfg=MOCK_CONFIG,
+        )
+        with pytest.raises(ValueError, match="max_workers"):
+            run_experiment(plan, providers, tmp_path / "x", max_workers=max_workers)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("condition", list(ClaimCondition))
+    def test_trace_files_hold_the_in_memory_result(
+        self, tmp_path, providers, scheme, template, condition
+    ):
+        from veriscope.experiment import _trace_filename
+        from veriscope.pipeline import ClaimVerification
+
+        run_dir = run_plan(tmp_path, providers, scheme, condition=condition)
+        for claim in load_dataset(fixture_descriptor(scheme)):
+            result = verify_claim(claim, providers, scheme, template, cfg=MOCK_CONFIG,
+                                  condition=condition)
+            data = (run_dir / "traces" / _trace_filename(claim.id)).read_bytes()
+            assert data == (json.dumps(result.to_dict(), sort_keys=True) + "\n").encode("utf-8")
+            assert ClaimVerification.from_dict(json.loads(data)) == result
 
     def test_condition_mismatch_on_resume_aborts(self, tmp_path, providers, scheme):
         run_plan(tmp_path, providers, scheme, out_name="r", condition=ClaimCondition.ORIGINAL_ONLY)

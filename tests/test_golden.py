@@ -21,32 +21,32 @@ GOLDEN_EVALUATE = {
         "confidences.csv": "278fc32911d782528556a744d56d078169380870ad34f1b9a66a5388c732516d",
         "evidence.jsonl": "6b347aec311bd28723877ce4ff478d218b02aecd7fc0ed691191bd6986e4dd16",
         "metrics.json": "30f743f306ea408248452c06164733e9d4ec5d57c2eed373f274af8d21865ab8",
-        "run-manifest.json": "5098a859ff3183e1dc25c590ad3702c63df14fe959c7888625b57df0eaa00c90",
-        "traces/c-001.json": "54627dea7f681fb1ca3a096186e38c0c2641b5d3b625027bd5e749a32ac49ef5",
-        "traces/c-002.json": "c35d5bc0a80c5f507986cbc1b3887fae3d8a9cdd0576ff22ca711fc4973e5aae",
-        "traces/c-003.json": "7887fa9c267a7beff9a2a8eb0b182d785979a48471f0e8408bcc4728525e0d27",
-        "traces/c-004.json": "fe725dd97acd6f74a7408610f7cc2fbd3665a5d851f21ad6507c143582f679a7",
-        "traces/c-005.json": "b3b5bc8d097bcb199674d2a67cc15b33687eb09da6da78bf4ee263b8eabe599b",
+        "run-manifest.json": "3e1b345218a75ce454e8140486d015bcc70eb865b03625112f996913d890efb3",
+        "traces/c-001.json": "328ca81ff43846f8cd06bc4a73dd73e733008648efa90712a52b311b9d810759",
+        "traces/c-002.json": "0bac90f94b66d02c86696fb133af0fe059961a64dc8c0237bc213cf7424198f2",
+        "traces/c-003.json": "4c54aac2f787a460fada3d85b6231752e4c0ab9ace1532093c29c97c1598adc5",
+        "traces/c-004.json": "d1894f7444937e77b8452eaea9c83a7468ffcacc9df1f98538f6a6eb76994431",
+        "traces/c-005.json": "8f09b204f80575bda6239103c4fde5de7305e993fa71c1aa9e325f794c1f1090",
     },
     "original+negated": {
         "confidences.csv": "f0bf6269100ddf9ed09cf10706594d5aad823751a57ab4d7e3540695ed17dcfe",
         "evidence.jsonl": "f0ee3d41664bf4c1e88f759d3fbdd060387681fe96943ae40775e96de6ed2dff",
         "metrics.json": "b4b109c3adf2c31534b95a1d268a81c380755c7b7553d524941265f29aca2beb",
-        "run-manifest.json": "dda98b271b596b051c3f85326b4f837a74a84d16022f6d54a8c792ca5f3b246a",
-        "traces/c-001.json": "2bfab0d602cf3ac8c936047be7a62a429465b269623110464cbd25e50e508d07",
-        "traces/c-002.json": "35ce9daf062218c559b186b4c48959985606f4ce5c3029ae6a2988ebfba71ae1",
-        "traces/c-003.json": "a8ecfdd8ff57834605683a925ae252275e47e1b14d0fbed23cb06f8ee87e6456",
-        "traces/c-004.json": "e681ea158f64d9f36ef64d3d35ebd3dcda17b3dffe09e5d07842c17e9b7ea25e",
-        "traces/c-005.json": "b104c775913bfe2b4c49ec8584c86d2e43a076b4db414272cfd301fb6d70612a",
+        "run-manifest.json": "528c08a4b83208b5ed8a5c9802f51b9a3ef76b923b7564afacc281e0cf396742",
+        "traces/c-001.json": "2f515946a0dd715e99b483f93bec8ef1cd3957387cb212917ba977131313bd3f",
+        "traces/c-002.json": "61ae5102326e5847a65b1ff149b7910aaed7d903ea1bd135ff8fce6220e12984",
+        "traces/c-003.json": "9ae1511a51de9854f92c24c056eb748b056db9f38d16db5985948d61cf9c387d",
+        "traces/c-004.json": "d6afb5093d12ede0989a42ffe17e2e5b62b77bcdd3d17de206784c323058d9f5",
+        "traces/c-005.json": "dd260c4ce83d9f37bcdaa9fab0118bfe737e923a8dc7d81905658ec6ca0e9b58",
     },
 }
 
 GOLDEN_VERIFY = {
     "A deficiency of vitamin B12 increases homocysteine levels.": (
-        "bdd324965a0af6946ea6406d52b93579e24241890537c5b995b1add796371f55"
+        "739df912110e56dbef3b78de3717e66b3933a1019c43992a1f7136770c2c2087"
     ),
     "Coffee causes dehydration.": (
-        "23e58b2e43c73aa08ea09b068ae8c5274a8ed7826e320d2ce27a0098da4be4a6"
+        "0e58a4c54f38ad2a96c462e6f0cb75877f0e903839a89e79845da91b683b1238"
     ),
 }
 
