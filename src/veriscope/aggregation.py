@@ -142,16 +142,13 @@ def rank_and_truncate(
     Similarities are recomputed against the claim, through
     memo.similarities, regardless of which query surfaced a candidate.
     Ties prefer claim-derived evidence, then the earlier original
-    position.  Zero-vector candidates are skipped; embedding failures and
-    a zero claim vector (no similarity of the claim to itself) raise
-    RankingFailed.
+    position.  Zero-vector candidates are skipped; a zero claim vector
+    (no similarity of the claim to itself) raises RankingFailed.  An
+    embedding failure propagates unchanged.
     """
     if not candidates:
         return []
-    try:
-        sims = memo.similarities(claim_text, [claim_text] + [c.text for c in candidates])
-    except Exception as exc:
-        raise RankingFailed(f"embedding failed while ranking: {exc}") from exc
+    sims = memo.similarities(claim_text, [claim_text] + [c.text for c in candidates])
     if sims[0] is None:
         raise RankingFailed("claim embedded to a zero vector")
     rescored: list[tuple[float, int, int, EvidenceSentence]] = []

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -25,7 +26,7 @@ from .analysis import (
 )
 from .assets import load_prompt, load_scheme
 from .datasets import DatasetDescriptor
-from .errors import ConfigurationError, EmptyCorpus, VeriscopeError
+from .errors import ConfigurationError, VeriscopeError
 from .experiment import CONFIDENCES_FILE, ExperimentPlan, run_experiment
 from .index import build_local_index
 from .mock import MOCK_CONFIG, mock_claims_path, mock_provider_set
@@ -47,10 +48,22 @@ from .verdict import RemoteVerdictProvider
 
 log = logging.getLogger("veriscope")
 
-EXIT_USAGE = 2
-EXIT_PROVIDER_CONFIG = 3
+EXIT_CONFIG = 3
 
 _SOURCE_BY_NAME = {kind.name: kind for kind in CANONICAL_SOURCES}
+
+
+@contextmanager
+def _reported_errors():
+    """The CLI's one error handler: a ConfigurationError exits with EXIT_CONFIG,
+    any other VeriscopeError becomes a ClickException (exit code 1)."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        click.echo(f"configuration error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    except VeriscopeError as exc:
+        raise click.ClickException(str(exc))
 
 
 def _setup_logging(level: str) -> None:
@@ -165,10 +178,8 @@ def main(log_level: str) -> None:
 @click.option("--out", required=True, type=click.Path(path_type=Path), help="Index directory.")
 def cmd_index(corpus: Path, out: Path) -> None:
     """Build the local BM25 index from a JSONL corpus."""
-    try:
+    with _reported_errors():
         index = build_local_index(corpus, out)
-    except EmptyCorpus as exc:
-        raise click.ClickException(str(exc))
     suffix = f" ({index.skipped} lines skipped)" if index.skipped else ""
     click.echo(f"indexed {index.doc_count} documents, {index.term_count} terms{suffix}")
 
@@ -179,19 +190,11 @@ def cmd_index(corpus: Path, out: Path) -> None:
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
 def cmd_negate(claim_text: str, mock: bool, as_json: bool) -> None:
     """Generate the negated counterpart of one claim."""
-    try:
-        if mock:
-            provider = mock_provider_set().negator
-        else:
-            provider = RemoteNegationProvider()
+    with _reported_errors():
+        provider = mock_provider_set().negator if mock else RemoteNegationProvider()
         claim = negate_claim(
             ClaimPair(id="cli", text=claim_text), provider, fallback=RuleBasedNegator()
         )
-    except ConfigurationError as exc:
-        click.echo(f"provider configuration error: {exc}", err=True)
-        sys.exit(EXIT_PROVIDER_CONFIG)
-    except VeriscopeError as exc:
-        raise click.ClickException(str(exc))
     if as_json:
         click.echo(json.dumps({"claim": claim.text, "negation": claim.negated_text}))
     else:
@@ -244,21 +247,15 @@ def cmd_verify(claim_text, mock, config_path, sources_spec, condition, scheme_na
     config = _load_config_file(config_path)
     sources = _parse_sources(sources_spec)
     scheme = load_scheme(scheme_name)
-    try:
-        providers = _provider_set(mock, config, sources)
+    with _reported_errors():
         result = verify_claim(
             ClaimPair(id="cli", text=claim_text),
-            providers,
+            _provider_set(mock, config, sources),
             scheme,
             load_prompt("verdict"),
             cfg=_pipeline_config(config, mock),
             condition=ClaimCondition(condition),
         )
-    except ConfigurationError as exc:
-        click.echo(f"provider configuration error: {exc}", err=True)
-        sys.exit(EXIT_PROVIDER_CONFIG)
-    except VeriscopeError as exc:
-        raise click.ClickException(str(exc))
     if as_json:
         click.echo(json.dumps(result.to_dict(), sort_keys=True))
     else:
@@ -303,14 +300,9 @@ def cmd_evaluate(claims_path, dataset_name, scheme_name, mock, config_path, sour
         cfg=cfg,
         limit=limit,
     )
-    try:
+    with _reported_errors():
         providers = _provider_set(mock, config, sources)
         run_dir = run_experiment(plan, providers, Path(out_dir), max_workers=max_workers)
-    except ConfigurationError as exc:
-        click.echo(f"provider configuration error: {exc}", err=True)
-        sys.exit(EXIT_PROVIDER_CONFIG)
-    except VeriscopeError as exc:
-        raise click.ClickException(str(exc))
     metrics = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))
     click.echo(f"run artifacts: {run_dir}")
     click.echo(f"{'source':<12} {'A':>7} {'P':>7} {'R':>7} {'F1':>7} {'abstain':>8}")

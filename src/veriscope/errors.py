@@ -35,7 +35,7 @@ class ZeroVector(VeriscopeError, ValueError):
 
 
 class RankingFailed(VeriscopeError):
-    """Embedding failed while ranking evidence candidates against the claim."""
+    """The claim embedded to a zero vector, so its candidates cannot be ranked."""
 
 
 class TemplateMissingPlaceholder(VeriscopeError, ValueError):

@@ -85,11 +85,13 @@ def run_experiment(
     """Execute the plan and write the artifact directory; returns out_dir.
 
     Source and verdict failures become abstentions inside the traces.
-    Configuration errors and failed negations (ProviderUnavailable,
-    DegenerateNegation) abort the run: finished traces stay, no derived
-    artifact is written, and a re-run resumes.  Before any claim runs, an
-    existing manifest must equal this run's except for limit and claims,
-    and traces without a manifest are refused (ConfigurationError).
+    Configuration errors, failed negations (ProviderUnavailable,
+    DegenerateNegation) and embedding calls that still fail after
+    claim_memo's per-document retry (ProviderUnavailable) abort the run:
+    finished traces stay, no derived artifact is written, and a re-run
+    resumes.  Before any claim runs, an existing manifest must equal this
+    run's except for limit and claims, and traces without a manifest are
+    refused (ConfigurationError).
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")

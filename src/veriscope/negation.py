@@ -16,7 +16,7 @@ from typing import Mapping, Protocol
 from ._http import JsonHttpClient
 from .assets import load_prompt
 from .errors import ConfigurationError, DegenerateNegation, ProviderUnavailable
-from .types import ClaimPair, normalize_sentence
+from .types import ClaimPair
 
 log = logging.getLogger(__name__)
 
@@ -121,13 +121,17 @@ class RemoteNegationProvider:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderUnavailable(f"unexpected completion payload: {exc}") from exc
-        return str(content).strip()
+        if not isinstance(content, str):
+            raise ProviderUnavailable(f"completion content is {type(content).__name__}, not text")
+        return content.strip()
 
 
-def _is_degenerate(original: str, negated: str) -> bool:
-    if not negated or not negated.strip():
-        return True
-    return normalize_sentence(negated) == normalize_sentence(original)
+def _paired(claim: ClaimPair, negated: str, origin: str) -> ClaimPair:
+    """claim.with_negation; ClaimPair's ValueError becomes DegenerateNegation."""
+    try:
+        return claim.with_negation(negated)
+    except ValueError as exc:
+        raise DegenerateNegation(f"{origin} negation degenerate: {exc}") from exc
 
 
 def negate_claim(
@@ -137,29 +141,14 @@ def negate_claim(
 ) -> ClaimPair:
     """Return the claim with negated_text populated; the claim text is untouched.
 
-    A provider failure or a degenerate result (empty / identical after
-    normalization) falls through to the fallback when one is given and
-    raises otherwise.
+    A provider failure or a degenerate result (empty or equal to the
+    claim after normalization, which ClaimPair rejects) falls through to
+    the fallback when one is given and raises otherwise.
     """
-    negated: str | None = None
     try:
-        negated = provider.negate(claim.text)
-    except ProviderUnavailable:
+        return _paired(claim, provider.negate(claim.text), "provider")
+    except (ProviderUnavailable, DegenerateNegation) as exc:
         if fallback is None:
             raise
-        log.warning("negation provider unavailable for %s; using fallback", claim.id)
-    else:
-        if _is_degenerate(claim.text, negated):
-            if fallback is None:
-                raise DegenerateNegation(
-                    f"claim {claim.id!r}: provider returned empty or identical text"
-                )
-            log.warning("degenerate negation for %s; using fallback", claim.id)
-            negated = None
-
-    if negated is None:
-        assert fallback is not None
-        negated = fallback.negate(claim.text)
-        if _is_degenerate(claim.text, negated):
-            raise DegenerateNegation(f"claim {claim.id!r}: fallback negation degenerate")
-    return claim.with_negation(negated)
+        log.warning("negation failed for %s, using fallback: %s", claim.id, exc)
+    return _paired(claim, fallback.negate(claim.text), "fallback")

@@ -128,10 +128,14 @@ def verify_claim(
 
     Under ORIGINAL_ONLY no negation provider is consulted and the
     deduplication stage reduces to plain duplicate removal over the
-    positive evidence.  Per-source retrieval failures and per-verdict
-    provider failures become recorded abstentions.  Configuration errors
-    and a failed negation (ProviderUnavailable, DegenerateNegation) raise:
-    a fallback negation would silently change the negative evidence.
+    positive evidence.  Per-source retrieval failures, a zero claim
+    vector at ranking and per-verdict provider failures become recorded
+    abstentions; when every source failed before the verdicts, the
+    merged verdict abstains too, without a provider call.  Configuration
+    errors, a failed negation (ProviderUnavailable, DegenerateNegation)
+    and a failed embedding call raise: a fallback negation would silently
+    change the negative evidence, and a skipped embedding would turn an
+    outage into verdicts on no evidence.
 
     This is the pipeline's one dual retrieval: every source is asked for
     the claim and, under the dual condition, for its negation, with the
@@ -142,10 +146,10 @@ def verify_claim(
     selected documents are embedded in one call (claim_memo), and
     selection and ranking score through that per-claim EmbeddingMemo;
     only texts the call did not cover (sentences fused by merge_segments)
-    are embedded again.  If the batched call fails, it is logged and
-    selection embeds through the same memo one call per document, each
-    sending only texts not cached yet, so one bad document still only
-    costs that document.
+    are embedded again.  If the batched call raises ProviderUnavailable,
+    it is logged and selection retries through the same memo one call
+    per document, each sending only texts not cached yet; a retry that
+    fails raises ProviderUnavailable out of verify_claim.
     """
     cfg = cfg or PipelineConfig()
     dual = condition is ClaimCondition.ORIGINAL_PLUS_NEGATED
@@ -230,8 +234,11 @@ def verify_claim(
             for kind in kinds
             if kind not in source_errors
         }
-        calls[MERGED] = (remote_verdicts, predict_verdict, claim, aggregated.sentences,
-                         providers.verdicts, scheme, template, MERGED)
+        if all(kind in source_errors for kind in kinds):
+            source_errors[MERGED] = "every source failed"
+        else:
+            calls[MERGED] = (remote_verdicts, predict_verdict, claim, aggregated.sentences,
+                             providers.verdicts, scheme, template, MERGED)
         futures = _run_calls(pool, calls)
 
     verdicts: dict[SourceKind, VeracityVerdict] = {}

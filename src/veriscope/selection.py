@@ -158,8 +158,8 @@ class EmbeddingMemo:
     beside it, so a text's norm is computed once however often it is
     scored.  verify_claim builds one memo per claim (claim_memo), so the
     memo's size is bounded by one claim's texts.  A failed prefetch
-    caches nothing, and a later call sends only its own missing texts, so
-    the memo also serves the per-document fallback after a failed batch.
+    caches nothing and raises; a later call sends only its own missing
+    texts, so the memo also serves claim_memo's per-document retry.
     """
 
     def __init__(self, embedder: EmbeddingProvider):
@@ -209,10 +209,11 @@ def claim_memo(
 
     The texts are the claim, the negation (under the dual condition) and
     every sentence of the first selection_docs documents of each source
-    and polarity, read from each document's one split.  When that one
-    call fails it is logged and the memo is returned with nothing cached,
-    so selection embeds through it one call per document with
-    per-document failure isolation.
+    and polarity, read from each document's one split.  When that call
+    raises ProviderUnavailable (an endpoint may cap the batch size), it is
+    logged and the memo is returned with nothing cached, so selection
+    retries through it with one call per document.  Any other exception
+    is a bug in the embedder and propagates.
     """
     memo = EmbeddingMemo(embedder)
     sentences = [
@@ -225,7 +226,7 @@ def claim_memo(
         return memo
     try:
         memo.prefetch([claim.text] + ([claim.negated_text] if dual else []) + sentences)
-    except Exception as exc:  # selection's per-document calls isolate the failure
+    except ProviderUnavailable as exc:  # selection retries one call per document
         log.warning(
             "batched embedding failed for claim %s, embedding per document: %s", claim.id, exc
         )
@@ -243,9 +244,9 @@ def select_evidence(
 
     Per document, every sentence is scored against the query with
     memo.similarities and the sentences_per_doc highest-similarity ones
-    survive; ties prefer the earlier sentence.  A document whose
-    embedding fails is skipped with a warning while the others proceed;
-    zero-vector sentences are skipped rather than scored.  Under
+    survive; ties prefer the earlier sentence.  Zero-vector sentences
+    are skipped rather than scored.  An embedding failure is not skipped:
+    it propagates, and under verify_claim it fails the claim.  Under
     verify_claim the memo already holds every row (claim_memo), so this
     embeds nothing unless that batched call failed.
     """
@@ -254,11 +255,7 @@ def select_evidence(
         sentences = doc.sentences
         if not sentences:
             continue
-        try:
-            sims = memo.similarities(query_text, sentences)
-        except Exception as exc:  # provider-specific failures must not kill the stage
-            log.warning("embedding failed for doc %r: %s", doc.doc_id, exc)
-            continue
+        sims = memo.similarities(query_text, sentences)
         scored = [
             (sim, position, sentence)
             for position, (sentence, sim) in enumerate(zip(sentences, sims))

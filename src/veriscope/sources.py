@@ -208,9 +208,10 @@ class WebSearchSource:
     query parameter), so 429, 5xx and transport errors are retried with
     backoff under the client's in-flight bound.  The title and the
     snippet together form the document body, so the downstream sentence
-    stages see everything the result page showed.  A failed request, or
-    a reply that is not an object whose items are a list of objects,
-    raises SourceUnavailable.
+    stages see everything the result page showed.  A title or snippet
+    that is null or not a string reads as "", and a missing or null link
+    as result-<position>.  A failed request, or a reply that is not an
+    object whose items are a list of objects, raises SourceUnavailable.
     """
 
     def __init__(
@@ -247,9 +248,11 @@ class WebSearchSource:
             raise SourceUnavailable("web search reply has no list of result objects")
         documents = []
         for position, item in enumerate(items[:k], start=1):
-            title = str(item.get("title", "")).strip()
-            snippet = str(item.get("snippet", "")).strip()
-            link = str(item.get("link", "")) or f"result-{position}"
+            title, snippet = (
+                value.strip() if isinstance(value, str) else ""
+                for value in (item.get("title"), item.get("snippet"))
+            )
+            link = str(item.get("link") or f"result-{position}")
             body = f"{title.rstrip('.')}. {snippet}" if title else snippet
             documents.append(
                 RetrievedDocument(link, self.kind, title, body, position, 1.0 / position)

@@ -177,6 +177,8 @@ class ClaimPair:
                 )
 
     def with_negation(self, negated_text: str) -> "ClaimPair":
+        if not isinstance(negated_text, str):
+            raise ValueError(f"claim {self.id!r}: negated_text must be a string")
         return dataclasses.replace(self, negated_text=negated_text)
 
 

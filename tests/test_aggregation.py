@@ -17,7 +17,7 @@ from veriscope.aggregation import (
     symmetric_difference_dedup,
     write_aggregated_jsonl,
 )
-from veriscope.errors import RankingFailed
+from veriscope.errors import ProviderUnavailable, RankingFailed
 from veriscope.selection import EmbeddingMemo, Polarity
 from veriscope.types import PUBMED, WEB, WIKIPEDIA
 
@@ -206,9 +206,9 @@ class TestRankAndTruncate:
         out = rank_and_truncate(candidates, "the claim", EmbeddingMemo(fixture), 3)
         assert [s.text for s in out] == ["from claim", "also claim", "from negation"]
 
-    def test_embedding_failure_raises_ranking_failed(self):
+    def test_embedding_failure_propagates(self):
         fixture = FixtureEmbedder({"the claim": [1.0, 0.0]})
-        with pytest.raises(RankingFailed):
+        with pytest.raises(ProviderUnavailable):
             rank_and_truncate(
                 [make_sentence("unknown text")], "the claim", EmbeddingMemo(fixture), 2
             )

@@ -222,6 +222,18 @@ class TestEvaluateCommand:
         )
         assert result.exit_code == 3
 
+    def test_refused_resume_is_a_configuration_error(self, runner, tmp_path, no_network):
+        out = str(tmp_path / "run")
+        first = runner.invoke(main, ["evaluate", "--mock", "--limit", "1", "--out", out])
+        assert first.exit_code == 0, first.output
+        result = runner.invoke(
+            main, ["evaluate", "--mock", "--condition", "original", "--limit", "1", "--out", out]
+        )
+        assert result.exit_code == 3
+        assert "configuration error: " in result.output
+        assert "different condition" in result.output
+        assert "provider" not in result.output
+
     def test_seed_flag_beats_config_file(self, runner, tmp_path, no_network):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"seed": 1}))

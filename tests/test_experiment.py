@@ -5,7 +5,12 @@ import pytest
 
 from veriscope.assets import load_prompt, load_scheme
 from veriscope.datasets import DatasetDescriptor, load_dataset
-from veriscope.errors import ConfigurationError, EmptyDataset, SourceUnavailable
+from veriscope.errors import (
+    ConfigurationError,
+    EmptyDataset,
+    ProviderUnavailable,
+    SourceUnavailable,
+)
 from veriscope.experiment import ExperimentPlan, plan_claims, run_experiment
 from veriscope.mock import MOCK_CONFIG, mock_claims_path, mock_provider_set
 from veriscope.pipeline import ClaimCondition, verify_claim
@@ -248,6 +253,19 @@ def tree_bytes(root: Path) -> dict:
     }
 
 
+class OutageEmbedder:
+    """Wraps an embedder; every call carrying failing_text is unavailable (None: no outage)."""
+
+    def __init__(self, inner, failing_text=None):
+        self.inner = inner
+        self.failing_text = failing_text
+
+    def embed(self, texts):
+        if self.failing_text is not None and self.failing_text in texts:
+            raise ProviderUnavailable(f"embedding unavailable for {self.failing_text!r}")
+        return self.inner.embed(texts)
+
+
 class TestRunExperiment:
     def test_artifact_layout(self, tmp_path, providers, scheme):
         run_dir = run_plan(tmp_path, providers, scheme)
@@ -327,25 +345,33 @@ class TestRunExperiment:
         run_plan(tmp_path, providers, scheme, out_name="grown")
         assert tree_bytes(full) == tree_bytes(tmp_path / "grown")
 
-    def test_negation_outage_aborts_and_rerun_resumes(self, tmp_path, providers, scheme):
+    @pytest.mark.parametrize("failing", ["negator", "embedder"])
+    def test_outage_aborts_and_rerun_resumes(self, tmp_path, providers, scheme, failing):
         import dataclasses
 
-        from veriscope.errors import ProviderUnavailable
         from veriscope.mock import mock_negations
         from veriscope.negation import FixtureNegationProvider
 
-        full = run_plan(tmp_path, providers, scheme, out_name="full")
         failing_claim = load_dataset(fixture_descriptor(scheme))[0]
-        # the same provider class, with one claim's negation unavailable
-        negations = {k: v for k, v in mock_negations().items() if k != failing_claim.text}
-        outage = dataclasses.replace(providers, negator=FixtureNegationProvider(negations))
+        # both runs use the same provider classes (the manifest records them);
+        # during the outage one claim's negation or embeddings are unavailable
+        if failing == "negator":
+            negations = {k: v for k, v in mock_negations().items() if k != failing_claim.text}
+            healthy = providers
+            outage = dataclasses.replace(providers, negator=FixtureNegationProvider(negations))
+        else:
+            healthy = dataclasses.replace(providers, embedder=OutageEmbedder(providers.embedder))
+            outage = dataclasses.replace(
+                providers, embedder=OutageEmbedder(providers.embedder, failing_claim.text)
+            )
+        full = run_plan(tmp_path, healthy, scheme, out_name="full")
         with pytest.raises(ProviderUnavailable):
             run_plan(tmp_path, outage, scheme, out_name="resumed")
         resumed = tmp_path / "resumed"
         # claims that finished keep their traces; no derived artifact is written
         assert not (resumed / "traces" / f"{failing_claim.id}.json").exists()
         assert sorted(p.name for p in resumed.iterdir()) == ["run-manifest.json", "traces"]
-        run_plan(tmp_path, providers, scheme, out_name="resumed")
+        run_plan(tmp_path, healthy, scheme, out_name="resumed")
         assert tree_bytes(full) == tree_bytes(resumed)
 
     @pytest.mark.parametrize("max_workers", [0, -3])

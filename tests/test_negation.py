@@ -96,6 +96,15 @@ class TestNegateClaim:
         with pytest.raises(DegenerateNegation):
             negate_claim(claim, _EchoProvider())
 
+    def test_reply_that_is_not_text_is_degenerate(self):
+        class _NoneProvider:
+            def negate(self, claim_text):
+                return None
+
+        claim = ClaimPair(id="c1", text="The sky is blue")
+        with pytest.raises(DegenerateNegation, match="must be a string"):
+            negate_claim(claim, _NoneProvider())
+
     def test_degenerate_with_fallback(self):
         claim = ClaimPair(id="c1", text="The sky is blue")
         out = negate_claim(claim, _EchoProvider(), fallback=RuleBasedNegator())
@@ -199,6 +208,17 @@ class TestRemoteNegationProvider:
         )
         provider = RemoteNegationProvider(url="http://fake/api", client=client)
         with pytest.raises(ProviderUnavailable):
+            provider.negate("So.")
+
+    @pytest.mark.parametrize("content", [None, 7, ["Not so."]], ids=["null", "number", "list"])
+    def test_content_not_text_is_unavailable(self, content):
+        from veriscope._http import JsonHttpClient
+
+        client = JsonHttpClient(
+            "http://fake/api", session=_FakeSession([_completion(content)]), sleep=lambda s: None
+        )
+        provider = RemoteNegationProvider(url="http://fake/api", client=client)
+        with pytest.raises(ProviderUnavailable, match="not text"):
             provider.negate("So.")
 
     def test_network_error(self):

@@ -6,14 +6,14 @@ import pytest
 from veriscope import sources as sources_module
 from veriscope._http import JsonHttpClient
 from veriscope.assets import fixture_path, load_prompt, load_scheme
-from veriscope.errors import ProviderUnavailable
+from veriscope.errors import ProviderUnavailable, SourceUnavailable
 from veriscope.datasets import DatasetDescriptor
 from veriscope.experiment import ExperimentPlan, run_experiment
 from veriscope.index import build_local_index
 from veriscope.mock import MOCK_CONFIG, mock_claims_path, mock_provider_set
 from veriscope.pipeline import ClaimCondition, ProviderSet, verify_claim
 from veriscope.sources import BiomedicalSource, LocalCorpusSource, WebSearchSource
-from veriscope.types import CANONICAL_SOURCES, MERGED, PUBMED, WEB, ClaimPair
+from veriscope.types import CANONICAL_SOURCES, MERGED, PUBMED, WEB, WIKIPEDIA, ClaimPair
 from veriscope.verdict import RemoteVerdictProvider
 
 
@@ -93,6 +93,97 @@ class TestEmbeddingPass:
         assert "batched embedding failed" in caplog.text
         assert result == healthy
         assert result.source_errors == {}
+
+
+class CountingVerdicts:
+    """Records every verdict prompt; a class the pipeline treats as remote."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts = []
+
+    def choose(self, prompt, scheme):
+        self.prompts.append(prompt)
+        return self.inner.choose(prompt, scheme)
+
+
+class BrokenEmbedder:
+    def embed(self, texts):
+        raise TypeError("embedder bug")
+
+
+class TestEmbedderOutage:
+    def test_dead_embedder_fails_the_claim_after_two_calls(
+        self, mock, claim, scheme, template
+    ):
+        dead = CountingEmbedder(FailingEmbedder())
+        verdicts = CountingVerdicts(mock.verdicts)
+        providers = with_providers(mock, embedder=dead, verdicts=verdicts)
+        with pytest.raises(ProviderUnavailable, match="embedding endpoint down"):
+            verify_claim(claim, providers, scheme, template, MOCK_CONFIG)
+        # the batched call, then the first per-document retry
+        assert len(dead.calls) == 2
+        assert dead.calls[1][0] == claim.text
+        assert verdicts.prompts == []
+
+    def test_embedder_bug_propagates_without_a_retry(self, mock, claim, scheme, template):
+        broken = CountingEmbedder(BrokenEmbedder())
+        with pytest.raises(TypeError, match="embedder bug"):
+            verify_claim(
+                claim, with_providers(mock, embedder=broken), scheme, template, MOCK_CONFIG
+            )
+        assert len(broken.calls) == 1
+
+
+class DownSource:
+    def __init__(self, kind):
+        self.kind = kind
+
+    def retrieve(self, query_text, k):
+        raise SourceUnavailable(f"{self.kind.name} down")
+
+
+class TestMergedVerdict:
+    def test_abstains_without_a_call_when_every_source_failed(
+        self, mock, claim, scheme, template
+    ):
+        verdicts = CountingVerdicts(mock.verdicts)
+        sources = {kind: DownSource(kind) for kind in mock.sources}
+        result = verify_claim(
+            claim, with_providers(mock, sources=sources, verdicts=verdicts),
+            scheme, template, MOCK_CONFIG,
+        )
+        assert verdicts.prompts == []
+        assert set(result.source_errors) == set(CANONICAL_SOURCES) | {MERGED}
+        assert result.source_errors[MERGED] == "every source failed"
+        assert all(verdict.abstained for verdict in result.verdicts.values())
+
+    def test_metrics_count_the_merged_abstention(self, mock, scheme, tmp_path):
+        sources = {kind: DownSource(kind) for kind in mock.sources}
+        plan = ExperimentPlan(
+            dataset=DatasetDescriptor(name="fixture", scheme=scheme, path=mock_claims_path()),
+            sources=CANONICAL_SOURCES,
+            condition=ClaimCondition.ORIGINAL_PLUS_NEGATED,
+            cfg=MOCK_CONFIG,
+        )
+        run_dir = run_experiment(plan, with_providers(mock, sources=sources), tmp_path / "run")
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        assert metrics["abstentions"] == {name: 5 for name in ("wikipedia", "pubmed", "web", "merged")}
+
+    def test_one_healthy_source_still_gets_a_merged_answer(
+        self, mock, claim, scheme, template
+    ):
+        verdicts = CountingVerdicts(mock.verdicts)
+        sources = {kind: DownSource(kind) for kind in mock.sources}
+        sources[PUBMED] = mock.sources[PUBMED]
+        result = verify_claim(
+            claim, with_providers(mock, sources=sources, verdicts=verdicts),
+            scheme, template, MOCK_CONFIG,
+        )
+        assert set(result.source_errors) == {WIKIPEDIA, WEB}
+        assert len(verdicts.prompts) == 2
+        assert not result.verdicts[PUBMED].abstained
+        assert not result.verdicts[MERGED].abstained
 
 
 class ResultRecordingSource(LocalCorpusSource):

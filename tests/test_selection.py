@@ -379,7 +379,7 @@ class TestSelectEvidence:
         assert out[0].text == out[1].text
         assert [s.doc_id for s in out] == ["a", "b"]
 
-    def test_failed_document_skipped_others_proceed(self, cfg, caplog):
+    def test_failed_document_raises(self, cfg):
         fixture = FixtureEmbedder(
             {
                 "cats": [1.0, 0.0],
@@ -387,13 +387,11 @@ class TestSelectEvidence:
             }
         )
         docs = [
-            make_doc("bad", "Unknown sentence here.", 1),
-            make_doc("good", "Cats sleep.", 2),
+            make_doc("good", "Cats sleep.", 1),
+            make_doc("bad", "Unknown sentence here.", 2),
         ]
-        with caplog.at_level("WARNING"):
-            out = select_evidence("cats", docs, EmbeddingMemo(fixture), cfg)
-        assert [s.doc_id for s in out] == ["good"]
-        assert "bad" in caplog.text
+        with pytest.raises(ProviderUnavailable, match="Unknown sentence here"):
+            select_evidence("cats", docs, EmbeddingMemo(fixture), cfg)
 
     def test_zero_vector_sentences_skipped(self, embedder, cfg):
         doc = make_doc("d1", "Cats sleep. ... !!!", 1)

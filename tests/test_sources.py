@@ -360,6 +360,20 @@ class TestWebSearchSource:
         assert session.params["num"] == 2
         assert session.requests == 1
 
+    def test_null_fields_are_not_the_text_none(self):
+        payload = {
+            "items": [
+                {"title": None, "snippet": "First.", "link": None},
+                {"title": 7, "snippet": None, "link": "http://b"},
+                {"title": "Third", "snippet": ["not", "text"]},
+            ]
+        }
+        source = WebSearchSource(api_key="k", engine_id="e", session=_FakeWebSession(payload))
+        docs = source.retrieve("zinc", 3)
+        assert [d.doc_id for d in docs] == ["result-1", "http://b", "result-3"]
+        assert [(d.title, d.body) for d in docs] == [("", "First."), ("", ""), ("Third", "Third. ")]
+        assert not any("None" in d.body for d in docs)
+
     def test_http_error(self):
         # 503 is retried with exponential backoff, then the source gives up
         session = _FakeWebSession(status=503)
