@@ -33,7 +33,7 @@ from .selection import (
     RemoteEmbedder,
     select_evidence,
 )
-from .sources import BiomedicalSource, LocalCorpusSource, WebSearchSource, split_sentences
+from .sources import BiomedicalSource, LocalCorpusSource, WebSearchSource
 from .types import (
     CANONICAL_SOURCES,
     MERGED,
@@ -44,6 +44,7 @@ from .types import (
     PipelineConfig,
     SourceKind,
     normalize_sentence,
+    split_sentences,
 )
 from .verdict import (
     LabelLogits,

@@ -18,6 +18,7 @@ import json
 import os
 import random
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,7 +89,9 @@ def run_experiment(
     Configuration errors, failed negations (ProviderUnavailable,
     DegenerateNegation) and embedding calls that still fail after
     claim_memo's per-document retry (ProviderUnavailable) abort the run:
-    finished traces stay, no derived artifact is written, and a re-run
+    no claim after the failing one in claim order starts, every claim
+    that started finishes and keeps its trace, the first failure in claim
+    order is raised, no derived artifact is written, and a re-run
     resumes.  Before any claim runs, an existing manifest must equal this
     run's except for limit and claims, and traces without a manifest are
     refused (ConfigurationError).
@@ -141,8 +144,27 @@ def run_experiment(
         _atomic_write_text(trace_path, json.dumps(result.to_dict(), sort_keys=True) + "\n")
         return result
 
+    # Once a claim fails, no claim after it in claim order starts: with a
+    # provider down, each would spend its retries on the outage.  Claims
+    # before it still run, and every claim that started finishes and keeps
+    # its trace.  The first failure in claim order is raised.
+    first_failure = len(claims)
+    failure_lock = threading.Lock()
+
+    def process_in_order(index: int, claim: ClaimPair) -> ClaimVerification | None:
+        nonlocal first_failure
+        if index > first_failure:
+            return None
+        try:
+            return process(claim)
+        except Exception:
+            with failure_lock:
+                first_failure = min(first_failure, index)
+            raise
+
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(process, claims))
+        futures = [pool.submit(process_in_order, i, claim) for i, claim in enumerate(claims)]
+    results = [future.result() for future in futures]
 
     _write_artifacts(out_dir, plan, results)
     return out_dir

@@ -30,6 +30,7 @@ import numpy as np
 
 from .bm25 import K1, CorpusStats, idf, length_norm, tokenize
 from .errors import EmptyCorpus, MalformedDocument
+from .types import split_sentences
 
 log = logging.getLogger(__name__)
 
@@ -47,13 +48,24 @@ class StoredDocument:
     body: str
     length: int
 
+    @cached_property
+    def sentences(self) -> tuple[str, ...]:
+        """split_sentences(body), made on first use and kept with the document.
+
+        Every hit on the document from its index shares this one split,
+        made when selection first reads it, so a run splits each selected
+        body once; the index's memory grows by the split text of the
+        documents selected so far.
+        """
+        return tuple(split_sentences(self.body))
+
 
 class LocalIndex:
     """Read-only after construction; safe for concurrent retrieval.
 
-    The scoring arrays are filled on first use.  Threads that race on a
-    first use compute the same values, and whichever store lands last
-    replaces an equal one.
+    The scoring arrays and each document's sentence split are filled on
+    first use.  Threads that race on a first use compute the same values,
+    and whichever store lands last replaces an equal one.
     """
 
     def __init__(

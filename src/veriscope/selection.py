@@ -1,8 +1,9 @@
 """Sentence-level evidence selection by embedding similarity.
 
 Retrieved documents are split into sentences once each
-(RetrievedDocument.sentences); each sentence is scored against the
-query that retrieved the document (the claim for the positive pass, the
+(RetrievedDocument.sentences; the hits of a local source share one
+split per stored document); each sentence is scored against the query
+that retrieved the document (the claim for the positive pass, the
 negation for the negative pass) and the most similar sentences per
 document survive.  Selection and ranking score every text through one
 EmbeddingMemo.similarities.

@@ -11,9 +11,8 @@ the claim and once for its negation.
 from __future__ import annotations
 
 import os
-import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Protocol
 from urllib.parse import quote_plus
@@ -23,8 +22,8 @@ import requests
 
 from ._http import JsonHttpClient
 from .errors import ConfigurationError, ProviderUnavailable, SourceUnavailable
-from .index import LocalIndex
-from .types import SourceKind, WEB
+from .index import LocalIndex, StoredDocument
+from .types import SourceKind, WEB, split_sentences
 
 ENV_SEARCH_KEY = "SEARCH_API_KEY"
 ENV_SEARCH_ENGINE = "SEARCH_ENGINE_ID"
@@ -33,48 +32,14 @@ DEFAULT_SEARCH_ENDPOINT = "https://www.googleapis.com/customsearch/v1"
 #: Rank-reciprocal fusion constant for hybrid lexical/dense ranking.
 RRF_CONSTANT = 60
 
-_TERMINATORS = re.compile(r"[.!?]")
-_MIN_SENTENCE_CHARS = 3
-
-
-def split_sentences(body: str) -> list[str]:
-    """Split text on . ! ? followed by whitespace or end of text.
-
-    A period directly after a lone capital letter (an initial such as
-    "J.") never splits.  Segments shorter than 3 characters after
-    trimming are dropped.
-    """
-    sentences: list[str] = []
-    start = 0
-    n = len(body)
-    for match in _TERMINATORS.finditer(body):
-        i = match.start()
-        if i + 1 < n and not body[i + 1].isspace():
-            continue
-        if body[i] == "." and _is_initial(body, i):
-            continue
-        segment = body[start : i + 1].strip()
-        if len(segment) >= _MIN_SENTENCE_CHARS:
-            sentences.append(segment)
-        start = i + 1
-    tail = body[start:].strip()
-    if len(tail) >= _MIN_SENTENCE_CHARS:
-        sentences.append(tail)
-    return sentences
-
-
-def _is_initial(text: str, period_pos: int) -> bool:
-    if period_pos == 0:
-        return False
-    prev = text[period_pos - 1]
-    if not (prev.isalpha() and prev.isupper()):
-        return False
-    return period_pos < 2 or not text[period_pos - 2].isalnum()
-
 
 @dataclass(frozen=True)
 class RetrievedDocument:
-    """One ranked retrieval hit; rank is 1-based and contiguous per result."""
+    """One ranked retrieval hit; rank is 1-based and contiguous per result.
+
+    stored is the index document a local source retrieved (None for any
+    other source); it is not part of the hit's value.
+    """
 
     doc_id: str
     source: SourceKind
@@ -82,6 +47,7 @@ class RetrievedDocument:
     body: str
     rank: int
     score: float
+    stored: StoredDocument | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -89,8 +55,24 @@ class RetrievedDocument:
 
     @cached_property
     def sentences(self) -> tuple[str, ...]:
-        """split_sentences(body), computed once per document object."""
+        """split_sentences(body), made on first use.
+
+        A local source's hit reads its stored document's split
+        (StoredDocument.sentences, made once per index), so a document is
+        split only when selection first reads it, and once however often
+        it is retrieved.
+        """
+        if self.stored is not None:
+            return self.stored.sentences
         return tuple(split_sentences(self.body))
+
+
+def _retrieved(kind: SourceKind, ranked) -> list[RetrievedDocument]:
+    """Ranked (StoredDocument, score) pairs as hits that share each stored document's split."""
+    return [
+        RetrievedDocument(doc.doc_id, kind, doc.title, doc.body, rank, score, doc)
+        for rank, (doc, score) in enumerate(ranked, start=1)
+    ]
 
 
 class KnowledgeSource(Protocol):
@@ -107,11 +89,7 @@ class LocalCorpusSource:
         self._index = index
 
     def retrieve(self, query_text: str, k: int) -> list[RetrievedDocument]:
-        ranked = self._index.ranked(query_text, k)
-        return [
-            RetrievedDocument(doc.doc_id, self.kind, doc.title, doc.body, rank, score)
-            for rank, (doc, score) in enumerate(ranked, start=1)
-        ]
+        return _retrieved(self.kind, self._index.ranked(query_text, k))
 
 
 class BiomedicalSource:
@@ -148,10 +126,7 @@ class BiomedicalSource:
         ranked = self._index.ranked(query_text)
         if len(ranked) > 1:
             ranked = self._fuse(query_text, ranked, k)
-        return [
-            RetrievedDocument(doc.doc_id, self.kind, doc.title, doc.body, rank, score)
-            for rank, (doc, score) in enumerate(ranked[:k], start=1)
-        ]
+        return _retrieved(self.kind, ranked[:k])
 
     def _fuse(self, query_text, ranked, k):
         """The top k of ranked re-ordered by fusion, as (document, fused score)."""

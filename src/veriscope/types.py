@@ -13,6 +13,7 @@ import collections.abc
 import dataclasses
 import functools
 import operator
+import re
 import types
 import typing
 import unicodedata
@@ -46,6 +47,45 @@ def normalize_sentence(raw: str) -> str:
     spaces.  Idempotent; empty input yields empty output.
     """
     return " ".join(raw.translate(_PUNCTUATION_TABLE).lower().split())
+
+
+_TERMINATORS = re.compile(r"[.!?]")
+_MIN_SENTENCE_CHARS = 3
+
+
+def split_sentences(body: str) -> list[str]:
+    """Split text on . ! ? followed by whitespace or end of text.
+
+    A period directly after a lone capital letter (an initial such as
+    "J.") never splits.  Segments shorter than 3 characters after
+    trimming are dropped.
+    """
+    sentences: list[str] = []
+    start = 0
+    n = len(body)
+    for match in _TERMINATORS.finditer(body):
+        i = match.start()
+        if i + 1 < n and not body[i + 1].isspace():
+            continue
+        if body[i] == "." and _is_initial(body, i):
+            continue
+        segment = body[start : i + 1].strip()
+        if len(segment) >= _MIN_SENTENCE_CHARS:
+            sentences.append(segment)
+        start = i + 1
+    tail = body[start:].strip()
+    if len(tail) >= _MIN_SENTENCE_CHARS:
+        sentences.append(tail)
+    return sentences
+
+
+def _is_initial(text: str, period_pos: int) -> bool:
+    if period_pos == 0:
+        return False
+    prev = text[period_pos - 1]
+    if not (prev.isalpha() and prev.isupper()):
+        return False
+    return period_pos < 2 or not text[period_pos - 2].isalnum()
 
 
 @dataclass(frozen=True)

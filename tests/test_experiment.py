@@ -228,7 +228,8 @@ class TestVerifyClaim:
 
 
 def run_plan(tmp_path, providers, scheme, condition=ClaimCondition.ORIGINAL_PLUS_NEGATED,
-             out_name="run", limit=None, cfg=MOCK_CONFIG, sources=CANONICAL_SOURCES):
+             out_name="run", limit=None, cfg=MOCK_CONFIG, sources=CANONICAL_SOURCES,
+             max_workers=2):
     plan = ExperimentPlan(
         dataset=fixture_descriptor(scheme),
         sources=sources,
@@ -236,7 +237,7 @@ def run_plan(tmp_path, providers, scheme, condition=ClaimCondition.ORIGINAL_PLUS
         cfg=cfg,
         limit=limit,
     )
-    return run_experiment(plan, providers, tmp_path / out_name, max_workers=2)
+    return run_experiment(plan, providers, tmp_path / out_name, max_workers=max_workers)
 
 
 def seed_interrupted_run(full: Path, resumed: Path, trace_names) -> None:
@@ -266,6 +267,15 @@ class OutageEmbedder:
         return self.inner.embed(texts)
 
 
+def completes_alone(claim, providers, scheme, template):
+    """Whether the claim verifies when it is the only claim run."""
+    try:
+        verify_claim(claim, providers, scheme, template, cfg=MOCK_CONFIG)
+    except ProviderUnavailable:
+        return False
+    return True
+
+
 class TestRunExperiment:
     def test_artifact_layout(self, tmp_path, providers, scheme):
         run_dir = run_plan(tmp_path, providers, scheme)
@@ -289,6 +299,16 @@ class TestRunExperiment:
         a = run_plan(tmp_path, providers, scheme, out_name="a")
         b = run_plan(tmp_path, providers, scheme, out_name="b")
         assert tree_bytes(a) == tree_bytes(b)
+
+    def test_four_worker_runs_on_one_provider_set_are_byte_identical(
+        self, tmp_path, providers, scheme
+    ):
+        # the second run reads the document splits the first one left in the indexes
+        shared = mock_provider_set()
+        a = run_plan(tmp_path, shared, scheme, out_name="a", max_workers=4)
+        b = run_plan(tmp_path, shared, scheme, out_name="b", max_workers=4)
+        assert tree_bytes(a) == tree_bytes(b)
+        assert tree_bytes(a) == tree_bytes(run_plan(tmp_path, providers, scheme, out_name="c"))
 
     def test_resume_matches_uninterrupted(self, tmp_path, providers, scheme):
         full = run_plan(tmp_path, providers, scheme, out_name="full")
@@ -346,13 +366,18 @@ class TestRunExperiment:
         assert tree_bytes(full) == tree_bytes(tmp_path / "grown")
 
     @pytest.mark.parametrize("failing", ["negator", "embedder"])
-    def test_outage_aborts_and_rerun_resumes(self, tmp_path, providers, scheme, failing):
+    def test_outage_aborts_and_rerun_resumes(self, tmp_path, providers, scheme, template, failing):
         import dataclasses
 
         from veriscope.mock import mock_negations
         from veriscope.negation import FixtureNegationProvider
 
-        failing_claim = load_dataset(fixture_descriptor(scheme))[0]
+        # claims in run order; the outage hits the third
+        claims = plan_claims(ExperimentPlan(
+            dataset=fixture_descriptor(scheme), sources=CANONICAL_SOURCES,
+            condition=ClaimCondition.ORIGINAL_PLUS_NEGATED, cfg=MOCK_CONFIG,
+        ))
+        failing_claim = claims[2]
         # both runs use the same provider classes (the manifest records them);
         # during the outage one claim's negation or embeddings are unavailable
         if failing == "negator":
@@ -364,15 +389,30 @@ class TestRunExperiment:
             outage = dataclasses.replace(
                 providers, embedder=OutageEmbedder(providers.embedder, failing_claim.text)
             )
+        # a claim is healthy when it verifies alone under the outage; the embedder
+        # outage also fails claims that retrieve the failing claim's text as evidence
+        alone = [completes_alone(claim, outage, scheme, template) for claim in claims]
+        expected = {f"{claim.id}.json" for claim, ok in zip(claims, alone) if ok}
+        first_failing = alone.index(False)
+        before = {f"{claim.id}.json" for claim in claims[:first_failing]}
+        assert f"{failing_claim.id}.json" not in expected and len(expected) >= 3
+        assert before and len(before) < len(expected)
         full = run_plan(tmp_path, healthy, scheme, out_name="full")
-        with pytest.raises(ProviderUnavailable):
-            run_plan(tmp_path, outage, scheme, out_name="resumed")
-        resumed = tmp_path / "resumed"
-        # claims that finished keep their traces; no derived artifact is written
-        assert not (resumed / "traces" / f"{failing_claim.id}.json").exists()
-        assert sorted(p.name for p in resumed.iterdir()) == ["run-manifest.json", "traces"]
-        run_plan(tmp_path, healthy, scheme, out_name="resumed")
-        assert tree_bytes(full) == tree_bytes(resumed)
+        for max_workers in (1, 2, 4):
+            resumed = tmp_path / f"resumed-{max_workers}"
+            with pytest.raises(ProviderUnavailable):
+                run_plan(tmp_path, outage, scheme,
+                         out_name=resumed.name, max_workers=max_workers)
+            # every claim before the first failing one keeps its trace, no trace
+            # belongs to a failing claim, and no derived artifact is written; one
+            # worker starts no claim after the failure
+            traces = {p.name for p in (resumed / "traces").iterdir()}
+            assert before <= traces <= expected
+            if max_workers == 1:
+                assert traces == before
+            assert sorted(p.name for p in resumed.iterdir()) == ["run-manifest.json", "traces"]
+            run_plan(tmp_path, healthy, scheme, out_name=resumed.name)
+            assert tree_bytes(full) == tree_bytes(resumed)
 
     @pytest.mark.parametrize("max_workers", [0, -3])
     def test_max_workers_below_one_is_refused(self, tmp_path, providers, scheme, max_workers):

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import threading
 
 import pytest
 
-from veriscope import sources as sources_module
+from veriscope import index as index_module
 from veriscope._http import JsonHttpClient
 from veriscope.assets import fixture_path, load_prompt, load_scheme
 from veriscope.errors import ProviderUnavailable, SourceUnavailable
@@ -32,10 +33,16 @@ def template():
     return load_prompt("verdict")
 
 
+def fixture_claims():
+    return [
+        ClaimPair(id=record["id"], text=record["claim"], gold_label=record["label"])
+        for record in map(json.loads, mock_claims_path().read_text(encoding="utf-8").splitlines())
+    ]
+
+
 @pytest.fixture(scope="module")
 def claim():
-    record = json.loads(mock_claims_path().read_text(encoding="utf-8").splitlines()[0])
-    return ClaimPair(id=record["id"], text=record["claim"], gold_label=record["label"])
+    return fixture_claims()[0]
 
 
 def with_providers(base, **changes):
@@ -197,28 +204,39 @@ class ResultRecordingSource(LocalCorpusSource):
 
 
 @pytest.mark.parametrize("max_texts", [None, 10], ids=["batched", "per-document"])
-def test_each_selected_document_is_split_once(
-    mock, claim, scheme, template, monkeypatch, max_texts
-):
-    healthy = verify_claim(claim, mock, scheme, template, MOCK_CONFIG)
+def test_each_selected_document_is_split_once(mock, scheme, template, monkeypatch, max_texts):
+    # the last document each query retrieves from a source is not selected
+    cfg = dataclasses.replace(MOCK_CONFIG, selection_docs=MOCK_CONFIG.retrieval_depth - 1)
+    claims = fixture_claims()[:2]
+    healthy = [verify_claim(claim, mock, scheme, template, cfg) for claim in claims]
     split = []
-    real_split = sources_module.split_sentences
+    real_split = index_module.split_sentences
     monkeypatch.setattr(
-        sources_module, "split_sentences", lambda body: split.append(body) or real_split(body)
+        index_module, "split_sentences", lambda body: split.append(body) or real_split(body)
     )
-    recording = {kind: ResultRecordingSource(src) for kind, src in mock.sources.items()}
+    # fresh indexes: no stored document has been split yet
+    fresh = mock_provider_set()
+    recording = {kind: ResultRecordingSource(src) for kind, src in fresh.sources.items()}
     providers = with_providers(
-        mock, sources=recording, embedder=CountingEmbedder(mock.embedder, max_texts)
+        fresh, sources=recording, embedder=CountingEmbedder(fresh.embedder, max_texts)
     )
-    assert verify_claim(claim, providers, scheme, template, MOCK_CONFIG) == healthy
+    assert [verify_claim(c, providers, scheme, template, cfg) for c in claims] == healthy
     selected = [
         doc.body
         for source in recording.values()
         for docs in source.results
-        for doc in docs[: MOCK_CONFIG.selection_docs]
+        for doc in docs[: cfg.selection_docs]
     ]
-    assert len(selected) == 2 * len(recording) * MOCK_CONFIG.selection_docs
-    assert sorted(split) == sorted(selected)
+    retrieved = {
+        doc.body for source in recording.values() for docs in source.results for doc in docs
+    }
+    # two claims, both polarities, every source: some documents come back more than once
+    assert len(selected) == 2 * 2 * len(recording) * cfg.selection_docs
+    assert len(set(selected)) < len(selected)
+    assert retrieved - set(selected)
+    # only selected documents are split, each once
+    assert set(split) == set(selected)
+    assert len(split) == len(set(split))
 
 
 class BarrierVerdicts:
