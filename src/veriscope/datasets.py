@@ -1,7 +1,7 @@
 """Claims-file ingestion for the benchmark datasets.
 
-A dataset is a JSONL file of records carrying at least a claim sentence
-and a gold label; the descriptor names the fields and the label scheme.
+A dataset is a JSONL file of records carrying a "claim" sentence, a gold
+"label" and an optional "id"; the descriptor names the file and the scheme.
 Records that fail validation are logged with their line number and
 counted, never silently dropped.
 """
@@ -18,15 +18,14 @@ from .types import ClaimPair, LabelScheme
 
 log = logging.getLogger(__name__)
 
+CLAIM_FIELD, LABEL_FIELD, ID_FIELD = "claim", "label", "id"
+
 
 @dataclass(frozen=True)
 class DatasetDescriptor:
     name: str
     scheme: LabelScheme
     path: Path
-    claim_field: str = "claim"
-    label_field: str = "label"
-    id_field: str = "id"
 
 
 def load_dataset(desc: DatasetDescriptor) -> list[ClaimPair]:
@@ -55,14 +54,14 @@ def load_dataset(desc: DatasetDescriptor) -> list[ClaimPair]:
             if reason is None and not isinstance(record, dict):
                 reason = "record is not an object"
             if reason is None:
-                text = str(record.get(desc.claim_field, "") or "")
-                label = record.get(desc.label_field)
+                text = str(record.get(CLAIM_FIELD, "") or "")
+                label = record.get(LABEL_FIELD)
                 if not text.strip():
-                    reason = f"missing or empty {desc.claim_field!r}"
+                    reason = f"missing or empty {CLAIM_FIELD!r}"
                 elif label not in desc.scheme.labels:
                     reason = f"label {label!r} not in scheme {desc.scheme.name!r}"
                 else:
-                    claim_id = str(record.get(desc.id_field) or f"{desc.name}-{lineno:05d}")
+                    claim_id = str(record.get(ID_FIELD) or f"{desc.name}-{lineno:05d}")
                     if claim_id in seen_ids:
                         reason = f"duplicate claim id {claim_id!r}"
             if reason is not None:

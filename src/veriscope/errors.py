@@ -30,10 +30,6 @@ class EmptyCorpus(VeriscopeError):
     """Indexing produced zero valid documents."""
 
 
-class ZeroVector(VeriscopeError, ValueError):
-    """Cosine similarity is undefined for a zero-norm vector."""
-
-
 class RankingFailed(VeriscopeError):
     """The claim embedded to a zero vector, so its candidates cannot be ranked."""
 

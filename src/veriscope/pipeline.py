@@ -14,7 +14,7 @@ run on the caller's thread while those requests are in flight.  With a
 remote verdict provider (or any unknown one) the four verdict calls of
 a claim overlap; the rule-based provider runs inline.
 The pool starts its threads lazily, so an all-local claim starts none.
-Selection and ranking share one batched embedding call per claim.
+One EmbeddingMemo per claim serves pubmed fusion, selection and ranking.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import logging
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Mapping
 
 from .aggregation import (
@@ -37,7 +38,7 @@ from .aggregation import (
 from .analysis import SourceConfidenceProfile, build_profile
 from .errors import ConfigurationError, ProviderUnavailable, RankingFailed, SourceUnavailable
 from .negation import NegationProvider, negate_claim
-from .selection import EmbeddingProvider, Polarity, claim_memo, select_evidence
+from .selection import EmbeddingMemo, EmbeddingProvider, Polarity, claim_memo, select_evidence
 from .sources import BiomedicalSource, KnowledgeSource, LocalCorpusSource
 from .types import MERGED, ClaimPair, JsonRecord, LabelScheme, PipelineConfig, SourceKind, source_order_key
 from .verdict import (
@@ -142,14 +143,16 @@ def verify_claim(
     network-bound requests of all sources in flight together.  The two
     result lists of a source never mix.
 
-    After retrieval, the claim, its negation and the sentences of the
-    selected documents are embedded in one call (claim_memo), and
-    selection and ranking score through that per-claim EmbeddingMemo;
-    only texts the call did not cover (sentences fused by merge_segments)
-    are embedded again.  If the batched call raises ProviderUnavailable,
-    it is logged and selection retries through the same memo one call
-    per document, each sending only texts not cached yet; a retry that
-    fails raises ProviderUnavailable out of verify_claim.
+    Every embedding call of the claim goes through one EmbeddingMemo,
+    made before retrieval, that owns the claim and negation rows: the
+    first call, pubmed fusion's (retrieve's memo keyword) or else
+    claim_memo's, embeds them, and no later call sends them again.
+    claim_memo embeds the selected documents' sentences in one call;
+    selection and ranking then embed only texts no call covered (sentences
+    joined by merge_segments).  If that call raises ProviderUnavailable,
+    selection retries one call per document, and a retry that fails
+    raises out of verify_claim; a failed fusion call only makes pubmed
+    abstain.
     """
     cfg = cfg or PipelineConfig()
     dual = condition is ClaimCondition.ORIGINAL_PLUS_NEGATED
@@ -161,6 +164,7 @@ def verify_claim(
         claim = negate_claim(claim, providers.negator)
 
     kinds = sorted(providers.sources, key=source_order_key)
+    memo = EmbeddingMemo(providers.embedder, [claim.text, claim.negated_text] if dual else [claim.text])
     remote_verdicts = not isinstance(providers.verdicts, _IN_PROCESS_VERDICTS)
     with ThreadPoolExecutor(max_workers=max(2 * len(kinds), len(kinds) + 1)) as pool:
         # one retrieval call per source per polarity
@@ -168,12 +172,15 @@ def verify_claim(
         for kind in kinds:
             source = providers.sources[kind]
             network = not isinstance(source, _IN_PROCESS_SOURCES)
+            retrieve = source.retrieve
+            if isinstance(source, BiomedicalSource):  # in-process: the memo stays on this thread
+                retrieve = partial(retrieve, memo=memo)
             calls[(kind, Polarity.FROM_CLAIM)] = (
-                network, source.retrieve, claim.text, cfg.retrieval_depth
+                network, retrieve, claim.text, cfg.retrieval_depth
             )
             if dual:
                 calls[(kind, Polarity.FROM_NEGATION)] = (
-                    network, source.retrieve, claim.negated_text, cfg.retrieval_depth
+                    network, retrieve, claim.negated_text, cfg.retrieval_depth
                 )
         futures = _run_calls(pool, calls)
         source_errors: dict[SourceKind, str] = {}
@@ -190,7 +197,7 @@ def verify_claim(
                 source_errors[kind] = str(exc)
                 retrieved[kind] = ([], [])
 
-        memo = claim_memo(claim, retrieved, providers.embedder, cfg, dual)
+        claim_memo(claim, retrieved, memo, cfg)
         bundles: dict[SourceKind, EvidenceBundle] = {}
         for kind in kinds:
             docs_pos, docs_neg = retrieved[kind]

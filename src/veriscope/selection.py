@@ -16,14 +16,16 @@ import logging
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from ._http import JsonHttpClient
-from .errors import ConfigurationError, ProviderUnavailable, ZeroVector
-from .sources import RetrievedDocument
+from .errors import ConfigurationError, ProviderUnavailable
 from .types import ClaimPair, JsonRecord, PipelineConfig, SourceKind, normalize_sentence
+
+if TYPE_CHECKING:  # sources imports EmbeddingMemo from here
+    from .sources import RetrievedDocument
 
 log = logging.getLogger(__name__)
 
@@ -58,19 +60,6 @@ class EvidenceSentence(JsonRecord):
         if sim < -1.0 - 1e-9 or sim > 1.0 + 1e-9:
             raise ValueError(f"similarity {sim} outside [-1, 1]")
         object.__setattr__(self, "similarity", min(1.0, max(-1.0, sim)))
-
-
-def cosine_similarity(u, v) -> float:
-    """u.v / (|u||v|); raises ZeroVector when either norm is zero."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    norm_u = float(np.linalg.norm(u))
-    norm_v = float(np.linalg.norm(v))
-    if norm_u == 0.0 or norm_v == 0.0:
-        raise ZeroVector("cosine similarity undefined for zero vectors")
-    return float(np.dot(u, v) / (norm_u * norm_v))
 
 
 class EmbeddingProvider(Protocol):
@@ -157,22 +146,24 @@ class EmbeddingMemo:
     reply whose row count differs from the texts sent raises
     ProviderUnavailable and caches nothing.  Each row's norm is kept
     beside it, so a text's norm is computed once however often it is
-    scored.  verify_claim builds one memo per claim (claim_memo), so the
-    memo's size is bounded by one claim's texts.  A failed prefetch
-    caches nothing and raises; a later call sends only its own missing
-    texts, so the memo also serves claim_memo's per-document retry.
+    scored.  The memo owns its queries' rows: each call also carries the
+    queries not held yet, so the first call that succeeds embeds them.
+    verify_claim makes one memo per claim before retrieval, with the claim
+    and (dual condition) the negation as queries, so its size is bounded
+    by one claim's texts.
     """
 
-    def __init__(self, embedder: EmbeddingProvider):
-        self._embedder = embedder
+    def __init__(self, embedder: EmbeddingProvider, queries: Sequence[str] = ()):
+        self.embedder = embedder
+        self._queries = tuple(queries)
         self._rows: dict[str, tuple[np.ndarray, float]] = {}
 
     def prefetch(self, texts: Sequence[str]) -> None:
-        """Embed, in one call, the texts not cached yet."""
-        missing = [text for text in dict.fromkeys(texts) if text not in self._rows]
+        """Embed, in one call, the queries and texts not cached yet."""
+        missing = [text for text in dict.fromkeys([*self._queries, *texts]) if text not in self._rows]
         if not missing:
             return
-        vectors = np.asarray(self._embedder.embed(missing), dtype=np.float64)
+        vectors = np.asarray(self.embedder.embed(missing), dtype=np.float64)
         if vectors.ndim != 2 or len(vectors) != len(missing):
             raise ProviderUnavailable(
                 f"embedder returned shape {vectors.shape} for {len(missing)} texts"
@@ -181,13 +172,16 @@ class EmbeddingMemo:
             (text, (row, float(np.linalg.norm(row)))) for text, row in zip(missing, vectors)
         )
 
-    def similarities(self, query: str, texts: Sequence[str]) -> list[float | None]:
-        """cosine_similarity of the query's row with each text's row.
+    def row(self, text: str) -> tuple[np.ndarray, float]:
+        """The vector and norm of a text prefetched before."""
+        return self._rows[text]
 
-        Each value is cosine_similarity's expression for that one pair, so
-        it equals cosine_similarity bit for bit (a matrix product would sum
-        in another order).  None stands for the ZeroVector case: either
-        norm is zero.
+    def similarities(self, query: str, texts: Sequence[str]) -> list[float | None]:
+        """The cosine u.v / (|u||v|) of the query's row with each text's row.
+
+        Each value is that expression for one pair of rows, so it does
+        not depend on the other texts (a matrix product would sum in
+        another order).  None stands for a zero norm on either side.
         """
         self.prefetch([query, *texts])
         query_row, query_norm = self._rows[query]
@@ -202,21 +196,18 @@ class EmbeddingMemo:
 def claim_memo(
     claim: ClaimPair,
     retrieved: Mapping[SourceKind, tuple[list, list]],
-    embedder: EmbeddingProvider,
+    memo: EmbeddingMemo,
     cfg: PipelineConfig,
-    dual: bool,
-) -> EmbeddingMemo:
-    """Embed every text selection will score in one call; return the memo.
+) -> None:
+    """Embed in one call, through the claim's memo, every sentence selection will score.
 
-    The texts are the claim, the negation (under the dual condition) and
-    every sentence of the first selection_docs documents of each source
-    and polarity, read from each document's one split.  When that call
-    raises ProviderUnavailable (an endpoint may cap the batch size), it is
-    logged and the memo is returned with nothing cached, so selection
-    retries through it with one call per document.  Any other exception
-    is a bug in the embedder and propagates.
+    These are the sentences of the first selection_docs documents of each
+    source and polarity, read from each document's one split; the call also
+    carries the claim and negation rows unless pubmed fusion embedded them.
+    When it raises ProviderUnavailable (an endpoint may cap the batch size),
+    it is logged and selection retries with one call per document.  Any
+    other exception is a bug in the embedder and propagates.
     """
-    memo = EmbeddingMemo(embedder)
     sentences = [
         sentence
         for docs_pos, docs_neg in retrieved.values()
@@ -224,14 +215,13 @@ def claim_memo(
         for sentence in doc.sentences
     ]
     if not sentences:
-        return memo
+        return
     try:
-        memo.prefetch([claim.text] + ([claim.negated_text] if dual else []) + sentences)
+        memo.prefetch(sentences)
     except ProviderUnavailable as exc:  # selection retries one call per document
         log.warning(
             "batched embedding failed for claim %s, embedding per document: %s", claim.id, exc
         )
-    return memo
 
 
 def select_evidence(

@@ -5,7 +5,8 @@ rank order.  The local sources order documents by a total order,
 (-score, doc_id) for BM25 and for fusion, and cut it at k, so
 retrieve(q, k') is always a prefix of retrieve(q, k) for k' <= k.
 verify_claim runs the dual retrieval: each source is asked once for
-the claim and once for its negation.
+the claim and once for its negation; pubmed fusion embeds through the
+claim's EmbeddingMemo, which also holds the rows selection scores against.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import requests
 from ._http import JsonHttpClient
 from .errors import ConfigurationError, ProviderUnavailable, SourceUnavailable
 from .index import LocalIndex, StoredDocument
+from .selection import EmbeddingMemo
 from .types import SourceKind, WEB, split_sentences
 
 ENV_SEARCH_KEY = "SEARCH_API_KEY"
@@ -103,7 +105,11 @@ class BiomedicalSource:
     Each candidate's vector and norm are cached the first time it is
     fused, in the row of a docs x dim matrix given by the index's
     positions; the index is read-only, so they never go stale.  A query
-    embeds itself plus only the candidates not cached yet.  The matrix
+    makes at most one call, through an EmbeddingMemo, for its row and the
+    distinct bodies not cached yet.  verify_claim passes the claim's memo
+    (memo=), whose first call also carries the claim and negation rows;
+    without it, or when it wraps another embedder object, a memo of the
+    query's own is used, so rows never cross embedders.  The matrix
     is allocated at the first fill and takes docs x dim x 8 bytes (200
     docs at 256 dimensions: 400 KB).  The index's scoring arrays add
     postings x 16 bytes once every term has been queried: an 8-byte
@@ -122,33 +128,32 @@ class BiomedicalSource:
         self._cached = np.zeros(index.doc_count, dtype=bool)
         self._fill_lock = threading.Lock()
 
-    def retrieve(self, query_text: str, k: int) -> list[RetrievedDocument]:
+    def retrieve(
+        self, query_text: str, k: int, *, memo: EmbeddingMemo | None = None
+    ) -> list[RetrievedDocument]:
         ranked = self._index.ranked(query_text)
         if len(ranked) > 1:
-            ranked = self._fuse(query_text, ranked, k)
+            if memo is None or memo.embedder is not self._embedder:
+                memo = EmbeddingMemo(self._embedder)
+            ranked = self._fuse(query_text, ranked, k, memo)
         return _retrieved(self.kind, ranked[:k])
 
-    def _fuse(self, query_text, ranked, k):
+    def _fuse(self, query_text, ranked, k, memo):
         """The top k of ranked re-ordered by fusion, as (document, fused score)."""
         positions = self._index.positions
         rows = np.fromiter((positions[doc.doc_id] for doc, _ in ranked), np.intp, len(ranked))
         missing = np.flatnonzero(~self._cached[rows])
-        texts = [query_text] + [ranked[i][0].body for i in missing.tolist()]
+        bodies = [ranked[i][0].body for i in missing.tolist()]
         try:
-            vectors = np.asarray(self._embedder.embed(texts), dtype=np.float64)
+            memo.prefetch([query_text, *bodies])
         except ProviderUnavailable as exc:
             raise SourceUnavailable(f"dense fusion embedding failed: {exc}") from exc
-        if vectors.ndim != 2 or len(vectors) != len(texts):
-            raise SourceUnavailable(
-                f"dense fusion embedding returned shape {vectors.shape} for {len(texts)} texts"
-            )
-        if len(missing):
-            self._store(rows[missing], vectors[1:])
-        query_vec = vectors[0]
-        query_norm = float(np.linalg.norm(query_vec))
+        if bodies:
+            self._store(rows[missing], [memo.row(body) for body in bodies])
+        query_vec, query_norm = memo.row(query_text)
         matrix = self._doc_vectors[rows]
         doc_norms = self._doc_norms[rows]
-        # cosine_similarity's expression, one row per document; a zero norm scores -1.0.
+        # EmbeddingMemo.similarities' expression, one row per document; a zero norm scores -1.0.
         # The product sums in another order than np.dot per row: for non-integer
         # vectors a similarity can differ in its last bit, so only documents whose
         # similarities lie within rounding of each other could swap dense ranks.
@@ -164,9 +169,9 @@ class BiomedicalSource:
         top = np.lexsort((rows, -fused))[:k]
         return [(ranked[i][0], score) for i, score in zip(top.tolist(), fused[top].tolist())]
 
-    def _store(self, rows: np.ndarray, vectors: np.ndarray) -> None:
-        """Cache the vectors and norms of rows not cached yet; each row is written once."""
-        norms = np.array([np.linalg.norm(vec) for vec in vectors])
+    def _store(self, rows: np.ndarray, entries: list[tuple[np.ndarray, float]]) -> None:
+        """Cache the (vector, norm) entries of rows not cached yet; each row is written once."""
+        vectors, norms = map(np.array, zip(*entries))
         with self._fill_lock:
             if self._doc_vectors is None:
                 self._doc_vectors = np.zeros((len(self._cached), vectors.shape[1]))

@@ -61,6 +61,23 @@ def make_doc(doc_id, body, rank, title="", source=WIKIPEDIA, score=None):
     )
 
 
+class ZeroVector(ValueError):
+    """Cosine similarity is undefined for a zero-norm vector."""
+
+
+def cosine_similarity(u, v) -> float:
+    """The oracle for every similarity: u.v / (|u||v|); raises ZeroVector on a zero norm."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    norm_u = float(np.linalg.norm(u))
+    norm_v = float(np.linalg.norm(v))
+    if norm_u == 0.0 or norm_v == 0.0:
+        raise ZeroVector("cosine similarity undefined for zero vectors")
+    return float(np.dot(u, v) / (norm_u * norm_v))
+
+
 class FixtureSource:
     """Knowledge source serving canned rank-ordered documents per query."""
 

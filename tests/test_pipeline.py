@@ -11,8 +11,9 @@ from veriscope.errors import ProviderUnavailable, SourceUnavailable
 from veriscope.datasets import DatasetDescriptor
 from veriscope.experiment import ExperimentPlan, run_experiment
 from veriscope.index import build_local_index
-from veriscope.mock import MOCK_CONFIG, mock_claims_path, mock_provider_set
+from veriscope.mock import MOCK_CONFIG, mock_claims_path, mock_negations, mock_provider_set
 from veriscope.pipeline import ClaimCondition, ProviderSet, verify_claim
+from veriscope.selection import EmbeddingMemo, HashedBowEmbedder
 from veriscope.sources import BiomedicalSource, LocalCorpusSource, WebSearchSource
 from veriscope.types import CANONICAL_SOURCES, MERGED, PUBMED, WEB, WIKIPEDIA, ClaimPair
 from veriscope.verdict import RemoteVerdictProvider
@@ -57,16 +58,19 @@ def with_providers(base, **changes):
 
 
 class CountingEmbedder:
-    """Records every call; fails any call with more than max_texts texts."""
+    """Records every call; fails the first `outage` calls and any call over max_texts texts."""
 
-    def __init__(self, inner, max_texts=None):
+    def __init__(self, inner, max_texts=None, outage=0):
         self.inner = inner
         self.max_texts = max_texts
+        self.outage = outage
         self.calls = []
         self.failures = 0
 
     def embed(self, texts):
         self.calls.append(list(texts))
+        if len(self.calls) <= self.outage:
+            raise ProviderUnavailable("embedding endpoint down")
         if self.max_texts is not None and len(texts) > self.max_texts:
             self.failures += 1
             raise ProviderUnavailable(f"{len(texts)} texts exceed {self.max_texts}")
@@ -100,6 +104,78 @@ class TestEmbeddingPass:
         assert "batched embedding failed" in caplog.text
         assert result == healthy
         assert result.source_errors == {}
+
+
+class TestClaimRowsHandOver:
+    """The claim's memo embeds the claim and negation rows once, for fusion and selection."""
+
+    def fused(self, mock, embedder, fusion_embedder=None):
+        sources = dict(mock.sources)
+        sources[PUBMED] = BiomedicalSource(
+            PUBMED, build_local_index(fixture_path("corpus_pubmed.jsonl")),
+            embedder=fusion_embedder or embedder,
+        )
+        return with_providers(mock, sources=sources, embedder=embedder)
+
+    def test_warm_index_claim_makes_two_calls(self, mock, scheme, template):
+        counting = CountingEmbedder(HashedBowEmbedder())
+        providers = self.fused(mock, counting)
+        claims = fixture_claims()
+        for claim in claims:  # every candidate body of every query is cached
+            verify_claim(claim, providers, scheme, template, MOCK_CONFIG)
+        counting.calls.clear()
+        result = verify_claim(claims[1], providers, scheme, template, MOCK_CONFIG)
+        rows = [result.claim.text, result.claim.negated_text]
+        assert counting.calls[0] == rows
+        assert len(counting.calls) == 2
+        assert not set(rows) & set(counting.calls[1])
+        own_rows = self.fused(mock, HashedBowEmbedder(), fusion_embedder=HashedBowEmbedder())
+        assert result == verify_claim(claims[1], own_rows, scheme, template, MOCK_CONFIG)
+
+    def test_original_only_sends_no_negation(self, mock, claim, scheme, template):
+        counting = CountingEmbedder(HashedBowEmbedder())
+        result = verify_claim(
+            claim, self.fused(mock, counting), scheme, template, MOCK_CONFIG,
+            condition=ClaimCondition.ORIGINAL_ONLY,
+        )
+        assert result.claim.negated_text is None
+        assert counting.calls[0][0] == claim.text
+        negation = mock_negations()[claim.text]
+        assert all(negation not in call for call in counting.calls)
+        assert sum(call.count(claim.text) for call in counting.calls) == 1
+
+    def test_memo_over_another_embedder_is_not_used(self, mock, claim, scheme, template):
+        from test_sources import reference_fusion
+
+        shared, own = CountingEmbedder(HashedBowEmbedder()), CountingEmbedder(HashedBowEmbedder())
+        providers = self.fused(mock, shared, fusion_embedder=own)
+        result = verify_claim(claim, providers, scheme, template, MOCK_CONFIG)
+        rows = [result.claim.text, result.claim.negated_text]
+        # pubmed embeds each query in a call of its own; the claim's memo embeds the rows again
+        assert [call[0] for call in own.calls] == rows
+        assert len(shared.calls) == 1 and shared.calls[0][:2] == rows
+        source = providers.sources[PUBMED]
+        memo = EmbeddingMemo(shared, rows)
+        shared.calls.clear()
+        got = source.retrieve(claim.text, MOCK_CONFIG.retrieval_depth, memo=memo)
+        assert shared.calls == []
+        expected = reference_fusion(source._index, HashedBowEmbedder(), claim.text)
+        assert [(doc.doc_id, doc.score) for doc in got] == expected[: MOCK_CONFIG.retrieval_depth]
+
+    def test_fusion_outage_makes_only_pubmed_abstain(self, mock, claim, scheme, template):
+        healthy = verify_claim(claim, mock, scheme, template, MOCK_CONFIG)
+        # both fusion calls fail, then the endpoint is back for selection
+        flaky = CountingEmbedder(HashedBowEmbedder(), outage=2)
+        result = verify_claim(claim, self.fused(mock, flaky), scheme, template, MOCK_CONFIG)
+        assert set(result.source_errors) == {PUBMED}
+        assert result.source_errors[PUBMED].startswith("dense fusion embedding")
+        assert result.verdicts[PUBMED].abstained
+        assert not result.verdicts[MERGED].abstained
+        rows = [result.claim.text, result.claim.negated_text]
+        assert [call[:2] for call in flaky.calls] == [rows, rows, rows]
+        for kind in (WIKIPEDIA, WEB):
+            assert result.bundles[kind] == healthy.bundles[kind]
+            assert result.verdicts[kind] == healthy.verdicts[kind]
 
 
 class CountingVerdicts:

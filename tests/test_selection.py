@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FixtureEmbedder, make_doc
-from veriscope.errors import ProviderUnavailable, ZeroVector
+from conftest import FixtureEmbedder, ZeroVector, cosine_similarity, make_doc
+from veriscope.errors import ProviderUnavailable
 from veriscope.selection import (
     EmbeddingMemo,
     EvidenceSentence,
     HashedBowEmbedder,
     Polarity,
-    cosine_similarity,
     select_evidence,
 )
 from veriscope.sources import split_sentences

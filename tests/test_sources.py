@@ -8,12 +8,12 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FixtureSource, make_doc
+from conftest import FixtureSource, ZeroVector, cosine_similarity, make_doc
 from veriscope.assets import load_prompt, load_scheme
-from veriscope.errors import ConfigurationError, ProviderUnavailable, SourceUnavailable, ZeroVector
+from veriscope.errors import ConfigurationError, ProviderUnavailable, SourceUnavailable
 from veriscope.index import LocalIndex
 from veriscope.pipeline import ProviderSet, verify_claim
-from veriscope.selection import HashedBowEmbedder, cosine_similarity
+from veriscope.selection import HashedBowEmbedder
 from veriscope.sources import BiomedicalSource, LocalCorpusSource, RetrievedDocument, WebSearchSource
 from veriscope.types import PUBMED, WIKIPEDIA, ClaimPair, PipelineConfig
 from veriscope.verdict import RuleVerdictProvider
@@ -120,8 +120,6 @@ class TestBiomedicalSourceFusion:
         query = "zinc deficiency"
         lexical = [doc.doc_id for doc, _ in index.ranked(query)]
 
-        from veriscope.selection import cosine_similarity
-
         bodies = {doc_id: index.document(doc_id).body for doc_id in lexical}
         vecs = embedder.embed([query] + [bodies[d] for d in lexical])
         sims = {
@@ -205,9 +203,13 @@ def test_cached_fusion_equals_per_document_reference(seed, docs, queries):
     for query in fused + fused:
         got = [(doc.doc_id, doc.score) for doc in source.retrieve(query, docs)]
         assert got == reference_fusion(index, _RecordingEmbedder(), query)
-    # each candidate's body reached the embedder once, however often it was fused
-    candidates = {doc.doc_id for query in fused for doc, _ in index.ranked(query)}
-    assert sum(len(call) - 1 for call in embedder.calls) == len(candidates)
+    # one call per query, and each distinct candidate body reached the embedder
+    # once, however often it was fused; a body equal to its query shares its row
+    assert [call[0] for call in embedder.calls] == fused + fused
+    bodies = {doc.body for query in fused for doc, _ in index.ranked(query)}
+    sent = [text for call in embedder.calls for text in call[1:]]
+    assert len(sent) == len(set(sent)) and set(sent) <= bodies
+    assert bodies - set(sent) <= set(fused)
     for query in fused:
         embedder.calls.clear()
         source.retrieve(query, docs)
