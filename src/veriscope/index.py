@@ -6,10 +6,14 @@ into the body before they reach this layer.
 
 Queries are scored term-at-a-time from precomputed impacts (Anh & Moffat
 2006): a (term, doc) posting's BM25 contribution never changes, so each
-term keeps an array of document positions and an array of contributions,
-and a query is one array addition per query term.  The arrays are built
-the first time a query uses the term, so building and loading an index
-do no per-posting work beyond reading the postings.
+term keeps an array of document rows (a document's row is its place in
+doc_id order) and an array of contributions, and a query is one array
+addition per query term.  The arrays are built the first time a query
+uses the term, so building and loading an index do no per-posting work
+beyond reading the postings.  Ranking stays in arrays: scored_rows
+returns (rows, scores), cutting a large candidate set to its top k by
+partition, and ranked makes (document, score) pairs only for the rows
+it returns.
 
 The persisted layout is a directory of manifest.json + postings.json +
 docs.jsonl, written with sorted keys so identical corpora always produce
@@ -24,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -39,6 +43,12 @@ FORMAT_TAG = "veriscope-index/1"
 MANIFEST_FILE = "manifest.json"
 POSTINGS_FILE = "postings.json"
 DOCS_FILE = "docs.jsonl"
+
+#: scored_rows partitions before it sorts only when the matching rows
+#: outnumber k by more than this.  Below it one stable sort is faster,
+#: since numpy's per-call cost outweighs the sort (measured crossover:
+#: 600 rows for k=5, 1,500 for k=1000).
+PARTITION_MARGIN = 512
 
 
 @dataclass(frozen=True)
@@ -111,27 +121,27 @@ class LocalIndex:
         return cls(documents, postings, skipped=skipped)
 
     @cached_property
-    def _by_position(self) -> list[StoredDocument]:
+    def by_row(self) -> list[StoredDocument]:
+        """The documents in ascending doc_id order: by_row[r] is row r of every scoring array."""
         return [self._documents[doc_id] for doc_id in sorted(self._documents)]
 
     @cached_property
-    def positions(self) -> Mapping[str, int]:
-        """Each doc_id's position in ascending doc_id order: the scoring arrays' row order."""
-        return {doc.doc_id: position for position, doc in enumerate(self._by_position)}
+    def _rows(self) -> dict[str, int]:
+        return {doc.doc_id: row for row, doc in enumerate(self.by_row)}
 
     @cached_property
     def _length_norms(self) -> np.ndarray:
-        return np.array([length_norm(doc.length, self.stats) for doc in self._by_position])
+        return np.array([length_norm(doc.length, self.stats) for doc in self.by_row])
 
     def _term_impacts(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """(positions, contributions) of the term's postings; None for an unindexed term."""
+        """(rows, contributions) of the term's postings; None for an unindexed term."""
         impacts = self._impacts.get(term)
         if impacts is None:
             entry = self._postings.get(term)
             if not entry:
                 return None
-            positions = self.positions
-            rows = np.fromiter((positions[doc_id] for doc_id in entry), np.intp, len(entry))
+            doc_rows = self._rows
+            rows = np.fromiter((doc_rows[doc_id] for doc_id in entry), np.intp, len(entry))
             tf = np.fromiter(entry.values(), np.float64, len(entry))
             # bm25_score's expression, evaluated element-wise in the same order.
             contributions = (
@@ -140,8 +150,8 @@ class LocalIndex:
             impacts = self._impacts[term] = (rows, contributions)
         return impacts
 
-    def ranked(self, query_text: str, k: int | None = None) -> list[tuple[StoredDocument, float]]:
-        """BM25 ranking of the documents matching at least one query term, top k first.
+    def scored_rows(self, query_text: str, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and BM25 scores of the documents matching a query term, top k first.
 
         Each query term adds its postings' precomputed contributions to a
         per-document accumulator, in query order and with repeats.  The
@@ -150,21 +160,40 @@ class LocalIndex:
         the whole corpus bit for bit.  Every contribution is positive, so
         the matching documents are the accumulator's nonzero entries.
 
-        Documents are ordered by (-score, doc_id): accumulator rows are in
-        doc_id order and the sort on score is stable.  That order is
-        total, so ranked(q, k) == ranked(q)[:k]; with k, only the top k
-        result tuples are built.  k=None returns every matching document.
+        Rows are ordered by (-score, doc_id): the accumulator is in row
+        (doc_id) order and the sort on score is stable.  With k, and more
+        than k + PARTITION_MARGIN matching rows, an argpartition first
+        keeps every row scoring at least the k-th best score, ties
+        included, so the stable sort of that slice orders the boundary
+        ties by row exactly as a full sort would.  Either way
+        scored_rows(q, k) is the first k of scored_rows(q).  k=None
+        returns every matching row; k < 0 raises ValueError.
         """
+        if k is not None and k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         scores = np.zeros(self.stats.doc_count)
         for term in tokenize(query_text):
             impacts = self._term_impacts(term)
             if impacts is not None:
                 rows, contributions = impacts
                 scores[rows] += contributions
-        matching = scores.nonzero()[0]
-        top = matching[(-scores[matching]).argsort(kind="stable")[:k]]
-        docs = self._by_position
-        return [(docs[row], score) for row, score in zip(top.tolist(), scores[top].tolist())]
+        rows = scores.nonzero()[0]
+        keys = -scores[rows]
+        if k and len(rows) > k + PARTITION_MARGIN:
+            kept = keys <= keys[np.argpartition(keys, k - 1)[k - 1]]
+            rows, keys = rows[kept], keys[kept]
+        order = keys.argsort(kind="stable")[:k]
+        return rows[order], -keys[order]
+
+    def ranked(self, query_text: str, k: int | None = None) -> list[tuple[StoredDocument, float]]:
+        """scored_rows(query_text, k) as (document, score) pairs, top k first.
+
+        The order, and ranked(q, k) == ranked(q)[:k], are scored_rows';
+        only the returned rows become tuples.
+        """
+        rows, scores = self.scored_rows(query_text, k)
+        docs = self.by_row
+        return [(docs[row], score) for row, score in zip(rows.tolist(), scores.tolist())]
 
     def save(self, out_dir: Path) -> None:
         out_dir = Path(out_dir)

@@ -33,6 +33,9 @@ DEFAULT_SEARCH_ENDPOINT = "https://www.googleapis.com/customsearch/v1"
 
 #: Rank-reciprocal fusion constant for hybrid lexical/dense ranking.
 RRF_CONSTANT = 60
+#: Lexical candidates that fusion re-ranks: the top 1000 BM25 rows, the
+#: depth of the TREC runs Cormack, Clarke & Buettcher (2009) fused.
+FUSION_DEPTH = 1000
 
 
 @dataclass(frozen=True)
@@ -97,26 +100,29 @@ class LocalCorpusSource:
 class BiomedicalSource:
     """BM25 over an abstract corpus, fused with a dense ranking.
 
-    The BM25 candidate set is re-ranked by reciprocal-rank fusion of the
-    lexical and cosine-similarity orders:
+    The top FUSION_DEPTH (1000) BM25 candidates are re-ranked by
+    reciprocal-rank fusion of the lexical and cosine-similarity orders:
     fused(d) = 1/(60 + lexical_rank) + 1/(60 + dense_rank).  Candidate
-    generation stays lexical, so fusion reorders but never adds documents.
+    generation stays lexical, so fusion reorders but never adds
+    documents, and a document below the lexical depth is never returned.
+    A lone candidate scores 2/61 with no embedding call.
 
-    Each candidate's vector and norm are cached the first time it is
-    fused, in the row of a docs x dim matrix given by the index's
-    positions; the index is read-only, so they never go stale.  A query
-    makes at most one call, through an EmbeddingMemo, for its row and the
-    distinct bodies not cached yet.  verify_claim passes the claim's memo
-    (memo=), whose first call also carries the claim and negation rows;
-    without it, or when it wraps another embedder object, a memo of the
-    query's own is used, so rows never cross embedders.  The matrix
-    is allocated at the first fill and takes docs x dim x 8 bytes (200
-    docs at 256 dimensions: 400 KB).  The index's scoring arrays add
-    postings x 16 bytes once every term has been queried: an 8-byte
-    position (numpy's native index type, which fancy indexing uses
-    without a conversion) and an 8-byte contribution per posting.  An
-    embedder failure raises SourceUnavailable.  For plain BM25 without
-    an embedder, use LocalCorpusSource.
+    Each fused document's vector and norm are cached the first time it
+    is fused, at its index row of a docs x dim matrix; only fused
+    documents get a row, and the index is read-only, so rows never go
+    stale.  A query makes at most one call, through an EmbeddingMemo,
+    for its row and the distinct bodies not cached yet, so it sends at
+    most 1000 bodies.  verify_claim passes the claim's memo (memo=),
+    whose first call also carries the claim and negation rows; without
+    it, or when it wraps another embedder object, a memo of the query's
+    own is used, so rows never cross embedders.  The matrix is allocated
+    at the first fill and takes docs x dim x 8 bytes (200 docs at 256
+    dimensions: 400 KB).  The index's scoring arrays add postings x 16
+    bytes once every term has been queried: an 8-byte row (numpy's
+    native index type, which fancy indexing uses without a conversion)
+    and an 8-byte contribution per posting.  An embedder failure raises
+    SourceUnavailable.  For plain BM25 without an embedder, use
+    LocalCorpusSource.
     """
 
     def __init__(self, kind: SourceKind, index: LocalIndex, embedder):
@@ -131,25 +137,30 @@ class BiomedicalSource:
     def retrieve(
         self, query_text: str, k: int, *, memo: EmbeddingMemo | None = None
     ) -> list[RetrievedDocument]:
-        ranked = self._index.ranked(query_text)
-        if len(ranked) > 1:
+        rows, _ = self._index.scored_rows(query_text, FUSION_DEPTH)
+        lexical_rank = np.arange(1, len(rows) + 1)
+        dense_rank = lexical_rank  # a lone candidate is first in both orders: no embedding
+        if len(rows) > 1:
             if memo is None or memo.embedder is not self._embedder:
                 memo = EmbeddingMemo(self._embedder)
-            ranked = self._fuse(query_text, ranked, k, memo)
-        return _retrieved(self.kind, ranked[:k])
+            dense_rank = self._dense_rank(query_text, rows, memo)
+        fused = 1.0 / (RRF_CONSTANT + lexical_rank) + 1.0 / (RRF_CONSTANT + dense_rank)
+        top = np.lexsort((rows, -fused))[:k]
+        docs = self._index.by_row
+        hits = zip(rows[top].tolist(), fused[top].tolist())
+        return _retrieved(self.kind, [(docs[row], score) for row, score in hits])
 
-    def _fuse(self, query_text, ranked, k, memo):
-        """The top k of ranked re-ordered by fusion, as (document, fused score)."""
-        positions = self._index.positions
-        rows = np.fromiter((positions[doc.doc_id] for doc, _ in ranked), np.intp, len(ranked))
-        missing = np.flatnonzero(~self._cached[rows])
-        bodies = [ranked[i][0].body for i in missing.tolist()]
+    def _dense_rank(self, query_text, rows, memo):
+        """The 1-based rank of each lexical row in the cosine order, ties by doc_id."""
+        missing = rows[~self._cached[rows]]
+        docs = self._index.by_row
+        bodies = [docs[row].body for row in missing.tolist()]
         try:
             memo.prefetch([query_text, *bodies])
         except ProviderUnavailable as exc:
             raise SourceUnavailable(f"dense fusion embedding failed: {exc}") from exc
         if bodies:
-            self._store(rows[missing], [memo.row(body) for body in bodies])
+            self._store(missing, [memo.row(body) for body in bodies])
         query_vec, query_norm = memo.row(query_text)
         matrix = self._doc_vectors[rows]
         doc_norms = self._doc_norms[rows]
@@ -161,13 +172,11 @@ class BiomedicalSource:
         with np.errstate(divide="ignore", invalid="ignore"):
             sims = np.dot(matrix, query_vec) / (query_norm * doc_norms)
         sims[(doc_norms == 0.0) | (query_norm == 0.0)] = -1.0
-        # Rows are in doc_id order, so lexsort's secondary key breaks ties by doc_id.
-        lexical_rank = np.arange(1, len(rows) + 1)
-        dense_rank = np.empty_like(lexical_rank)
-        dense_rank[np.lexsort((rows, -sims))] = lexical_rank
-        fused = 1.0 / (RRF_CONSTANT + lexical_rank) + 1.0 / (RRF_CONSTANT + dense_rank)
-        top = np.lexsort((rows, -fused))[:k]
-        return [(ranked[i][0], score) for i, score in zip(top.tolist(), fused[top].tolist())]
+        # A row numbers its document in doc_id order, so lexsort's secondary key
+        # breaks ties by doc_id.
+        dense_rank = np.empty(len(rows), dtype=np.intp)
+        dense_rank[np.lexsort((rows, -sims))] = np.arange(1, len(rows) + 1)
+        return dense_rank
 
     def _store(self, rows: np.ndarray, entries: list[tuple[np.ndarray, float]]) -> None:
         """Cache the (vector, norm) entries of rows not cached yet; each row is written once."""

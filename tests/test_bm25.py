@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veriscope import index as index_module
 from veriscope.bm25 import CorpusStats, bm25_score, tokenize
 from veriscope.errors import EmptyCorpus
 from veriscope.index import LocalIndex
@@ -98,6 +99,15 @@ class TestLocalIndexRanking:
         docs = {"b": "cat", "a": "cat", "c": "cat"}
         index = LocalIndex.from_documents((i, "", b) for i, b in docs.items())
         assert [doc.doc_id for doc, _ in index.ranked("cat")] == ["a", "b", "c"]
+
+    def test_negative_k_is_rejected(self):
+        index = LocalIndex.from_documents([("a", "", "cat"), ("b", "", "cat sat")])
+        assert index.ranked("cat", 0) == []
+        for k in (-1, -2):
+            with pytest.raises(ValueError):
+                index.ranked("cat", k)
+            with pytest.raises(ValueError):
+                index.scored_rows("cat", k)
 
     def test_prefix_property(self):
         rng = random.Random(3)
@@ -205,3 +215,10 @@ def test_ranked_top_k_is_a_prefix_of_the_exact_ranking(bodies, copies, ids, quer
             assert [(doc.doc_id, score) for doc, score in full] == expected
             for k in range(len(docs) + 2):
                 assert candidate.ranked(query, k) == full[:k]
+
+
+def test_partitioned_top_k_is_a_prefix_of_the_exact_ranking(monkeypatch):
+    # With no margin every top k that cuts the matching rows is partitioned
+    # before it is sorted, so the boundary ties go through argpartition.
+    monkeypatch.setattr(index_module, "PARTITION_MARGIN", 0)
+    test_ranked_top_k_is_a_prefix_of_the_exact_ranking()

@@ -14,6 +14,7 @@ from veriscope.errors import ConfigurationError, ProviderUnavailable, SourceUnav
 from veriscope.index import LocalIndex
 from veriscope.pipeline import ProviderSet, verify_claim
 from veriscope.selection import HashedBowEmbedder
+from veriscope import sources
 from veriscope.sources import BiomedicalSource, LocalCorpusSource, RetrievedDocument, WebSearchSource
 from veriscope.types import PUBMED, WIKIPEDIA, ClaimPair, PipelineConfig
 from veriscope.verdict import RuleVerdictProvider
@@ -163,8 +164,9 @@ class _RecordingEmbedder:
 
 
 def reference_fusion(index, embedder, query):
-    """Fused order and scores from per-document cosine_similarity, no cache."""
-    lexical = [doc for doc, _ in index.ranked(query)]
+    """Fused order and scores of the top FUSION_DEPTH lexical candidates, from
+    per-document cosine_similarity, no cache."""
+    lexical = [doc for doc, _ in index.ranked(query)][: sources.FUSION_DEPTH]
     vectors = embedder.embed([query] + [doc.body for doc in lexical])
     sims = {}
     for doc, vec in zip(lexical, vectors[1:]):
@@ -214,6 +216,55 @@ def test_cached_fusion_equals_per_document_reference(seed, docs, queries):
         embedder.calls.clear()
         source.retrieve(query, docs)
         assert embedder.calls == [[query]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    docs=st.integers(9, 40),
+    depth=st.integers(1, 8),
+    queries=st.integers(1, 4),
+)
+def test_fusion_re_ranks_only_the_lexical_prefix(seed, docs, depth, queries):
+    from test_bm25 import exact_oracle_ranking
+
+    corpus = zipf_corpus(seed, docs)
+    index = LocalIndex.from_documents((doc_id, "", body) for doc_id, body in corpus.items())
+    rng = random.Random(seed + 1)
+    asked = [" ".join(rng.choice(list(corpus.values())).split()[:4]) for _ in range(queries)]
+    embedder = _RecordingEmbedder()
+    source = BiomedicalSource(PUBMED, index, embedder=embedder)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sources, "FUSION_DEPTH", depth)
+        for query in asked:
+            # The reference fuses the brute-force BM25 prefix: ranked() is that order.
+            lexical = exact_oracle_ranking(query, corpus)
+            assert [(doc.doc_id, score) for doc, score in index.ranked(query)] == lexical
+            got = [(doc.doc_id, doc.score) for doc in source.retrieve(query, docs)]
+            assert got == reference_fusion(index, _RecordingEmbedder(), query)
+            assert len(got) == min(len(lexical), depth)
+    # Only a query with two or more candidates in its prefix embeds, and
+    # only bodies inside some fused prefix reach the embedder.
+    assert [call[0] for call in embedder.calls] == [
+        query for query in asked if min(len(index.ranked(query)), depth) > 1
+    ]
+    prefixes = {doc.body for query in asked for doc, _ in index.ranked(query, depth)}
+    assert {text for call in embedder.calls for text in call[1:]} <= prefixes
+
+
+def test_first_fused_query_sends_at_most_fusion_depth_bodies():
+    # 1,600 candidates with 7 scores: the lexical cut partitions through ties.
+    docs = [(f"d{i:04d}", "", "zinc " * (1 + i % 7) + f"arm {i}") for i in range(1600)]
+    index = LocalIndex.from_documents(docs)
+    embedder = _RecordingEmbedder()
+    source = BiomedicalSource(PUBMED, index, embedder=embedder)
+    assert len(index.ranked("zinc arm")) == 1600
+    got = source.retrieve("zinc arm", 5)
+    [call] = embedder.calls
+    assert call[0] == "zinc arm" and len(call) - 1 == sources.FUSION_DEPTH == 1000
+    assert set(call[1:]) == {doc.body for doc, _ in index.ranked("zinc arm", 1000)}
+    expected = reference_fusion(index, _RecordingEmbedder(), "zinc arm")[:5]
+    assert [(doc.doc_id, doc.score) for doc in got] == expected
 
 
 def test_shared_cache_under_concurrent_queries():
@@ -277,6 +328,16 @@ class TestBiomedicalSourceCache:
         assert embedder.calls == [["zinc", "zinc therapy", "zinc trial"]]
         source.retrieve("zinc copper", 3)
         assert embedder.calls[1] == ["zinc copper", "copper"]
+
+    def test_lone_candidate_gets_its_fused_score_without_embedding(self):
+        embedder = _RecordingEmbedder()
+        index = LocalIndex.from_documents([("a", "", "zinc therapy"), ("b", "", "copper trial")])
+        source = BiomedicalSource(PUBMED, index, embedder=embedder)
+        # Both its ranks are 1.
+        [hit] = source.retrieve("copper", 3)
+        assert (hit.doc_id, hit.rank, hit.score) == ("b", 1, 1 / 61 + 1 / 61)
+        assert source.retrieve("copper", 0) == []
+        assert embedder.calls == []
 
     @pytest.mark.parametrize("reply", ["outage", "short"])
     def test_embedder_failure_is_a_source_outage(self, reply):
