@@ -69,7 +69,6 @@ show(f"Final per-source evidence (top {cfg.final_top_p}, ranked vs the claim):",
 # 5. Union across sources. With one source this is just its final set, but
 #    the provenance bookkeeping is identical.
 bundle = EvidenceBundle(
-    claim_id=claim.id, source=PUBMED,
     positive=tuple(positive), negative=tuple(negative),
     candidates=tuple(candidates), final=tuple(final),
 )

@@ -60,5 +60,5 @@ print(f"After +100 shift: label {label2}, confidence {confidence2:.5f} (unchange
 provider = RuleVerdictProvider(
     rules=(("Great Wall", "not visible from the Moon", "B"),), default_letter="C"
 )
-verdict = predict_verdict(claim, evidence, provider, scheme, template, source=PUBMED)
+verdict = predict_verdict(claim, evidence, provider, scheme, template)
 print(f"\nOffline provider verdict: {verdict.label} (confidence {verdict.confidence:.5f})")

@@ -24,36 +24,33 @@ SEGMENT_MARKER = "[SEP]"
 _TERMINAL_PUNCTUATION = (".", "!", "?")
 
 
+_STAGES = ("positive", "negative", "candidates", "final")
+
+
 @dataclass(frozen=True)
 class EvidenceBundle(JsonRecord):
-    """Per-claim, per-source staged evidence sets.
+    """Staged evidence sets of one (claim, source) pair, the keys a bundle is stored under.
 
     positive/negative are the selection outputs for the claim and its
     negation; candidates is the deduplicated+merged pool; final is the
     ranked, truncated evidence actually used for the verdict.
     """
 
-    claim_id: str
-    source: SourceKind
     positive: tuple[EvidenceSentence, ...] = ()
     negative: tuple[EvidenceSentence, ...] = ()
     candidates: tuple[EvidenceSentence, ...] = ()
     final: tuple[EvidenceSentence, ...] = ()
 
     def __post_init__(self):
-        for name in ("positive", "negative", "candidates", "final"):
+        for name in _STAGES:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 @dataclass(frozen=True)
-class AggregatedEvidence(JsonRecord):
+class AggregatedEvidence:
     """The cross-source evidence union fed to the verifier; each sentence keeps its source."""
 
-    claim_id: str
     sentences: tuple[EvidenceSentence, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(self.sentences))
 
 
 def dedup_by_normalized(sentences: Iterable[EvidenceSentence]) -> list[EvidenceSentence]:
@@ -164,43 +161,37 @@ def rank_and_truncate(
     ]
 
 
-def aggregate_sources(
-    bundles: Mapping[SourceKind, EvidenceBundle],
-    claim_id: str | None = None,
-) -> AggregatedEvidence:
+def aggregate_sources(bundles: Mapping[SourceKind, EvidenceBundle]) -> AggregatedEvidence:
     """Union the per-source final evidence sets, deduplicated by normalized text.
 
     Sources are visited in the fixed order wikipedia, pubmed, web, then
     others by name; the first source contributing a normalized form wins
     provenance.
     """
-    ids = {bundle.claim_id for bundle in bundles.values()}
-    if len(ids) > 1:
-        raise ValueError(f"bundles mix claim ids: {sorted(ids)}")
-    if ids:
-        inferred = next(iter(ids))
-        if claim_id is not None and claim_id != inferred:
-            raise ValueError(f"claim_id {claim_id!r} does not match bundles ({inferred!r})")
-        claim_id = inferred
-    if claim_id is None:
-        raise ValueError("claim_id required when no bundles are given")
-
     sentences = dedup_by_normalized(
         [s for kind in sorted(bundles, key=source_order_key) for s in bundles[kind].final]
     )
-    return AggregatedEvidence(claim_id=claim_id, sentences=tuple(sentences))
+    return AggregatedEvidence(tuple(sentences))
 
 
-def write_aggregated_jsonl(
-    items: Iterable[tuple[AggregatedEvidence, Mapping[SourceKind, EvidenceBundle]]], path: Path
-) -> None:
-    """Serialize (union, per-source bundles) pairs, one claim per line.
+def write_aggregated_jsonl(results: Iterable, path: Path) -> None:
+    """One line per ClaimVerification: claim_id, the union's sentences, per_source bundles.
 
-    A line holds the union's fields plus "per_source", the bundles by source name.
+    This published format repeats what a trace stores once: each bundle
+    carries claim_id and its source, and each sentence its normalized text.
     """
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for aggregated, bundles in items:
-            line = aggregated.to_dict()
-            line["per_source"] = {kind.name: bundle.to_dict() for kind, bundle in bundles.items()}
-            handle.write(json.dumps(line, sort_keys=True) + "\n")
 
+    def sentences(items):
+        return [{**s.to_dict(), "normalized": s.normalized} for s in items]
+
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for result in results:
+            claim_id = result.claim.id
+            per_source = {
+                kind.name: {"claim_id": claim_id, "source": kind.name}
+                | {name: sentences(getattr(bundle, name)) for name in _STAGES}
+                for kind, bundle in result.bundles.items()
+            }
+            line = {"claim_id": claim_id, "per_source": per_source,
+                    "sentences": sentences(result.aggregated.sentences)}
+            handle.write(json.dumps(line, sort_keys=True) + "\n")

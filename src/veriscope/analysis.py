@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateSamples, TooFewSamples, UnknownGoldLabel, WrongArity
-from .types import MERGED, JsonRecord, LabelScheme, SourceKind
+from .types import MERGED, JsonRecord, LabelScheme, SourceKind, source_order_key
 from .verdict import ABSTAIN_LABEL, VeracityVerdict
 
 log = logging.getLogger(__name__)
@@ -66,7 +66,7 @@ def dispersion(confidences: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True)
-class SourceConfidenceProfile(JsonRecord):
+class SourceConfidenceProfile:
     """Agreement summary of one claim's per-source verdicts.
 
     regime is defined only when exactly three per-source verdicts are
@@ -74,22 +74,22 @@ class SourceConfidenceProfile(JsonRecord):
     themselves live in the claim's trace (ClaimVerification.verdicts).
     """
 
-    claim_id: str
     regime: AgreementRegime | None
     dispersion: float | None
 
 
-def build_profile(
-    claim_id: str,
-    verdicts: Mapping[SourceKind, VeracityVerdict],
-) -> SourceConfidenceProfile:
-    """Summarize per-source verdicts (the merged pseudo-source is excluded)."""
-    per_source = {kind: v for kind, v in verdicts.items() if kind != MERGED}
-    answers = [v for v in per_source.values() if not v.abstained]
+def build_profile(verdicts: Mapping[SourceKind, VeracityVerdict]) -> SourceConfidenceProfile:
+    """Summarize per-source verdicts (the merged pseudo-source is excluded).
+
+    Answers are read in source_order_key order, not the mapping's, so a
+    decoded trace gets the same dispersion to the last bit.
+    """
+    per_source = sorted((kind for kind in verdicts if kind != MERGED), key=source_order_key)
+    answers = [verdicts[kind] for kind in per_source if not verdicts[kind].abstained]
     labels = [v.label for v in answers]
     regime = agreement_regime(labels) if len(per_source) == len(labels) == 3 else None
     spread = dispersion([v.confidence for v in answers]) if len(answers) >= 2 else None
-    return SourceConfidenceProfile(claim_id=claim_id, regime=regime, dispersion=spread)
+    return SourceConfidenceProfile(regime, spread)
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ def run_experiment(
         "limit": plan.limit,
         "claims": len(claims),
         "providers": run_providers.describe(),
-        "trace_format": 2,
+        "trace_format": 3,
         "template_sha256": hashlib.sha256(template.encode("utf-8")).hexdigest(),
     }
     _check_resumable(out_dir, manifest)
@@ -186,7 +186,7 @@ def _check_resumable(out_dir: Path, manifest: dict) -> None:
 
 
 def _write_artifacts(out_dir: Path, plan: ExperimentPlan, results: list[ClaimVerification]) -> None:
-    write_aggregated_jsonl(((r.aggregated, r.bundles) for r in results), out_dir / EVIDENCE_FILE)
+    write_aggregated_jsonl(results, out_dir / EVIDENCE_FILE)
 
     rows = [
         ConfidenceRow(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Mapping
@@ -84,15 +84,26 @@ class ProviderSet:
 
 @dataclass
 class ClaimVerification(JsonRecord):
-    """Full trace of one claim through the pipeline."""
+    """Full trace of one claim through the pipeline.
+
+    aggregated (aggregate_sources over the bundles) and profile
+    (build_profile over the verdicts) are derived here, so from_dict
+    rebuilds them; verify_claim hands over the union it already built.
+    """
 
     claim: ClaimPair
     condition: ClaimCondition
     bundles: dict[SourceKind, EvidenceBundle]
-    aggregated: AggregatedEvidence
     verdicts: dict[SourceKind, VeracityVerdict]
-    profile: SourceConfidenceProfile
     source_errors: dict[SourceKind, str] = field(default_factory=dict)
+    # a bare InitVar: Python 3.10's typing.get_type_hints rejects InitVar[...]
+    union: InitVar = None
+    aggregated: AggregatedEvidence = field(init=False)
+    profile: SourceConfidenceProfile = field(init=False)
+
+    def __post_init__(self, union):
+        self.aggregated = union if union is not None else aggregate_sources(self.bundles)
+        self.profile = build_profile(self.verdicts)
 
 
 def _run_calls(pool, calls: dict) -> dict[object, Future]:
@@ -225,19 +236,17 @@ def verify_claim(
                 source_errors.setdefault(kind, str(exc))
                 final = []
             bundles[kind] = EvidenceBundle(
-                claim_id=claim.id,
-                source=kind,
                 positive=tuple(positive),
                 negative=tuple(negative),
                 candidates=tuple(candidates),
                 final=tuple(final),
             )
 
-        aggregated = aggregate_sources(bundles, claim_id=claim.id)
+        aggregated = aggregate_sources(bundles)
 
         calls = {
             kind: (remote_verdicts, predict_verdict, claim, bundles[kind].final,
-                   providers.verdicts, scheme, template, kind)
+                   providers.verdicts, scheme, template)
             for kind in kinds
             if kind not in source_errors
         }
@@ -245,28 +254,26 @@ def verify_claim(
             source_errors[MERGED] = "every source failed"
         else:
             calls[MERGED] = (remote_verdicts, predict_verdict, claim, aggregated.sentences,
-                             providers.verdicts, scheme, template, MERGED)
+                             providers.verdicts, scheme, template)
         futures = _run_calls(pool, calls)
 
     verdicts: dict[SourceKind, VeracityVerdict] = {}
     for kind in kinds + [MERGED]:
         if kind in source_errors:
-            verdicts[kind] = abstain_verdict(claim.id, kind, scheme)
+            verdicts[kind] = abstain_verdict(scheme)
             continue
         try:
             verdicts[kind] = futures[kind].result()
         except ProviderUnavailable as exc:
             log.warning("verdict provider failed for claim %s source %s: %s", claim.id, kind, exc)
             source_errors[kind] = str(exc)
-            verdicts[kind] = abstain_verdict(claim.id, kind, scheme)
+            verdicts[kind] = abstain_verdict(scheme)
 
-    profile = build_profile(claim.id, verdicts)
     return ClaimVerification(
         claim=claim,
         condition=condition,
         bundles=bundles,
-        aggregated=aggregated,
         verdicts=verdicts,
-        profile=profile,
         source_errors=source_errors,
+        union=aggregated,
     )

@@ -43,8 +43,9 @@ class Polarity(Enum):
 class EvidenceSentence(JsonRecord):
     """A candidate evidence sentence with provenance and similarity.
 
-    normalized is always recomputed from text, and similarity is clamped
-    to [-1, 1] (values outside by more than 1e-9 are rejected).
+    normalized is derived from text, so a trace never stores it, and
+    similarity is clamped to [-1, 1] (values outside by more than 1e-9
+    are rejected).
     """
 
     text: str

@@ -81,6 +81,8 @@ def _retrieved(kind: SourceKind, ranked) -> list[RetrievedDocument]:
 
 
 class KnowledgeSource(Protocol):
+    """Returns at most k hits for a query, best first; k < 0 raises ValueError."""
+
     kind: SourceKind
 
     def retrieve(self, query_text: str, k: int) -> list[RetrievedDocument]: ...
@@ -137,6 +139,8 @@ class BiomedicalSource:
     def retrieve(
         self, query_text: str, k: int, *, memo: EmbeddingMemo | None = None
     ) -> list[RetrievedDocument]:
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         rows, _ = self._index.scored_rows(query_text, FUSION_DEPTH)
         lexical_rank = np.arange(1, len(rows) + 1)
         dense_rank = lexical_rank  # a lone candidate is first in both orders: no embedding
@@ -222,6 +226,8 @@ class WebSearchSource:
         self._client = JsonHttpClient(endpoint, session=session, timeout=timeout)
 
     def retrieve(self, query_text: str, k: int) -> list[RetrievedDocument]:
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         params = {"key": self._api_key, "cx": self._engine_id, "q": query_text, "num": k}
         try:
             data = self._client.get(params)

@@ -125,13 +125,15 @@ def source_order_key(kind: SourceKind) -> tuple[int, str]:
 class JsonRecord:
     """Mixin giving a dataclass a JSON-ready dict form derived from its type hints.
 
-    to_dict writes every field, init=False ones included: a SourceKind as
-    its name, an Enum as its value, a tuple as a list, a mapping with keys
-    and values encoded alike, a nested dataclass as its own dict, and
-    str/int/float/bool/None as themselves.  Key order is left to the
-    writer, which dumps with sort_keys=True.
+    to_dict writes the init fields only, and from_dict reads the same ones:
+    a value the record derives (an init=False field its __post_init__
+    sets) is never stored and is recomputed on decode.  A SourceKind
+    encodes as its name, an Enum as its value, a tuple as a list, a
+    mapping with keys and values encoded alike, a nested dataclass as its
+    own dict, and str/int/float/bool/None as themselves.  Key order is
+    left to the writer, which dumps with sort_keys=True.
 
-    from_dict passes only the init fields to the constructor, so every
+    from_dict passes those fields to the constructor, so every
     __post_init__ check applies.  A missing key takes the field's default;
     for a field without one the constructor raises TypeError.
     """
@@ -179,19 +181,17 @@ def _codec(hint) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
 
 def _dataclass_codec(cls) -> tuple[Callable[[Any], dict], Callable[[Mapping[str, Any]], Any]]:
     hints = typing.get_type_hints(cls)
-    codecs = {f.name: _codec(hints[f.name]) for f in dataclasses.fields(cls)}
-    encoders = [(name, None if enc is _same else enc) for name, (enc, _) in codecs.items()]
-    decoders = [(f.name, codecs[f.name][1]) for f in dataclasses.fields(cls) if f.init]
+    codecs = [(f.name, *_codec(hints[f.name])) for f in dataclasses.fields(cls) if f.init]
 
     def encode(obj) -> dict:
         data = {}
-        for name, enc in encoders:
+        for name, enc, _ in codecs:
             value = getattr(obj, name)
-            data[name] = value if enc is None else enc(value)
+            data[name] = value if enc is _same else enc(value)
         return data
 
     def decode(data: Mapping[str, Any]):
-        return cls(**{name: dec(data[name]) for name, dec in decoders if name in data})
+        return cls(**{name: dec(data[name]) for name, _, dec in codecs if name in data})
 
     return encode, decode
 

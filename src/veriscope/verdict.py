@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from ._http import JsonHttpClient
 from .errors import ConfigurationError, NoValidOption, ProviderUnavailable, TemplateMissingPlaceholder
 from .selection import EvidenceSentence
-from .types import MERGED, ClaimPair, JsonRecord, LabelScheme, SourceKind
+from .types import ClaimPair, JsonRecord, LabelScheme
 
 ENV_LLM_URL = "LLM_API_URL"
 ENV_LLM_KEY = "LLM_API_KEY"
@@ -55,20 +55,22 @@ class LabelLogits(JsonRecord):
 
 @dataclass(frozen=True)
 class VeracityVerdict(JsonRecord):
-    """Predicted label with its log-softmax confidence and full logits."""
+    """Full logits; label and confidence derive from them (confidence_from_logits).
 
-    claim_id: str
-    source: SourceKind
-    label: str
-    confidence: float
+    An abstention gets ABSTAIN_LABEL at DEFAULT_LOGPROB_FLOOR whatever its
+    logits.  The source is the key a verdict is stored under.
+    """
+
     logits: LabelLogits
-    abstained: bool = False
+    abstained: bool
+    label: str = field(init=False)
+    confidence: float = field(init=False)
 
     def __post_init__(self):
-        if self.confidence > 0.0:
-            raise ValueError("confidence is a log-probability and cannot exceed 0")
-        if not self.abstained and self.label not in self.logits.scheme.labels:
-            raise ValueError(f"label {self.label!r} not in scheme {self.logits.scheme.name!r}")
+        abstention = (ABSTAIN_LABEL, DEFAULT_LOGPROB_FLOOR)
+        label, confidence = abstention if self.abstained else confidence_from_logits(self.logits)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "confidence", confidence)
 
 
 class VerdictProvider(Protocol):
@@ -140,16 +142,9 @@ def confidence_from_logits(label_logits: LabelLogits) -> tuple[str, float]:
     return label_logits.scheme.labels[best], confidence
 
 
-def abstain_verdict(claim_id: str, source: SourceKind, scheme: LabelScheme) -> VeracityVerdict:
+def abstain_verdict(scheme: LabelScheme) -> VeracityVerdict:
     """Verdict recorded when a provider yields no usable option probability."""
-    return VeracityVerdict(
-        claim_id=claim_id,
-        source=source,
-        label=ABSTAIN_LABEL,
-        confidence=DEFAULT_LOGPROB_FLOOR,
-        logits=LabelLogits(scheme, (DEFAULT_LOGPROB_FLOOR,) * scheme.m),
-        abstained=True,
-    )
+    return VeracityVerdict(LabelLogits(scheme, (DEFAULT_LOGPROB_FLOOR,) * scheme.m), abstained=True)
 
 
 def predict_verdict(
@@ -158,7 +153,6 @@ def predict_verdict(
     provider: VerdictProvider,
     scheme: LabelScheme,
     template: str,
-    source: SourceKind = MERGED,
 ) -> VeracityVerdict:
     """Prompt the provider and map its letter probabilities to a verdict.
 
@@ -171,15 +165,8 @@ def predict_verdict(
     try:
         label_logits = provider.choose(prompt, scheme)
     except NoValidOption:
-        return abstain_verdict(claim.id, source, scheme)
-    label, confidence = confidence_from_logits(label_logits)
-    return VeracityVerdict(
-        claim_id=claim.id,
-        source=source,
-        label=label,
-        confidence=confidence,
-        logits=label_logits,
-    )
+        return abstain_verdict(scheme)
+    return VeracityVerdict(label_logits, abstained=False)
 
 
 def _stable_unit_hash(text: str) -> float:

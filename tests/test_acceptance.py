@@ -174,8 +174,8 @@ def test_aggregation_union_oracle():
                 make_sentence(rng.choice(vocab), source=kind)
                 for _ in range(rng.randint(0, 6))
             )
-            bundles[kind] = EvidenceBundle(claim_id="c", source=kind, final=finals)
-        aggregated = aggregate_sources(bundles, claim_id="c")
+            bundles[kind] = EvidenceBundle(final=finals)
+        aggregated = aggregate_sources(bundles)
         expected = set()
         for bundle in bundles.values():
             expected |= {s.normalized for s in bundle.final}

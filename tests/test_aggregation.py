@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import FixtureEmbedder, make_sentence
 from veriscope.aggregation import (
-    AggregatedEvidence,
     EvidenceBundle,
     aggregate_sources,
     dedup_by_normalized,
@@ -18,8 +17,9 @@ from veriscope.aggregation import (
     write_aggregated_jsonl,
 )
 from veriscope.errors import ProviderUnavailable, RankingFailed
-from veriscope.selection import EmbeddingMemo, Polarity
-from veriscope.types import PUBMED, WEB, WIKIPEDIA
+from veriscope.pipeline import ClaimCondition, ClaimVerification
+from veriscope.selection import EmbeddingMemo, EvidenceSentence, Polarity
+from veriscope.types import PUBMED, WEB, WIKIPEDIA, ClaimPair, normalize_sentence
 
 
 def texts(sentences):
@@ -218,10 +218,8 @@ class TestRankAndTruncate:
             rank_and_truncate([make_sentence("words here")], "...", EmbeddingMemo(embedder), 2)
 
 
-def bundle(claim_id, source, finals):
+def bundle(source, finals):
     return EvidenceBundle(
-        claim_id=claim_id,
-        source=source,
         final=tuple(make_sentence(t, source=source, similarity=0.9 - 0.1 * i)
                     for i, t in enumerate(finals)),
     )
@@ -229,16 +227,18 @@ def bundle(claim_id, source, finals):
 
 class TestAggregateSources:
     def test_single_source(self):
-        b = bundle("c1", PUBMED, ["alpha one", "beta two"])
+        b = bundle(PUBMED, ["alpha one", "beta two"])
         agg = aggregate_sources({PUBMED: b})
         assert texts(agg.sentences) == ["alpha one", "beta two"]
-        assert agg.claim_id == "c1"
+
+    def test_no_bundles_give_an_empty_union(self):
+        assert aggregate_sources({}).sentences == ()
 
     def test_identical_finals_union_once(self):
         agg = aggregate_sources(
             {
-                WIKIPEDIA: bundle("c1", WIKIPEDIA, ["same thing"]),
-                PUBMED: bundle("c1", PUBMED, ["Same thing!"]),
+                WIKIPEDIA: bundle(WIKIPEDIA, ["same thing"]),
+                PUBMED: bundle(PUBMED, ["Same thing!"]),
             }
         )
         assert len(agg.sentences) == 1
@@ -250,9 +250,7 @@ class TestAggregateSources:
             PUBMED: ["shared one", "p only"],
             WEB: ["g only", "p only"],
         }
-        agg = aggregate_sources({k: bundle("c1", k, v) for k, v in finals.items()})
-        from veriscope.types import normalize_sentence
-
+        agg = aggregate_sources({k: bundle(k, v) for k, v in finals.items()})
         expected = set()
         for values in finals.values():
             expected |= {normalize_sentence(t) for t in values}
@@ -260,26 +258,11 @@ class TestAggregateSources:
         assert set(got) == expected
         assert len(got) == len(expected)
 
-    def test_mixed_claim_ids_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_sources(
-                {WIKIPEDIA: bundle("c1", WIKIPEDIA, ["x y"]), PUBMED: bundle("c2", PUBMED, ["y z"])}
-            )
-
-    def test_empty_needs_claim_id(self):
-        with pytest.raises(ValueError):
-            aggregate_sources({})
-        agg = aggregate_sources({}, claim_id="c9")
-        assert agg.claim_id == "c9"
-        assert agg.sentences == ()
-
     def test_every_sentence_from_some_final(self):
         rng = random.Random(5)
         vocab = [f"word{i} text" for i in range(12)]
         bundles = {
-            kind: bundle(
-                "c1", kind, [rng.choice(vocab) for _ in range(rng.randint(0, 6))]
-            )
+            kind: bundle(kind, [rng.choice(vocab) for _ in range(rng.randint(0, 6))])
             for kind in (WIKIPEDIA, PUBMED, WEB)
         }
         agg = aggregate_sources(bundles)
@@ -293,18 +276,37 @@ class TestAggregateSources:
 class TestSerialization:
     def test_jsonl_round_trip(self, tmp_path):
         bundles = {
-            WIKIPEDIA: bundle("c1", WIKIPEDIA, ["w sentence", "shared text"]),
-            PUBMED: bundle("c1", PUBMED, ["shared text", "p sentence"]),
+            WIKIPEDIA: bundle(WIKIPEDIA, ["w sentence", "shared text"]),
+            PUBMED: bundle(PUBMED, ["shared text", "p sentence"]),
         }
-        agg = aggregate_sources(bundles)
+        result = ClaimVerification(
+            claim=ClaimPair("c1", "a claim"),
+            condition=ClaimCondition.ORIGINAL_ONLY,
+            bundles=bundles,
+            verdicts={},
+        )
         path = tmp_path / "evidence.jsonl"
-        write_aggregated_jsonl([(agg, bundles)], path)
+        write_aggregated_jsonl([result], path)
         lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         assert len(lines) == 1
-        assert AggregatedEvidence.from_dict(lines[0]) == agg
+        line = lines[0]
+        assert line["claim_id"] == "c1"
+        sentence_lists = [line["sentences"]] + [
+            data[stage] for data in line["per_source"].values()
+            for stage in ("positive", "negative", "candidates", "final")
+        ]
+        for data in (s for sentences in sentence_lists for s in sentences):
+            assert data["normalized"] == normalize_sentence(data["text"])
+        assert tuple(EvidenceSentence.from_dict(s) for s in line["sentences"]) == (
+            result.aggregated.sentences
+        )
         assert {
-            name: EvidenceBundle.from_dict(data) for name, data in lines[0]["per_source"].items()
+            name: EvidenceBundle.from_dict(data) for name, data in line["per_source"].items()
         } == {kind.name: b for kind, b in bundles.items()}
+        assert all(
+            (data["claim_id"], data["source"]) == ("c1", name)
+            for name, data in line["per_source"].items()
+        )
 
     def test_full_stage_determinism(self, embedder):
         positive = [make_sentence(t) for t in ("zinc helps colds", "colds last a week")]
@@ -314,8 +316,6 @@ class TestSerialization:
         def run():
             cands = merge_segments(symmetric_difference_dedup(positive, negative))
             final = rank_and_truncate(cands, "zinc helps colds", EmbeddingMemo(embedder), 2)
-            return aggregate_sources(
-                {PUBMED: EvidenceBundle(claim_id="c1", source=PUBMED, final=tuple(final))}
-            ).to_dict()
+            return aggregate_sources({PUBMED: EvidenceBundle(final=tuple(final))})
 
         assert run() == run()

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import random
 
@@ -217,68 +218,76 @@ class TestComputeMetrics:
                 assert (got.precision, got.recall, got.f1, got.support) == per_class[label]
 
 
-def _verdict(claim_id, source, label, confidence, scheme):
-    index = scheme.labels.index(label)
-    logits = [-8.0] * scheme.m
-    logits[index] = 0.0
-    return VeracityVerdict(
-        claim_id=claim_id,
-        source=source,
-        label=label,
-        confidence=confidence,
-        logits=LabelLogits(scheme, tuple(logits)),
-    )
+def _verdict(label, margin, scheme):
+    """An answer whose label's logit leads every other option's by margin."""
+    logits = [-margin] * scheme.m
+    logits[scheme.labels.index(label)] = 0.0
+    return VeracityVerdict(LabelLogits(scheme, tuple(logits)), abstained=False)
 
 
 class TestBuildProfile:
     def test_three_sources(self, scheme3):
         verdicts = {
-            WIKIPEDIA: _verdict("c1", WIKIPEDIA, "Supported", -0.2, scheme3),
-            PUBMED: _verdict("c1", PUBMED, "Supported", -0.4, scheme3),
-            WEB: _verdict("c1", WEB, "Refuted", -1.2, scheme3),
-            MERGED: _verdict("c1", MERGED, "Supported", -0.1, scheme3),
+            WIKIPEDIA: _verdict("Supported", 3.0, scheme3),
+            PUBMED: _verdict("Supported", 2.0, scheme3),
+            WEB: _verdict("Refuted", 0.5, scheme3),
+            MERGED: _verdict("Supported", 4.0, scheme3),
         }
-        profile = build_profile("c1", verdicts)
+        profile = build_profile(verdicts)
         assert profile.regime is AgreementRegime.TWO_AGREE
         assert profile.dispersion == pytest.approx(
-            dispersion([-0.2, -0.4, -1.2]), abs=1e-12
+            dispersion([verdicts[k].confidence for k in (WIKIPEDIA, PUBMED, WEB)]), abs=1e-12
         )
 
     def test_two_sources_no_regime(self, scheme3):
         verdicts = {
-            WIKIPEDIA: _verdict("c1", WIKIPEDIA, "Supported", -0.2, scheme3),
-            PUBMED: _verdict("c1", PUBMED, "Refuted", -0.4, scheme3),
+            WIKIPEDIA: _verdict("Supported", 3.0, scheme3),
+            PUBMED: _verdict("Refuted", 2.0, scheme3),
         }
-        profile = build_profile("c1", verdicts)
+        profile = build_profile(verdicts)
         assert profile.regime is None
         assert profile.dispersion is not None
 
     def test_abstention_is_not_an_answer(self, scheme3):
         verdicts = {
-            WIKIPEDIA: _verdict("c1", WIKIPEDIA, "Supported", -0.2, scheme3),
-            PUBMED: abstain_verdict("c1", PUBMED, scheme3),
-            WEB: _verdict("c1", WEB, "Refuted", -1.2, scheme3),
-            MERGED: _verdict("c1", MERGED, "Supported", -0.1, scheme3),
+            WIKIPEDIA: _verdict("Supported", 3.0, scheme3),
+            PUBMED: abstain_verdict(scheme3),
+            WEB: _verdict("Refuted", 0.5, scheme3),
+            MERGED: _verdict("Supported", 4.0, scheme3),
         }
-        profile = build_profile("c1", verdicts)
+        profile = build_profile(verdicts)
         assert profile.regime is None
-        assert profile.dispersion == dispersion([-0.2, -1.2])
+        assert profile.dispersion == dispersion(
+            [verdicts[WIKIPEDIA].confidence, verdicts[WEB].confidence]
+        )
 
     def test_one_answer_among_abstentions_has_no_dispersion(self, scheme3):
         verdicts = {
-            WIKIPEDIA: _verdict("c1", WIKIPEDIA, "Supported", -0.2, scheme3),
-            PUBMED: abstain_verdict("c1", PUBMED, scheme3),
-            WEB: abstain_verdict("c1", WEB, scheme3),
+            WIKIPEDIA: _verdict("Supported", 3.0, scheme3),
+            PUBMED: abstain_verdict(scheme3),
+            WEB: abstain_verdict(scheme3),
         }
-        profile = build_profile("c1", verdicts)
+        profile = build_profile(verdicts)
         assert profile.regime is None
         assert profile.dispersion is None
 
     def test_single_source_no_dispersion(self, scheme3):
-        verdicts = {WIKIPEDIA: _verdict("c1", WIKIPEDIA, "Supported", -0.2, scheme3)}
-        profile = build_profile("c1", verdicts)
+        verdicts = {WIKIPEDIA: _verdict("Supported", 3.0, scheme3)}
+        profile = build_profile(verdicts)
         assert profile.regime is None
         assert profile.dispersion is None
+
+    def test_profile_does_not_depend_on_verdict_order(self, scheme3):
+        # summed in this order and in reverse, these confidences differ in the last bit
+        verdicts = {
+            WIKIPEDIA: _verdict("Supported", 0.5, scheme3),
+            PUBMED: _verdict("Supported", 1.0, scheme3),
+            WEB: _verdict("Refuted", 1.5, scheme3),
+            MERGED: _verdict("Supported", 4.0, scheme3),
+        }
+        expected = build_profile(verdicts)
+        for order in itertools.permutations(verdicts):
+            assert build_profile({kind: verdicts[kind] for kind in order}) == expected
 
 
 class TestCsvRoundTrip:

@@ -201,7 +201,7 @@ class TestVerifyClaim:
         result = verify_claim(claim, providers, scheme, template, cfg=MOCK_CONFIG)
         from veriscope.aggregation import aggregate_sources
 
-        rebuilt = aggregate_sources(result.bundles, claim_id="x")
+        rebuilt = aggregate_sources(result.bundles)
         assert [s.normalized for s in result.aggregated.sentences] == [
             s.normalized for s in rebuilt.sentences
         ]
@@ -322,15 +322,25 @@ class TestRunExperiment:
         full = run_plan(tmp_path, providers, scheme, out_name="full")
         resumed = tmp_path / "resumed"
         seed_interrupted_run(full, resumed, ())
-        # traces written before source_errors and abstained existed lack both keys
+        # a trace may leave out a key that holds its field's default
         for path in sorted((full / "traces").glob("*.json")):
             trace = json.loads(path.read_text())
+            assert trace["source_errors"] == {}
             del trace["source_errors"]
-            for verdict in trace["verdicts"].values():
-                del verdict["abstained"]
             (resumed / "traces" / path.name).write_text(json.dumps(trace))
         run_plan(tmp_path, providers, scheme, out_name="resumed")
         assert (resumed / "metrics.json").read_bytes() == (full / "metrics.json").read_bytes()
+
+    def test_resume_refuses_a_verdict_without_abstained(self, tmp_path, providers, scheme):
+        full = run_plan(tmp_path, providers, scheme, out_name="full")
+        resumed = tmp_path / "resumed"
+        seed_interrupted_run(full, resumed, ())
+        # abstained has no default: without it an abstention would read as an answer
+        trace = json.loads((full / "traces" / "c-001.json").read_text())
+        del trace["verdicts"]["merged"]["abstained"]
+        (resumed / "traces" / "c-001.json").write_text(json.dumps(trace))
+        with pytest.raises(TypeError, match="abstained"):
+            run_plan(tmp_path, providers, scheme, out_name="resumed")
 
     def test_resume_with_another_seed_is_refused(self, tmp_path, providers, scheme):
         import dataclasses
@@ -349,7 +359,17 @@ class TestRunExperiment:
         run_dir = run_plan(tmp_path, providers, scheme, sources=(WIKIPEDIA, PUBMED))
         manifest = json.loads((run_dir / "run-manifest.json").read_text())
         assert set(manifest["providers"]["sources"]) == {"wikipedia", "pubmed"}
-        assert manifest["trace_format"] == 2
+        assert manifest["trace_format"] == 3
+
+    def test_format_2_run_is_refused_before_any_claim(self, tmp_path, providers, scheme):
+        full = run_plan(tmp_path, providers, scheme, out_name="full")
+        manifest = json.loads((full / "run-manifest.json").read_text())
+        (full / "run-manifest.json").write_text(json.dumps({**manifest, "trace_format": 2}))
+        for path in (full / "traces").glob("*.json"):
+            path.unlink()
+        with pytest.raises(ConfigurationError, match="trace_format"):
+            run_plan(tmp_path, providers, scheme, out_name="full")
+        assert not any((full / "traces").glob("*.json"))
 
     def test_traces_without_manifest_are_refused(self, tmp_path, providers, scheme):
         full = run_plan(tmp_path, providers, scheme, out_name="full")
@@ -437,7 +457,14 @@ class TestRunExperiment:
                                   condition=condition)
             data = (run_dir / "traces" / _trace_filename(claim.id)).read_bytes()
             assert data == (json.dumps(result.to_dict(), sort_keys=True) + "\n").encode("utf-8")
-            assert ClaimVerification.from_dict(json.loads(data)) == result
+            rebuilt = ClaimVerification.from_dict(json.loads(data))
+            assert rebuilt == result
+            assert (json.dumps(rebuilt.to_dict(), sort_keys=True) + "\n").encode("utf-8") == data
+            assert rebuilt.aggregated == result.aggregated
+            assert rebuilt.profile == result.profile
+            assert {kind: (v.label, v.confidence) for kind, v in rebuilt.verdicts.items()} == {
+                kind: (v.label, v.confidence) for kind, v in result.verdicts.items()
+            }
 
     def test_condition_mismatch_on_resume_aborts(self, tmp_path, providers, scheme):
         run_plan(tmp_path, providers, scheme, out_name="r", condition=ClaimCondition.ORIGINAL_ONLY)

@@ -339,6 +339,16 @@ class TestBiomedicalSourceCache:
         assert source.retrieve("copper", 0) == []
         assert embedder.calls == []
 
+    def test_negative_k_is_refused(self):
+        embedder = _RecordingEmbedder()
+        index = LocalIndex.from_documents(
+            [("a", "", "zinc therapy"), ("b", "", "zinc trial"), ("c", "", "zinc")]
+        )
+        source = BiomedicalSource(PUBMED, index, embedder=embedder)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            source.retrieve("zinc", -1)
+        assert embedder.calls == []
+
     @pytest.mark.parametrize("reply", ["outage", "short"])
     def test_embedder_failure_is_a_source_outage(self, reply):
         class Broken:
@@ -422,6 +432,13 @@ class TestWebSearchSource:
         assert session.params["q"] == "zinc"
         assert session.params["num"] == 2
         assert session.requests == 1
+
+    def test_negative_k_is_refused(self):
+        session = _FakeWebSession({"items": [{"title": "Zinc", "snippet": "Mixed.", "link": "a"}]})
+        source = WebSearchSource(api_key="k", engine_id="e", session=session)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            source.retrieve("zinc", -1)
+        assert session.requests == 0
 
     def test_null_fields_are_not_the_text_none(self):
         payload = {

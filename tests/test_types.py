@@ -1,3 +1,4 @@
+import typing
 import unicodedata
 
 import pytest
@@ -142,3 +143,24 @@ class TestSourceKind:
     def test_nonempty_name(self):
         with pytest.raises(ValueError):
             SourceKind("  ")
+
+
+def _json_records(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _json_records(sub)
+
+
+def test_record_hints_resolve_to_what_python_3_10_accepts():
+    # Python 3.10's typing.get_type_hints raises TypeError for a resolved
+    # annotation that is neither a type, a union nor callable, such as
+    # InitVar[...]; the codec resolves every record's hints.
+    from types import UnionType
+
+    import veriscope.pipeline  # noqa: F401  (defines the remaining records)
+
+    records = set(_json_records(types.JsonRecord))
+    assert veriscope.pipeline.ClaimVerification in records
+    for record in records:
+        for name, hint in typing.get_type_hints(record).items():
+            assert isinstance(hint, (type, UnionType)) or callable(hint), (record, name, hint)

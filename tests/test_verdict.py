@@ -9,7 +9,7 @@ from veriscope.errors import (
     ProviderUnavailable,
     TemplateMissingPlaceholder,
 )
-from veriscope.types import MERGED, PUBMED, ClaimPair, LabelScheme
+from veriscope.types import ClaimPair, LabelScheme
 from veriscope.verdict import (
     ABSTAIN_LABEL,
     DEFAULT_LOGPROB_FLOOR,
@@ -17,6 +17,7 @@ from veriscope.verdict import (
     RemoteVerdictProvider,
     RuleVerdictProvider,
     VeracityVerdict,
+    abstain_verdict,
     build_prompt,
     confidence_from_logits,
     logits_from_letter_logprobs,
@@ -147,11 +148,11 @@ class TestPredictVerdict:
     def test_composition_with_static_logits(self, scheme3):
         claim = ClaimPair(id="c1", text="The sky is blue.")
         z = (-0.1, -3.0, -3.2)
-        verdict = predict_verdict(claim, [], _StaticProvider(z), scheme3, TEMPLATE, source=PUBMED)
+        verdict = predict_verdict(claim, [], _StaticProvider(z), scheme3, TEMPLATE)
         label, confidence = confidence_from_logits(LabelLogits(scheme3, z))
         assert verdict.label == label
         assert verdict.confidence == confidence
-        assert verdict.source == PUBMED
+        assert verdict.logits == LabelLogits(scheme3, z)
         assert not verdict.abstained
 
     def test_abstains_when_no_valid_option(self, scheme3):
@@ -173,15 +174,19 @@ class TestPredictVerdict:
         )
         assert VeracityVerdict.from_dict(verdict.to_dict()) == verdict
 
-    def test_confidence_never_positive(self, scheme3):
-        with pytest.raises(ValueError):
-            VeracityVerdict(
-                claim_id="c",
-                source=MERGED,
-                label="Supported",
-                confidence=0.5,
-                logits=LabelLogits(scheme3, (0.0, 0.0, 0.0)),
-            )
+    def test_label_and_confidence_are_derived_not_stored(self, scheme3):
+        logits = LabelLogits(scheme3, (-3.0, -0.1, -3.2))
+        answer, abstention = VeracityVerdict(logits, abstained=False), VeracityVerdict(logits, abstained=True)
+        assert (answer.label, answer.confidence) == confidence_from_logits(logits)
+        assert (abstention.label, abstention.confidence) == (ABSTAIN_LABEL, DEFAULT_LOGPROB_FLOOR)
+        assert set(answer.to_dict()) == {"logits", "abstained"}
+        assert VeracityVerdict.from_dict(abstention.to_dict()) == abstention
+
+    def test_decoding_needs_abstained(self, scheme3):
+        stored = abstain_verdict(scheme3).to_dict()
+        del stored["abstained"]
+        with pytest.raises(TypeError, match="abstained"):
+            VeracityVerdict.from_dict(stored)
 
 
 class TestRuleVerdictProvider:
