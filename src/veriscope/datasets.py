@@ -1,7 +1,9 @@
 """Claims-file ingestion for the benchmark datasets.
 
 A dataset is a JSONL file of records carrying a "claim" sentence, a gold
-"label" and an optional "id"; the descriptor names the file and the scheme.
+"label" and an optional "id" (when it is missing, null or empty, one is
+made from the dataset name and line number); the descriptor names the
+file and the scheme.
 Records that fail validation are logged with their line number and
 counted, never silently dropped.
 """
@@ -61,7 +63,8 @@ def load_dataset(desc: DatasetDescriptor) -> list[ClaimPair]:
                 elif label not in desc.scheme.labels:
                     reason = f"label {label!r} not in scheme {desc.scheme.name!r}"
                 else:
-                    claim_id = str(record.get(ID_FIELD) or f"{desc.name}-{lineno:05d}")
+                    claim_id = record.get(ID_FIELD)  # an id of 0 is an id
+                    claim_id = f"{desc.name}-{lineno:05d}" if claim_id in (None, "") else str(claim_id)
                     if claim_id in seen_ids:
                         reason = f"duplicate claim id {claim_id!r}"
             if reason is not None:

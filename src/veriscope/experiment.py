@@ -27,7 +27,7 @@ from .aggregation import write_aggregated_jsonl
 from .analysis import ConfidenceRow, compute_metrics, write_confidences_csv
 from .datasets import DatasetDescriptor, load_dataset
 from .errors import ConfigurationError
-from .pipeline import ClaimCondition, ClaimVerification, ProviderSet, verify_claim
+from .pipeline import ClaimCondition, ClaimVerification, ProviderSet, _in_process, verify_claim
 from .types import MERGED, ClaimPair, PipelineConfig, source_order_key
 
 TRACES_DIR = "traces"
@@ -95,6 +95,11 @@ def run_experiment(
     resumes.  Before any claim runs, an existing manifest must equal this
     run's except for limit and claims, and traces without a manifest are
     refused (ConfigurationError).
+
+    When every provider runs in-process, the claims run one at a time on
+    the caller's thread, in claim order.  Otherwise up to max_workers
+    claims are in flight at once, and their network calls share the
+    provider set's threads.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -144,10 +149,23 @@ def run_experiment(
         _atomic_write_text(trace_path, json.dumps(result.to_dict(), sort_keys=True) + "\n")
         return result
 
-    # Once a claim fails, no claim after it in claim order starts: with a
-    # provider down, each would spend its retries on the outage.  Claims
-    # before it still run, and every claim that started finishes and keeps
-    # its trace.  The first failure in claim order is raised.
+    if _in_process(run_providers):
+        # nothing to overlap: the interpreter lock would run them one at a time
+        results = [process(claim) for claim in claims]
+    else:
+        results = _overlapped(process, claims, max_workers)
+    _write_artifacts(out_dir, plan, results)
+    return out_dir
+
+
+def _overlapped(process, claims: list[ClaimPair], max_workers: int) -> list[ClaimVerification]:
+    """Run process over the claims, up to max_workers at once; results in claim order.
+
+    Once a claim fails, no claim after it in claim order starts: with a
+    provider down, each would spend its retries on the outage.  Claims
+    before it still run, and every claim that started finishes and keeps
+    its trace.  The first failure in claim order is raised.
+    """
     first_failure = len(claims)
     failure_lock = threading.Lock()
 
@@ -164,10 +182,7 @@ def run_experiment(
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         futures = [pool.submit(process_in_order, i, claim) for i, claim in enumerate(claims)]
-    results = [future.result() for future in futures]
-
-    _write_artifacts(out_dir, plan, results)
-    return out_dir
+    return [future.result() for future in futures]
 
 
 def _check_resumable(out_dir: Path, manifest: dict) -> None:

@@ -275,11 +275,9 @@ def build_local_index(corpus_path: Path, out_dir: Path | None = None) -> LocalIn
     triples: list[tuple[str, str, str]] = []
     seen_ids: set[str] = set()
     skipped = 0
-    lineno = 0
     for file in files:
         with file.open(encoding="utf-8") as handle:
-            for line in handle:
-                lineno += 1
+            for lineno, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
                 try:

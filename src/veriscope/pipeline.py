@@ -9,18 +9,21 @@ the merged evidence.  A failing source is recorded and the rest proceed.
 
 Only calls that wait on the network use threads.  Retrieval from web
 search and from any source class not known to run in-process is
-submitted to a per-claim thread pool first; the local BM25 sources then
-run on the caller's thread while those requests are in flight.  With a
-remote verdict provider (or any unknown one) the four verdict calls of
-a claim overlap; the rule-based provider runs inline.
-The pool starts its threads lazily, so an all-local claim starts none.
+submitted first to the threads the ProviderSet keeps; the local BM25
+sources then run on the caller's thread while those requests are in
+flight.  With a remote verdict provider (or any unknown one) the four
+verdict calls of a claim overlap; the rule-based provider runs inline.
+A provider set starts a thread only when none of its threads is idle,
+and keeps it for later claims, so an all-local claim starts none.
 One EmbeddingMemo per claim serves pubmed fusion, selection and ranking.
 """
 
 from __future__ import annotations
 
+import contextvars
 import logging
-from concurrent.futures import Future, ThreadPoolExecutor
+import sys
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import partial
@@ -37,8 +40,8 @@ from .aggregation import (
 )
 from .analysis import SourceConfidenceProfile, build_profile
 from .errors import ConfigurationError, ProviderUnavailable, RankingFailed, SourceUnavailable
-from .negation import NegationProvider, negate_claim
-from .selection import EmbeddingMemo, EmbeddingProvider, Polarity, claim_memo, select_evidence
+from .negation import FixtureNegationProvider, NegationProvider, RuleBasedNegator, negate_claim
+from .selection import EmbeddingMemo, EmbeddingProvider, HashedBowEmbedder, Polarity, claim_memo, select_evidence
 from .sources import BiomedicalSource, KnowledgeSource, LocalCorpusSource
 from .types import MERGED, ClaimPair, JsonRecord, LabelScheme, PipelineConfig, SourceKind, source_order_key
 from .verdict import (
@@ -51,10 +54,24 @@ from .verdict import (
 
 log = logging.getLogger(__name__)
 
-#: Provider classes whose calls do no I/O; they run on the caller's thread.
-#: Every other source or verdict provider is treated as waiting on the network.
-_IN_PROCESS_SOURCES = (LocalCorpusSource, BiomedicalSource)
-_IN_PROCESS_VERDICTS = (RuleVerdictProvider,)
+
+def _in_process(provider) -> bool:
+    """True when no call of provider leaves this process.
+
+    A ProviderSet counts by all its providers, a BiomedicalSource by its
+    embedder and a FixtureNegationProvider by its fallback.  Any class not
+    listed here is treated as waiting on the network.
+    """
+    if isinstance(provider, ProviderSet):
+        parts = [*provider.sources.values(), provider.embedder, provider.verdicts, provider.negator]
+        return all(map(_in_process, parts))
+    if isinstance(provider, BiomedicalSource):
+        return _in_process(provider._embedder)
+    if isinstance(provider, FixtureNegationProvider):
+        return _in_process(provider._fallback)
+    return provider is None or isinstance(
+        provider, (LocalCorpusSource, HashedBowEmbedder, RuleVerdictProvider, RuleBasedNegator)
+    )
 
 
 class ClaimCondition(Enum):
@@ -72,6 +89,16 @@ class ProviderSet:
     embedder: EmbeddingProvider
     verdicts: VerdictProvider
     negator: NegationProvider | None = None
+    # The threads for calls that wait on the network, kept for later claims.
+    # A field only so that copies made with dataclasses.replace share them;
+    # not a setting.  No cap of its own: a thread starts only when none is
+    # idle, so the count settles at the peak number of calls in flight,
+    # which callers bound (a claim waits for its at most max(2 * sources,
+    # sources + 1) calls; run_experiment bounds the claims in flight).
+    _network: ThreadPoolExecutor = field(
+        default_factory=partial(ThreadPoolExecutor, sys.maxsize, "veriscope-network"),
+        repr=False, compare=False, kw_only=True,
+    )
 
     def describe(self) -> dict:
         return {
@@ -106,18 +133,22 @@ class ClaimVerification(JsonRecord):
         self.profile = build_profile(self.verdicts)
 
 
-def _run_calls(pool, calls: dict) -> dict[object, Future]:
+def _run_calls(pool: ThreadPoolExecutor, calls: dict) -> dict[object, Future]:
     """Start every call and return key -> Future, in the order of calls.
 
     calls maps a key to (waits_on_network, fn, *args).  Network-bound
-    calls are submitted to the pool first; the rest then run here, on the
-    caller's thread, while those requests are in flight.  An exception is
-    kept in its call's Future either way, so callers handle both alike.
+    calls are submitted to the pool first, each in a copy of the caller's
+    context, so context variables set for the claim reach them; the rest
+    then run here, on the caller's thread, while those requests are in
+    flight.  It returns when every call is done, so no call outlives its
+    claim even if a result raises.  An exception is kept in its call's
+    Future either way, so callers handle both alike.
     """
     futures: dict[object, Future] = {}
     for key, (network, fn, *args) in calls.items():
         if network:
-            futures[key] = pool.submit(fn, *args)
+            futures[key] = pool.submit(contextvars.copy_context().run, fn, *args)
+    submitted = list(futures.values())
     for key, (network, fn, *args) in calls.items():
         if not network:
             futures[key] = done = Future()
@@ -125,6 +156,8 @@ def _run_calls(pool, calls: dict) -> dict[object, Future]:
                 done.set_result(fn(*args))
             except Exception as exc:
                 done.set_exception(exc)
+    if submitted:
+        wait(submitted)
     return {key: futures[key] for key in calls}
 
 
@@ -176,86 +209,85 @@ def verify_claim(
 
     kinds = sorted(providers.sources, key=source_order_key)
     memo = EmbeddingMemo(providers.embedder, [claim.text, claim.negated_text] if dual else [claim.text])
-    remote_verdicts = not isinstance(providers.verdicts, _IN_PROCESS_VERDICTS)
-    with ThreadPoolExecutor(max_workers=max(2 * len(kinds), len(kinds) + 1)) as pool:
-        # one retrieval call per source per polarity
-        calls = {}
-        for kind in kinds:
-            source = providers.sources[kind]
-            network = not isinstance(source, _IN_PROCESS_SOURCES)
-            retrieve = source.retrieve
-            if isinstance(source, BiomedicalSource):  # in-process: the memo stays on this thread
-                retrieve = partial(retrieve, memo=memo)
-            calls[(kind, Polarity.FROM_CLAIM)] = (
-                network, retrieve, claim.text, cfg.retrieval_depth
+    remote_verdicts = not _in_process(providers.verdicts)
+    # one retrieval call per source per polarity
+    calls = {}
+    for kind in kinds:
+        source = providers.sources[kind]
+        network = not _in_process(source)
+        retrieve = source.retrieve
+        if isinstance(source, BiomedicalSource):  # whatever its embedder: the memo stays on this thread
+            network, retrieve = False, partial(retrieve, memo=memo)
+        calls[(kind, Polarity.FROM_CLAIM)] = (
+            network, retrieve, claim.text, cfg.retrieval_depth
+        )
+        if dual:
+            calls[(kind, Polarity.FROM_NEGATION)] = (
+                network, retrieve, claim.negated_text, cfg.retrieval_depth
             )
-            if dual:
-                calls[(kind, Polarity.FROM_NEGATION)] = (
-                    network, retrieve, claim.negated_text, cfg.retrieval_depth
-                )
-        futures = _run_calls(pool, calls)
-        source_errors: dict[SourceKind, str] = {}
-        retrieved: dict[SourceKind, tuple[list, list]] = {}
-        for kind in kinds:
-            try:
-                docs_pos = futures[(kind, Polarity.FROM_CLAIM)].result()
-                docs_neg = (
-                    futures[(kind, Polarity.FROM_NEGATION)].result() if dual else []
-                )
-                retrieved[kind] = (docs_pos, docs_neg)
-            except SourceUnavailable as exc:
-                log.warning("source %s unavailable for claim %s: %s", kind, claim.id, exc)
-                source_errors[kind] = str(exc)
-                retrieved[kind] = ([], [])
+    futures = _run_calls(providers._network, calls)
+    source_errors: dict[SourceKind, str] = {}
+    retrieved: dict[SourceKind, tuple[list, list]] = {}
+    for kind in kinds:
+        try:
+            docs_pos = futures[(kind, Polarity.FROM_CLAIM)].result()
+            docs_neg = (
+                futures[(kind, Polarity.FROM_NEGATION)].result() if dual else []
+            )
+            retrieved[kind] = (docs_pos, docs_neg)
+        except SourceUnavailable as exc:
+            log.warning("source %s unavailable for claim %s: %s", kind, claim.id, exc)
+            source_errors[kind] = str(exc)
+            retrieved[kind] = ([], [])
 
-        claim_memo(claim, retrieved, memo, cfg)
-        bundles: dict[SourceKind, EvidenceBundle] = {}
-        for kind in kinds:
-            docs_pos, docs_neg = retrieved[kind]
-            positive = select_evidence(
-                claim.text, docs_pos, memo, cfg, polarity=Polarity.FROM_CLAIM
+    claim_memo(claim, retrieved, memo, cfg)
+    bundles: dict[SourceKind, EvidenceBundle] = {}
+    for kind in kinds:
+        docs_pos, docs_neg = retrieved[kind]
+        positive = select_evidence(
+            claim.text, docs_pos, memo, cfg, polarity=Polarity.FROM_CLAIM
+        )
+        negative = (
+            select_evidence(
+                claim.negated_text, docs_neg, memo, cfg,
+                polarity=Polarity.FROM_NEGATION,
             )
-            negative = (
-                select_evidence(
-                    claim.negated_text, docs_neg, memo, cfg,
-                    polarity=Polarity.FROM_NEGATION,
-                )
-                if dual and docs_neg
-                else []
+            if dual and docs_neg
+            else []
+        )
+        candidates = dedup_by_normalized(
+            merge_segments(
+                symmetric_difference_dedup(positive, negative),
+                dangling_merge=cfg.merge_heuristic,
             )
-            candidates = dedup_by_normalized(
-                merge_segments(
-                    symmetric_difference_dedup(positive, negative),
-                    dangling_merge=cfg.merge_heuristic,
-                )
-            )
-            try:
-                final = rank_and_truncate(candidates, claim.text, memo, cfg.final_top_p)
-            except RankingFailed as exc:
-                log.warning("ranking failed for claim %s source %s: %s", claim.id, kind, exc)
-                source_errors.setdefault(kind, str(exc))
-                final = []
-            bundles[kind] = EvidenceBundle(
-                positive=tuple(positive),
-                negative=tuple(negative),
-                candidates=tuple(candidates),
-                final=tuple(final),
-            )
+        )
+        try:
+            final = rank_and_truncate(candidates, claim.text, memo, cfg.final_top_p)
+        except RankingFailed as exc:
+            log.warning("ranking failed for claim %s source %s: %s", claim.id, kind, exc)
+            source_errors.setdefault(kind, str(exc))
+            final = []
+        bundles[kind] = EvidenceBundle(
+            positive=tuple(positive),
+            negative=tuple(negative),
+            candidates=tuple(candidates),
+            final=tuple(final),
+        )
 
-        aggregated = aggregate_sources(bundles)
+    aggregated = aggregate_sources(bundles)
 
-        calls = {
-            kind: (remote_verdicts, predict_verdict, claim, bundles[kind].final,
-                   providers.verdicts, scheme, template)
-            for kind in kinds
-            if kind not in source_errors
-        }
-        if all(kind in source_errors for kind in kinds):
-            source_errors[MERGED] = "every source failed"
-        else:
-            calls[MERGED] = (remote_verdicts, predict_verdict, claim, aggregated.sentences,
-                             providers.verdicts, scheme, template)
-        futures = _run_calls(pool, calls)
+    calls = {
+        kind: (remote_verdicts, predict_verdict, claim, bundles[kind].final,
+               providers.verdicts, scheme, template)
+        for kind in kinds
+        if kind not in source_errors
+    }
+    if all(kind in source_errors for kind in kinds):
+        source_errors[MERGED] = "every source failed"
+    else:
+        calls[MERGED] = (remote_verdicts, predict_verdict, claim, aggregated.sentences,
+                         providers.verdicts, scheme, template)
+    futures = _run_calls(providers._network, calls)
 
     verdicts: dict[SourceKind, VeracityVerdict] = {}
     for kind in kinds + [MERGED]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
@@ -35,6 +36,7 @@ _TOP_LOGPROBS = 20
 ABSTAIN_LABEL = "abstain"
 
 _PLACEHOLDERS = ("{claim}", "{evidence}", "{options}")
+_PLACEHOLDER = re.compile("|".join(map(re.escape, _PLACEHOLDERS)))
 _EMPTY_EVIDENCE_BLOCK = "No evidence retrieved."
 
 
@@ -118,11 +120,10 @@ def build_prompt(
     options_block = "\n".join(
         f"{letter}) {label}" for letter, label in zip(scheme.option_letters, scheme.labels)
     )
-    return (
-        template.replace("{claim}", claim_text)
-        .replace("{evidence}", evidence_block)
-        .replace("{options}", options_block)
-    )
+    # one pass over the template: a placeholder inside the claim or the
+    # evidence text stays as written
+    blocks = dict(zip(_PLACEHOLDERS, (claim_text, evidence_block, options_block)))
+    return _PLACEHOLDER.sub(lambda match: blocks[match.group()], template)
 
 
 def _log_sum_exp(values: np.ndarray) -> float:

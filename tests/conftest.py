@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,38 @@ def pytest_runtest_logreport(report):
         print(f"\nACCEPTANCE {name}: {status}")
     elif report.when == "setup" and report.skipped:
         print(f"\nACCEPTANCE {name}: SKIP")
+
+
+class BarrierVerdicts:
+    """A verdict provider of a class the pipeline does not know: treated as remote.
+
+    Every choose() waits until four calls are inside it at once, so the
+    run completes only if the four verdict calls of a claim overlap.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.barrier = threading.Barrier(4, timeout=5)
+        self.threads = set()
+
+    def choose(self, prompt, scheme):
+        self.threads.add(threading.get_ident())
+        self.barrier.wait()
+        return self.inner.choose(prompt, scheme)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started during the test, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import BarrierVerdicts
 from veriscope.assets import load_prompt, load_scheme
 from veriscope.datasets import DatasetDescriptor, load_dataset
 from veriscope.errors import (
@@ -95,6 +96,18 @@ class TestLoadDataset:
         path.write_text(json.dumps({"claim": "Cats purr.", "label": "Supported"}) + "\n")
         claims = load_dataset(DatasetDescriptor(name="t", scheme=scheme, path=path))
         assert claims[0].id == "t-00001"
+
+    def test_id_zero_is_kept(self, tmp_path, scheme):
+        path = tmp_path / "claims.jsonl"
+        records = [
+            {"id": 0, "claim": "Cats purr.", "label": "Supported"},
+            {"id": 1, "claim": "Dogs bark.", "label": "Supported"},
+            {"id": "", "claim": "Fish swim.", "label": "Supported"},
+            {"id": None, "claim": "Birds fly.", "label": "Supported"},
+        ]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        claims = load_dataset(DatasetDescriptor(name="t", scheme=scheme, path=path))
+        assert [c.id for c in claims] == ["0", "1", "t-00003", "t-00004"]
 
 
 class TestPlanClaims:
@@ -428,11 +441,47 @@ class TestRunExperiment:
             # worker starts no claim after the failure
             traces = {p.name for p in (resumed / "traces").iterdir()}
             assert before <= traces <= expected
-            if max_workers == 1:
+            # one worker, or an in-process provider set at any max_workers
+            # (its claims run one at a time), starts no claim after the failure
+            if max_workers == 1 or failing == "negator":
                 assert traces == before
             assert sorted(p.name for p in resumed.iterdir()) == ["run-manifest.json", "traces"]
             run_plan(tmp_path, healthy, scheme, out_name=resumed.name)
             assert tree_bytes(full) == tree_bytes(resumed)
+
+    def test_in_process_run_starts_no_thread(self, tmp_path, providers, scheme, thread_starts):
+        run_plan(tmp_path, providers, scheme, max_workers=4)
+        assert thread_starts == []
+
+    def test_runs_share_the_provider_sets_threads(self, tmp_path, providers, scheme, thread_starts):
+        import dataclasses
+
+        remote = dataclasses.replace(providers, verdicts=BarrierVerdicts(providers.verdicts))
+        network_threads = []
+        for out_name in ("first", "second"):
+            run_plan(tmp_path, remote, scheme, out_name=out_name, max_workers=1)
+            network_threads.append(
+                sum(name.startswith("veriscope-network") for name in thread_starts)
+            )
+        # run_experiment's copies of the set start the four verdict threads once
+        assert network_threads == [4, 4]
+
+    def test_claims_in_flight_share_the_threads_without_mixing(self, tmp_path, providers, scheme):
+        import dataclasses
+        import sys
+
+        remote = dataclasses.replace(providers, verdicts=BarrierVerdicts(providers.verdicts))
+        full = run_plan(tmp_path, providers, scheme, out_name="full")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_plan(tmp_path, remote, scheme, out_name="remote", max_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        artifacts, expected = tree_bytes(tmp_path / "remote"), tree_bytes(full)
+        assert artifacts.keys() == expected.keys()
+        # only the manifest differs: it names the verdict provider's class
+        assert [name for name in artifacts if artifacts[name] != expected[name]] == ["run-manifest.json"]
 
     @pytest.mark.parametrize("max_workers", [0, -3])
     def test_max_workers_below_one_is_refused(self, tmp_path, providers, scheme, max_workers):

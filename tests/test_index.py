@@ -72,6 +72,15 @@ class TestBuildLocalIndex:
         index = build_local_index(tmp_path)
         assert index.doc_count == 2
 
+    def test_directory_lines_are_numbered_per_file(self, tmp_path, caplog):
+        (tmp_path / "1.jsonl").write_text(json.dumps(GOOD[0]) + "\n" + json.dumps(GOOD[1]) + "\n")
+        (tmp_path / "2.jsonl").write_text("not json\n")
+        with caplog.at_level("WARNING"):
+            index = build_local_index(tmp_path)
+        assert index.doc_count == 2
+        assert "2.jsonl: line 1:" in caplog.text
+        assert "line 3" not in caplog.text
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):

@@ -1,9 +1,11 @@
+import contextvars
 import dataclasses
 import json
 import threading
 
 import pytest
 
+from conftest import BarrierVerdicts
 from veriscope import index as index_module
 from veriscope._http import JsonHttpClient
 from veriscope.assets import fixture_path, load_prompt, load_scheme
@@ -315,24 +317,6 @@ def test_each_selected_document_is_split_once(mock, scheme, template, monkeypatc
     assert len(split) == len(set(split))
 
 
-class BarrierVerdicts:
-    """A verdict provider of a class the pipeline does not know: treated as remote.
-
-    Every choose() waits until four calls are inside it at once, so the
-    run completes only if the four verdict calls of a claim overlap.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.barrier = threading.Barrier(4, timeout=5)
-        self.threads = set()
-
-    def choose(self, prompt, scheme):
-        self.threads.add(threading.get_ident())
-        self.barrier.wait()
-        return self.inner.choose(prompt, scheme)
-
-
 class RecordingLocalSource(LocalCorpusSource):
     def __init__(self, source):
         super().__init__(source.kind, source._index)
@@ -356,6 +340,32 @@ class RecordingRemoteSource:
         return self._source.retrieve(query_text, k)
 
 
+#: Set by a test around verify_claim; network-bound calls must see its value.
+CLAIM_CONTEXT = contextvars.ContextVar("claim_context", default=None)
+
+
+class RemoteVerdicts:
+    """A verdict provider of a class the pipeline does not know: treated as remote."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.contexts = []
+
+    def choose(self, prompt, scheme):
+        self.contexts.append(CLAIM_CONTEXT.get())
+        return self.inner.choose(prompt, scheme)
+
+
+class ContextRecordingSource(RecordingRemoteSource):
+    def __init__(self, source):
+        super().__init__(source)
+        self.contexts = []
+
+    def retrieve(self, query_text, k):
+        self.contexts.append(CLAIM_CONTEXT.get())
+        return super().retrieve(query_text, k)
+
+
 class TestThreads:
     def test_remote_verdict_calls_overlap(self, mock, claim, scheme, template):
         verdicts = BarrierVerdicts(mock.verdicts)
@@ -377,6 +387,42 @@ class TestThreads:
         assert local.threads == [caller, caller]
         assert len(remote.threads) == 2 and caller not in remote.threads
         assert result == verify_claim(claim, mock, scheme, template, MOCK_CONFIG)
+
+    def test_threads_start_once_per_provider_set(self, mock, scheme, template, thread_starts):
+        sources = dict(mock.sources)
+        sources[WEB] = RecordingRemoteSource(mock.sources[WEB])
+        providers = with_providers(mock, sources=sources, verdicts=BarrierVerdicts(mock.verdicts))
+        claims = fixture_claims() * 2
+        for claim in claims:
+            verify_claim(claim, providers, scheme, template, MOCK_CONFIG)
+        # one claim's peak, its four overlapping verdict calls, for all ten claims
+        assert len(claims) == 10 and len(thread_starts) == 4
+        assert len(sources[WEB].threads) == 20 and len(providers.verdicts.threads) == 4
+
+    def test_all_local_claim_starts_no_thread(self, mock, scheme, template, thread_starts):
+        for claim in fixture_claims():
+            verify_claim(claim, mock, scheme, template, MOCK_CONFIG)
+        assert thread_starts == []
+
+    def test_network_calls_run_in_the_callers_context(self, mock, claim, scheme, template):
+        sources = dict(mock.sources)
+        remote = sources[WEB] = ContextRecordingSource(mock.sources[WEB])
+        verdicts = RemoteVerdicts(mock.verdicts)
+        providers = with_providers(mock, sources=sources, verdicts=verdicts)
+        for value in ("first", "second"):  # the second claim reuses the first one's threads
+            token = CLAIM_CONTEXT.set(value)
+            try:
+                verify_claim(claim, providers, scheme, template, MOCK_CONFIG)
+            finally:
+                CLAIM_CONTEXT.reset(token)
+        assert remote.contexts == ["first"] * 2 + ["second"] * 2
+        assert verdicts.contexts == ["first"] * 4 + ["second"] * 4
+        assert threading.get_ident() not in remote.threads
+
+    def test_copies_share_the_threads(self, mock):
+        copy = dataclasses.replace(mock, sources={WEB: mock.sources[WEB]})
+        assert copy._network is mock._network
+        assert with_providers(mock)._network is not mock._network
 
 
 class FailingEmbedder:

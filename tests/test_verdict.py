@@ -61,6 +61,18 @@ class TestBuildPrompt:
         prompt = build_prompt("c", evidence, scheme3, TEMPLATE)
         assert "{curly}" in prompt
 
+    def test_placeholder_in_claim_stays_as_written(self, scheme3):
+        prompt = build_prompt("Does {options} appear?", [], scheme3, TEMPLATE)
+        assert "Claim:\nDoes {options} appear?\n" in prompt
+        assert prompt.count("A) Supported") == 1
+
+    def test_placeholder_in_evidence_stays_as_written(self, scheme3):
+        evidence = [make_sentence("Quoting {claim}, {evidence} and {options}.")]
+        prompt = build_prompt("Cats purr.", evidence, scheme3, TEMPLATE)
+        assert "1. Quoting {claim}, {evidence} and {options}.\n" in prompt
+        assert prompt.count("Cats purr.") == 1
+        assert prompt.count("A) Supported") == 1
+
 
 class TestConfidenceFromLogits:
     def test_uniform_logits(self, scheme3):
