@@ -99,7 +99,7 @@ def run_experiment(
     When every provider runs in-process, the claims run one at a time on
     the caller's thread, in claim order.  Otherwise up to max_workers
     claims are in flight at once, and their network calls share the
-    provider set's threads.
+    pipeline's kept network threads.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")

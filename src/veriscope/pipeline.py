@@ -9,12 +9,12 @@ the merged evidence.  A failing source is recorded and the rest proceed.
 
 Only calls that wait on the network use threads.  Retrieval from web
 search and from any source class not known to run in-process is
-submitted first to the threads the ProviderSet keeps; the local BM25
+submitted first to the module's network threads; the local BM25
 sources then run on the caller's thread while those requests are in
 flight.  With a remote verdict provider (or any unknown one) the four
 verdict calls of a claim overlap; the rule-based provider runs inline.
-A provider set starts a thread only when none of its threads is idle,
-and keeps it for later claims, so an all-local claim starts none.
+A network thread starts only when none is idle and is kept for later
+claims, so an all-local claim starts none.
 One EmbeddingMemo per claim serves pubmed fusion, selection and ranking.
 """
 
@@ -54,6 +54,14 @@ from .verdict import (
 
 log = logging.getLogger(__name__)
 
+# The threads for calls that wait on the network, shared by every claim.
+# No cap of its own: a thread starts only when none is idle, so the count
+# stays near the peak number of calls in flight (a thread that has just
+# finished a call is not idle until it marks itself so), and callers bound
+# that peak: a claim waits for its at most max(2 * sources, sources + 1)
+# calls, and run_experiment bounds the claims in flight.
+_NETWORK = ThreadPoolExecutor(sys.maxsize, "veriscope-network")
+
 
 def _in_process(provider) -> bool:
     """True when no call of provider leaves this process.
@@ -89,16 +97,6 @@ class ProviderSet:
     embedder: EmbeddingProvider
     verdicts: VerdictProvider
     negator: NegationProvider | None = None
-    # The threads for calls that wait on the network, kept for later claims.
-    # A field only so that copies made with dataclasses.replace share them;
-    # not a setting.  No cap of its own: a thread starts only when none is
-    # idle, so the count settles at the peak number of calls in flight,
-    # which callers bound (a claim waits for its at most max(2 * sources,
-    # sources + 1) calls; run_experiment bounds the claims in flight).
-    _network: ThreadPoolExecutor = field(
-        default_factory=partial(ThreadPoolExecutor, sys.maxsize, "veriscope-network"),
-        repr=False, compare=False, kw_only=True,
-    )
 
     def describe(self) -> dict:
         return {
@@ -133,11 +131,11 @@ class ClaimVerification(JsonRecord):
         self.profile = build_profile(self.verdicts)
 
 
-def _run_calls(pool: ThreadPoolExecutor, calls: dict) -> dict[object, Future]:
+def _run_calls(calls: dict) -> dict[object, Future]:
     """Start every call and return key -> Future, in the order of calls.
 
     calls maps a key to (waits_on_network, fn, *args).  Network-bound
-    calls are submitted to the pool first, each in a copy of the caller's
+    calls are submitted to _NETWORK first, each in a copy of the caller's
     context, so context variables set for the claim reach them; the rest
     then run here, on the caller's thread, while those requests are in
     flight.  It returns when every call is done, so no call outlives its
@@ -147,7 +145,7 @@ def _run_calls(pool: ThreadPoolExecutor, calls: dict) -> dict[object, Future]:
     futures: dict[object, Future] = {}
     for key, (network, fn, *args) in calls.items():
         if network:
-            futures[key] = pool.submit(contextvars.copy_context().run, fn, *args)
+            futures[key] = _NETWORK.submit(contextvars.copy_context().run, fn, *args)
     submitted = list(futures.values())
     for key, (network, fn, *args) in calls.items():
         if not network:
@@ -225,7 +223,7 @@ def verify_claim(
             calls[(kind, Polarity.FROM_NEGATION)] = (
                 network, retrieve, claim.negated_text, cfg.retrieval_depth
             )
-    futures = _run_calls(providers._network, calls)
+    futures = _run_calls(calls)
     source_errors: dict[SourceKind, str] = {}
     retrieved: dict[SourceKind, tuple[list, list]] = {}
     for kind in kinds:
@@ -287,7 +285,7 @@ def verify_claim(
     else:
         calls[MERGED] = (remote_verdicts, predict_verdict, claim, aggregated.sentences,
                          providers.verdicts, scheme, template)
-    futures = _run_calls(providers._network, calls)
+    futures = _run_calls(calls)
 
     verdicts: dict[SourceKind, VeracityVerdict] = {}
     for kind in kinds + [MERGED]:

@@ -453,18 +453,16 @@ class TestRunExperiment:
         run_plan(tmp_path, providers, scheme, max_workers=4)
         assert thread_starts == []
 
-    def test_runs_share_the_provider_sets_threads(self, tmp_path, providers, scheme, thread_starts):
+    def test_runs_reuse_the_network_threads(self, tmp_path, providers, scheme, thread_starts):
         import dataclasses
 
         remote = dataclasses.replace(providers, verdicts=BarrierVerdicts(providers.verdicts))
-        network_threads = []
         for out_name in ("first", "second"):
             run_plan(tmp_path, remote, scheme, out_name=out_name, max_workers=1)
-            network_threads.append(
-                sum(name.startswith("veriscope-network") for name in thread_starts)
-            )
-        # run_experiment's copies of the set start the four verdict threads once
-        assert network_threads == [4, 4]
+        # a pool per claim starts 4 verdict threads per claim of each run; kept
+        # threads start at most one claim's peak, once more for any thread still
+        # handing back its last call
+        assert sum(name.startswith("veriscope-network") for name in thread_starts) <= 8
 
     def test_claims_in_flight_share_the_threads_without_mixing(self, tmp_path, providers, scheme):
         import dataclasses
