@@ -1,24 +1,25 @@
 """Small JSON-over-HTTP client shared by the remote providers and web search.
 
-Bounds the number of in-flight requests with a semaphore and retries
-rate-limit (429) and server (5xx) responses and transport errors with
-exponential backoff.  Every other failure surfaces as
-ProviderUnavailable.
+Each client lets at most MAX_IN_FLIGHT (4) requests run at once and
+retries rate-limit (429) and server (5xx) responses and transport
+errors, timeouts included, MAX_RETRIES (4) times with exponential
+backoff: 0.5, 1, 2 and 4 s, 7.5 s in all.  Every other failure,
+a 200 whose body is not JSON among them, surfaces at once as
+ProviderUnavailable, and so does the last retried failure.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable
 
 import requests
 
 from .errors import ProviderUnavailable
 
-DEFAULT_MAX_IN_FLIGHT = 4
-DEFAULT_MAX_RETRIES = 4
-DEFAULT_BACKOFF_BASE = 0.5
+MAX_IN_FLIGHT = 4
+MAX_RETRIES = 4
+BACKOFF_BASE = 0.5
 
 
 class JsonHttpClient:
@@ -27,21 +28,14 @@ class JsonHttpClient:
         url: str,
         api_key: str | None = None,
         *,
-        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        backoff_base: float = DEFAULT_BACKOFF_BASE,
         timeout: float = 30.0,
         session: requests.Session | None = None,
-        sleep: Callable[[float], None] = time.sleep,
     ):
         self.url = url
         self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
-        self._semaphore = threading.Semaphore(max_in_flight)
-        self._max_retries = max_retries
-        self._backoff_base = backoff_base
+        self._semaphore = threading.Semaphore(MAX_IN_FLIGHT)
         self._timeout = timeout
         self._session = session or requests.Session()
-        self._sleep = sleep
 
     def post(self, payload: dict):
         """POST a JSON payload and return the decoded JSON response."""
@@ -54,7 +48,7 @@ class JsonHttpClient:
     def _request(self, send, **kwargs):
         with self._semaphore:
             last_error = None
-            for attempt in range(self._max_retries + 1):
+            for attempt in range(MAX_RETRIES + 1):
                 try:
                     response = send(self.url, timeout=self._timeout, **kwargs)
                 except requests.RequestException as exc:
@@ -71,6 +65,6 @@ class JsonHttpClient:
                         last_error = f"HTTP {response.status_code}"
                     else:
                         raise ProviderUnavailable(f"{self.url}: HTTP {response.status_code}")
-                if attempt < self._max_retries:
-                    self._sleep(self._backoff_base * (2**attempt))
+                if attempt < MAX_RETRIES:
+                    time.sleep(BACKOFF_BASE * (2**attempt))
             raise ProviderUnavailable(f"{self.url}: giving up after retries ({last_error})")

@@ -87,20 +87,15 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _pipeline_config(config: dict, mock: bool) -> PipelineConfig:
-    fields = {
-        key: config[key]
-        for key in ("retrieval_depth", "selection_docs", "sentences_per_doc", "final_top_p", "seed")
-        if key in config
-    }
-    if "merge_heuristic" in config:
-        fields["merge_heuristic"] = bool(config["merge_heuristic"])
+    fields = {f.name: config[f.name] for f in dataclasses.fields(PipelineConfig) if f.name in config}
     if not fields:
         return MOCK_CONFIG if mock else PipelineConfig()
-    if "retrieval_depth" in fields and "selection_docs" not in fields:
-        fields["selection_docs"] = min(PipelineConfig().selection_docs, fields["retrieval_depth"])
+    depth = fields.get("retrieval_depth")
+    if isinstance(depth, int) and "selection_docs" not in fields:
+        fields["selection_docs"] = min(PipelineConfig().selection_docs, depth)
     try:
         return PipelineConfig(**fields)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"invalid pipeline config: {exc}")
 
 

@@ -89,8 +89,8 @@ class RemoteNegationProvider:
 
     Endpoint, key, and model come from NEGATION_API_URL / NEGATION_API_KEY /
     NEGATION_MODEL unless passed explicitly; the prompt is the bundled
-    "negation" template.  Requests go through JsonHttpClient (4 in flight
-    by default, exponential backoff on rate limits).
+    "negation" template.  Requests go through JsonHttpClient (at most 4 in
+    flight, exponential backoff on rate limits).
     """
 
     def __init__(

@@ -44,8 +44,8 @@ class EvidenceSentence(JsonRecord):
     """A candidate evidence sentence with provenance and similarity.
 
     normalized is derived from text, so a trace never stores it, and
-    similarity is clamped to [-1, 1] (values outside by more than 1e-9
-    are rejected).
+    similarity is clamped to [-1, 1] (NaN, and values outside by more
+    than 1e-9, are rejected).
     """
 
     text: str
@@ -58,7 +58,7 @@ class EvidenceSentence(JsonRecord):
     def __post_init__(self):
         object.__setattr__(self, "normalized", normalize_sentence(self.text))
         sim = float(self.similarity)
-        if sim < -1.0 - 1e-9 or sim > 1.0 + 1e-9:
+        if not -1.0 - 1e-9 <= sim <= 1.0 + 1e-9:
             raise ValueError(f"similarity {sim} outside [-1, 1]")
         object.__setattr__(self, "similarity", min(1.0, max(-1.0, sim)))
 
@@ -103,7 +103,11 @@ class HashedBowEmbedder:
 
 
 class RemoteEmbedder:
-    """HTTP embedding endpoint: request a list of strings, receive float arrays."""
+    """HTTP embedding endpoint: request a list of strings, receive float arrays.
+
+    Requests go through JsonHttpClient, so rate limits, 5xx and transport
+    errors are retried with backoff before the call fails.
+    """
 
     def __init__(
         self,
@@ -120,9 +124,10 @@ class RemoteEmbedder:
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text, in order.
 
-        A reply whose rows differ in length, or whose row count differs
-        from len(texts), raises ProviderUnavailable: callers map rows to
-        texts by position.
+        A reply whose rows differ in length, whose row count differs from
+        len(texts), or that holds a non-finite value (JSON decoding accepts
+        NaN and Infinity) raises ProviderUnavailable: callers map rows to
+        texts by position and score them as cosines.
         """
         data = self._client.post({"input": list(texts)})
         try:
@@ -134,6 +139,8 @@ class RemoteEmbedder:
             raise ProviderUnavailable(
                 f"embedding reply has shape {matrix.shape} for {len(texts)} texts"
             )
+        if not np.isfinite(matrix).all():
+            raise ProviderUnavailable("embedding reply has non-finite values")
         return matrix
 
 

@@ -30,6 +30,8 @@ from .types import SourceKind, WEB, split_sentences
 ENV_SEARCH_KEY = "SEARCH_API_KEY"
 ENV_SEARCH_ENGINE = "SEARCH_ENGINE_ID"
 DEFAULT_SEARCH_ENDPOINT = "https://www.googleapis.com/customsearch/v1"
+#: Seconds a search request may take before it counts as a transport error.
+SEARCH_TIMEOUT = 10.0
 
 #: Rank-reciprocal fusion constant for hybrid lexical/dense ranking.
 RRF_CONSTANT = 60
@@ -214,7 +216,6 @@ class WebSearchSource:
         api_key: str | None = None,
         engine_id: str | None = None,
         session: requests.Session | None = None,
-        timeout: float = 10.0,
     ):
         self.kind = kind
         self._api_key = api_key or os.environ.get(ENV_SEARCH_KEY)
@@ -223,7 +224,7 @@ class WebSearchSource:
             raise ConfigurationError(
                 f"web search needs {ENV_SEARCH_KEY} and {ENV_SEARCH_ENGINE}"
             )
-        self._client = JsonHttpClient(endpoint, session=session, timeout=timeout)
+        self._client = JsonHttpClient(endpoint, timeout=SEARCH_TIMEOUT, session=session)
 
     def retrieve(self, query_text: str, k: int) -> list[RetrievedDocument]:
         if k < 0:

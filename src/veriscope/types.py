@@ -259,6 +259,9 @@ class PipelineConfig(JsonRecord):
     final_top_p       evidence sentences kept per source after ranking
     seed              seed for any stochastic tie-breaking (subset shuffles)
     merge_heuristic   enable the dangling-segment fusion clause in merging
+
+    The four counts must be ints (not bools) and merge_heuristic a bool;
+    anything else raises ValueError.
     """
 
     retrieval_depth: int = 5
@@ -270,7 +273,12 @@ class PipelineConfig(JsonRecord):
 
     def __post_init__(self):
         for name in ("retrieval_depth", "selection_docs", "sentences_per_doc", "final_top_p"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not isinstance(self.merge_heuristic, bool):
+            raise ValueError(f"merge_heuristic must be true or false, got {self.merge_heuristic!r}")
         if self.selection_docs > self.retrieval_depth:
             raise ValueError("selection_docs must not exceed retrieval_depth")

@@ -1,8 +1,15 @@
+import json
 import threading
+import time
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+import requests
 
+from veriscope import _http
 from veriscope.errors import ProviderUnavailable
 from veriscope.selection import EvidenceSentence, HashedBowEmbedder, Polarity
 from veriscope.sources import RetrievedDocument
@@ -137,3 +144,107 @@ class FixtureEmbedder:
             return np.stack([self._vectors[text] for text in texts])
         except KeyError as exc:
             raise ProviderUnavailable(f"no fixture vector for {exc.args[0]!r}") from exc
+
+
+class Request(NamedTuple):
+    """One request a ScriptedSession received."""
+
+    method: str
+    url: str
+    params: dict | None
+    json: object
+    headers: dict | None
+
+
+@dataclass(frozen=True)
+class Reply:
+    """One scripted answer, given after delay seconds.
+
+    A status with a JSON body (body), a status with a body that is not
+    JSON (text), or an error raised instead: an exception, or a requests
+    exception class, raised as requests raises it, with the request URL,
+    query string included, in its message.
+    """
+
+    status: int = 200
+    body: object = None
+    text: str | None = None
+    error: Exception | type[requests.RequestException] | None = None
+    delay: float = 0.0
+
+    def answer(self, request: Request) -> requests.Response:
+        time.sleep(self.delay)
+        url = requests.Request(request.method, request.url, params=request.params).prepare().url
+        if isinstance(self.error, type):
+            raise self.error(f"{self.error.__name__}: Max retries exceeded with url: {url}")
+        if self.error is not None:
+            raise self.error
+        response = requests.Response()
+        response.status_code = self.status
+        response._content = (json.dumps(self.body) if self.text is None else self.text).encode()
+        response.encoding = "utf-8"
+        response.url = url
+        return response
+
+
+class ScriptedSession:
+    """The one fake requests.Session: GET and POST answer from one schedule.
+
+    Each request takes the next entry of the schedule: a Reply, or a
+    function of the Request that returns one.  Once the schedule is used
+    up, then answers every request; without it an unscripted request
+    fails the test.  requests records every request in arrival order and
+    peak_in_flight the most requests answered at once.
+    """
+
+    def __init__(self, *schedule, then=None):
+        self._schedule = list(schedule)
+        self._then = then
+        self._lock = threading.Lock()
+        self._in_flight = 0
+        self.peak_in_flight = 0
+        self.requests: list[Request] = []
+
+    def get(self, url, params=None, timeout=None):
+        return self._answer(Request("GET", url, params, None, None))
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return self._answer(Request("POST", url, None, json, headers))
+
+    def _answer(self, request):
+        with self._lock:
+            self.requests.append(request)
+            entry = self._schedule.pop(0) if self._schedule else self._then
+            if entry is None:
+                raise AssertionError(f"unscripted request: {request}")
+            self._in_flight += 1
+            self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
+        try:
+            reply = entry if isinstance(entry, Reply) else entry(request)
+            return reply.answer(request)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
+
+@pytest.fixture
+def backoff_sleeps(monkeypatch):
+    """The backoff sleeps of every JsonHttpClient during the test, recorded instead of slept."""
+    sleeps = []
+    monkeypatch.setattr(_http, "time", SimpleNamespace(sleep=sleeps.append))
+    return sleeps
+
+
+def completion(content) -> Reply:
+    """A chat completion whose message content is content."""
+    return Reply(body={"choices": [{"message": {"content": content}}]})
+
+
+def top_logprobs(entries) -> Reply:
+    """A one-token chat completion whose top_logprobs are entries."""
+    return Reply(body={"choices": [{"logprobs": {"content": [{"top_logprobs": entries}]}}]})
+
+
+def embeddings(embedder):
+    """A schedule entry answering an embedding request with embedder's rows for its input."""
+    return lambda request: Reply(body={"embeddings": embedder.embed(request.json["input"]).tolist()})

@@ -206,6 +206,23 @@ class TestEvaluateCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"retrieval_depth": 4.5, "selection_docs": 3},
+            {"retrieval_depth": "4"},
+            {"final_top_p": 2.5},
+            {"merge_heuristic": "false"},
+        ],
+        ids=["float-depth", "text-depth", "float-top-p", "text-heuristic"],
+    )
+    def test_wrong_config_types_usage_error(self, runner, tmp_path, knobs):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(knobs))
+        result = runner.invoke(main, ["verify", "--mock", "--config", str(config), "Cats purr."])
+        assert result.exit_code == 2
+        assert "invalid pipeline config" in result.output
+
     def test_malformed_config_usage_error(self, runner, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")

@@ -1,8 +1,13 @@
+import dataclasses
+import threading
+
 import pytest
 import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import Reply, ScriptedSession, completion
+from veriscope._http import MAX_IN_FLIGHT, JsonHttpClient
 from veriscope.errors import DegenerateNegation, ProviderUnavailable
 from veriscope.negation import (
     AUXILIARIES,
@@ -143,124 +148,53 @@ class TestFixtureNegationProvider:
         assert provider.negate("B is big") == "B is not big"
 
 
-class _FakeResponse:
-    def __init__(self, status_code, payload):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        return self._payload
+URL = "http://fake/api"
 
 
-class _FakeSession:
-    """Scripted responses; records call count and payloads."""
-
-    def __init__(self, responses):
-        self._responses = list(responses)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append(json)
-        result = self._responses.pop(0)
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-
-def _completion(content):
-    return _FakeResponse(200, {"choices": [{"message": {"content": content}}]})
+def remote_negator(session, api_key=None):
+    return RemoteNegationProvider(URL, model="m", client=JsonHttpClient(URL, api_key, session=session))
 
 
 class TestRemoteNegationProvider:
-    def test_parses_completion(self, monkeypatch):
-        from veriscope._http import JsonHttpClient
-
-        session = _FakeSession([_completion("The moon is not made of cheese.")])
-        client = JsonHttpClient("http://fake/api", "key", session=session, sleep=lambda s: None)
-        provider = RemoteNegationProvider(url="http://fake/api", client=client, model="m")
+    def test_parses_completion(self):
+        session = ScriptedSession(completion("The moon is not made of cheese."))
+        provider = remote_negator(session, "key")
         assert provider.negate("The moon is made of cheese.") == "The moon is not made of cheese."
-        assert session.calls[0]["model"] == "m"
-        assert "cheese" in session.calls[0]["messages"][0]["content"]
+        [request] = session.requests
+        assert (request.method, request.url) == ("POST", URL)
+        assert request.headers == {"Authorization": "Bearer key"}
+        assert request.json["model"] == "m"
+        assert "cheese" in request.json["messages"][0]["content"]
 
-    def test_rate_limit_backoff_then_success(self):
-        from veriscope._http import JsonHttpClient
+    def test_rate_limit_backoff_then_success(self, backoff_sleeps):
+        session = ScriptedSession(Reply(429), Reply(500), completion("Not so."))
+        assert remote_negator(session).negate("So.") == "Not so."
+        assert backoff_sleeps == [0.5, 1.0]
 
-        session = _FakeSession(
-            [_FakeResponse(429, {}), _FakeResponse(500, {}), _completion("Not so.")]
-        )
-        sleeps = []
-        client = JsonHttpClient(
-            "http://fake/api",
-            backoff_base=0.5,
-            session=session,
-            sleep=sleeps.append,
-        )
-        provider = RemoteNegationProvider(url="http://fake/api", client=client)
-        assert provider.negate("So.") == "Not so."
-        assert sleeps == [0.5, 1.0]
-
-    def test_gives_up_after_retries(self):
-        from veriscope._http import JsonHttpClient
-
-        session = _FakeSession([_FakeResponse(429, {})] * 5)
-        client = JsonHttpClient(
-            "http://fake/api", max_retries=4, session=session, sleep=lambda s: None
-        )
-        provider = RemoteNegationProvider(url="http://fake/api", client=client)
-        with pytest.raises(ProviderUnavailable):
-            provider.negate("So.")
+    def test_gives_up_after_retries(self, backoff_sleeps):
+        session = ScriptedSession(*[Reply(429)] * 5)
+        with pytest.raises(ProviderUnavailable, match=r"giving up after retries \(HTTP 429\)"):
+            remote_negator(session).negate("So.")
+        assert len(session.requests) == 5
 
     @pytest.mark.parametrize("content", [None, 7, ["Not so."]], ids=["null", "number", "list"])
     def test_content_not_text_is_unavailable(self, content):
-        from veriscope._http import JsonHttpClient
-
-        client = JsonHttpClient(
-            "http://fake/api", session=_FakeSession([_completion(content)]), sleep=lambda s: None
-        )
-        provider = RemoteNegationProvider(url="http://fake/api", client=client)
         with pytest.raises(ProviderUnavailable, match="not text"):
-            provider.negate("So.")
+            remote_negator(ScriptedSession(completion(content))).negate("So.")
 
-    def test_network_error(self):
-        from veriscope._http import JsonHttpClient
-
-        session = _FakeSession([requests.ConnectionError("refused")] * 5)
-        client = JsonHttpClient(
-            "http://fake/api", max_retries=4, session=session, sleep=lambda s: None
-        )
-        provider = RemoteNegationProvider(url="http://fake/api", client=client)
-        with pytest.raises(ProviderUnavailable):
-            provider.negate("So.")
+    def test_network_error(self, backoff_sleeps):
+        session = ScriptedSession(*[Reply(error=requests.ConnectionError)] * 5)
+        with pytest.raises(ProviderUnavailable, match="ConnectionError"):
+            remote_negator(session).negate("So.")
+        assert len(session.requests) == 5
 
     def test_bounded_in_flight(self):
-        import threading
-
-        from veriscope._http import JsonHttpClient
-
-        in_flight = 0
-        peak = 0
-        lock = threading.Lock()
-
-        class _SlowSession:
-            def post(self, url, json=None, headers=None, timeout=None):
-                nonlocal in_flight, peak
-                with lock:
-                    in_flight += 1
-                    peak = max(peak, in_flight)
-                threading.Event().wait(0.02)
-                with lock:
-                    in_flight -= 1
-                return _completion("Not so.")
-
-        client = JsonHttpClient(
-            "http://fake/api", max_in_flight=2, session=_SlowSession(), sleep=lambda s: None
-        )
-        provider = RemoteNegationProvider(url="http://fake/api", client=client)
-        threads = [
-            threading.Thread(target=provider.negate, args=("So.",)) for _ in range(8)
-        ]
+        session = ScriptedSession(then=dataclasses.replace(completion("Not so."), delay=0.1))
+        provider = remote_negator(session)
+        threads = [threading.Thread(target=provider.negate, args=("So.",)) for _ in range(12)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert peak <= 2
+        assert len(session.requests) == 12
+        assert session.peak_in_flight == MAX_IN_FLIGHT

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from conftest import BarrierVerdicts
+from conftest import BarrierVerdicts, Reply, ScriptedSession, top_logprobs
 from veriscope import index as index_module
 from veriscope._http import JsonHttpClient
 from veriscope.assets import fixture_path, load_prompt, load_scheme
@@ -461,33 +461,15 @@ class TestFusionOutage:
             assert set(json.loads(path.read_text())["source_errors"]) == {"pubmed"}
 
 
-class _Reply:
-    status_code = 200
-
-    def __init__(self, payload):
-        self._payload = payload
-
-    def json(self):
-        return self._payload
-
-
-class MalformedSession:
-    """Web search answers with a JSON list; completions with a string top_logprobs."""
-
-    def get(self, url, params=None, timeout=None):
-        return _Reply([{"title": "a list", "link": "http://a"}])
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        return _Reply({"choices": [{"logprobs": {"content": [{"top_logprobs": "A"}]}}]})
-
-
 def test_malformed_replies_become_abstentions(mock, claim, scheme, template):
-    session = MalformedSession()
+    # web search answers with a JSON list, completions with a string top_logprobs
+    search = ScriptedSession(then=Reply(body=[{"title": "a list", "link": "http://a"}]))
+    llm = ScriptedSession(then=top_logprobs("A"))
     providers = with_providers(
         mock,
-        sources={**mock.sources, WEB: WebSearchSource(api_key="k", engine_id="e", session=session)},
+        sources={**mock.sources, WEB: WebSearchSource(api_key="k", engine_id="e", session=search)},
         verdicts=RemoteVerdictProvider(
-            "http://fake/llm", client=JsonHttpClient("http://fake/llm", session=session)
+            "http://fake/llm", client=JsonHttpClient("http://fake/llm", session=llm)
         ),
     )
     result = verify_claim(claim, providers, scheme, template, MOCK_CONFIG)

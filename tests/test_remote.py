@@ -1,0 +1,403 @@
+"""Every remote provider over the one scripted fake session.
+
+The schedule matrix sends each remote provider (negation, embeddings,
+verdicts, web search) through the same failures and checks the requests
+sent, the backoff sleeps, the outcome, and that the key reaches neither
+the exception nor a log record.  The failure-semantics tests then run
+verify_claim and run_experiment over a live-style provider set (those
+four remote providers on scripted sessions, local wikipedia and pubmed
+indexes, pubmed fused through the remote embedder): one test per bullet
+of the README's "Failure semantics" list that involves a remote provider.
+"""
+
+import json
+import logging
+import re
+import traceback
+from dataclasses import dataclass
+from typing import Callable
+from urllib.parse import quote_plus
+
+import pytest
+import requests
+
+from conftest import Reply, ScriptedSession, completion, embeddings, top_logprobs
+from veriscope._http import JsonHttpClient
+from veriscope.assets import fixture_path, load_prompt, load_scheme
+from veriscope.datasets import DatasetDescriptor
+from veriscope.errors import DegenerateNegation, ProviderUnavailable, SourceUnavailable
+from veriscope.experiment import ExperimentPlan, plan_claims, run_experiment
+from veriscope.index import build_local_index
+from veriscope.mock import MOCK_CONFIG, MOCK_VERDICT_RULES, mock_claims_path, mock_negations
+from veriscope.negation import RemoteNegationProvider, rule_based_negate
+from veriscope.pipeline import ClaimCondition, ProviderSet, verify_claim
+from veriscope.selection import HashedBowEmbedder, RemoteEmbedder
+from veriscope.sources import BiomedicalSource, LocalCorpusSource, WebSearchSource
+from veriscope.types import CANONICAL_SOURCES, MERGED, PUBMED, WEB, WIKIPEDIA
+from veriscope.verdict import RemoteVerdictProvider, RuleVerdictProvider
+
+KEY = "sk/secret+key"
+SCHEME = load_scheme("scifact")
+URL = "http://fake/api"
+RETRIED = [0.5, 1.0, 2.0, 4.0]
+
+
+@pytest.fixture(autouse=True)
+def every_log_record(caplog):
+    caplog.set_level(logging.DEBUG)
+
+
+def assert_no_key(*texts):
+    for text in texts:
+        assert KEY not in text and quote_plus(KEY) not in text
+
+
+@dataclass(frozen=True)
+class Remote:
+    """A remote provider over a session, one call of it, and its replies."""
+
+    make: Callable[[ScriptedSession], object]
+    call: Callable[[object], object]
+    ok: Reply
+    result: object  # what call returns on ok
+    wrong_shape: Reply
+    wrong_shape_error: str
+    unavailable: type
+
+
+REMOTES = {
+    "negation": Remote(
+        make=lambda s: RemoteNegationProvider(URL, client=JsonHttpClient(URL, KEY, session=s)),
+        call=lambda provider: provider.negate("So."),
+        ok=completion("Not so."),
+        result="Not so.",
+        wrong_shape=Reply(body={"choices": []}),
+        wrong_shape_error="unexpected completion payload",
+        unavailable=ProviderUnavailable,
+    ),
+    "embedder": Remote(
+        make=lambda s: RemoteEmbedder(URL, client=JsonHttpClient(URL, KEY, session=s)),
+        call=lambda provider: provider.embed(["a", "b"]).tolist(),
+        ok=Reply(body={"embeddings": [[1.0, 2.0], [3.0, 4.0]]}),
+        result=[[1.0, 2.0], [3.0, 4.0]],
+        wrong_shape=Reply(body={"embeddings": [[1.0, 2.0]]}),  # one row for two texts
+        wrong_shape_error="shape",
+        unavailable=ProviderUnavailable,
+    ),
+    "verdicts": Remote(
+        make=lambda s: RemoteVerdictProvider(URL, model="m", client=JsonHttpClient(URL, KEY, session=s)),
+        call=lambda provider: provider.choose("prompt", SCHEME).logits,
+        ok=top_logprobs([{"token": "B", "logprob": -0.25}]),
+        result=(-20.0, -0.25, -20.0),
+        wrong_shape=completion("B"),  # no top_logprobs
+        wrong_shape_error="lacked top_logprobs",
+        unavailable=ProviderUnavailable,
+    ),
+    "web-search": Remote(
+        make=lambda s: WebSearchSource(endpoint=URL, api_key=KEY, engine_id="e", session=s),
+        call=lambda provider: [(d.doc_id, d.body) for d in provider.retrieve("zinc", 2)],
+        ok=Reply(body={"items": [{"title": "Zinc", "snippet": "Mixed.", "link": "http://a"}]}),
+        result=[("http://a", "Zinc. Mixed.")],
+        wrong_shape=Reply(body={"items": "not a list"}),
+        wrong_shape_error="no list of result objects",
+        unavailable=SourceUnavailable,
+    ),
+}
+
+# OK and WRONG_SHAPE stand for the provider's own replies
+OK, WRONG_SHAPE = "ok", "wrong-shape"
+# schedule -> (replies, requests sent, backoff sleeps, error message; None: the call succeeds)
+SCHEDULES = {
+    "429-storm": ([Reply(429)] * 5, 5, RETRIED, r"giving up after retries \(HTTP 429\)"),
+    "5xx-then-success": ([Reply(503), Reply(500), OK], 3, [0.5, 1.0], None),
+    "timeout-then-success": ([Reply(error=requests.Timeout), OK], 2, [0.5], None),
+    "connection-error": (
+        [Reply(error=requests.ConnectionError)] * 5, 5, RETRIED,
+        r"giving up after retries \(ConnectionError",
+    ),
+    "403": ([Reply(403)], 1, [], "HTTP 403"),
+    "non-json-200": ([Reply(text="<html>Bad Gateway</html>")], 1, [], "response was not JSON"),
+    "wrong-shape": ([WRONG_SHAPE], 1, [], WRONG_SHAPE),
+}
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("name", REMOTES)
+def test_schedule(name, schedule, backoff_sleeps, caplog):
+    remote = REMOTES[name]
+    replies, sent, sleeps, error = SCHEDULES[schedule]
+    own = {OK: remote.ok, WRONG_SHAPE: remote.wrong_shape}
+    session = ScriptedSession(*(own[r] if isinstance(r, str) else r for r in replies))
+    provider = remote.make(session)
+    failure = ""
+    if error is None:
+        assert remote.call(provider) == remote.result
+    else:
+        message = remote.wrong_shape_error if error == WRONG_SHAPE else error
+        with pytest.raises(remote.unavailable, match=message) as info:
+            remote.call(provider)
+        failure = "".join(traceback.format_exception(info.value))
+    assert len(session.requests) == sent
+    assert backoff_sleeps == sleeps
+    # every request carried the key, and it reached no message, chained cause or log record
+    assert all(KEY in repr(request) for request in session.requests)
+    assert_no_key(failure, caplog.text)
+
+
+# --- failure semantics over a live-style provider set --------------------------------
+
+CHAT, EMBED, SEARCH = "http://fake/chat", "http://fake/embed", "http://fake/search"
+NEGATIONS = mock_negations()
+RULES = RuleVerdictProvider(MOCK_VERDICT_RULES, default_letter="C")
+TEMPLATE = load_prompt("verdict")
+CLAIMS = plan_claims(ExperimentPlan(
+    dataset=DatasetDescriptor(name="fixture", scheme=SCHEME, path=mock_claims_path()),
+    sources=CANONICAL_SOURCES, condition=ClaimCondition.ORIGINAL_PLUS_NEGATED, cfg=MOCK_CONFIG,
+))
+CLAIM = CLAIMS[0]
+
+
+def prompt_of(request):
+    return request.json["messages"][0]["content"]
+
+
+def negation_reply(request):
+    """The bundled negation of the prompt's claim (the rule-based one for another claim)."""
+    claim = prompt_of(request).rsplit("Claim: ", 1)[1].strip()
+    return completion(NEGATIONS.get(claim) or rule_based_negate(claim))
+
+
+def verdict_reply(request):
+    """The mock rules' log-probabilities, as top_logprobs."""
+    logits = RULES.choose(prompt_of(request), SCHEME).logits
+    return top_logprobs([{"token": t, "logprob": v} for t, v in zip(SCHEME.option_letters, logits)])
+
+
+@pytest.fixture(scope="module")
+def web_index():
+    return build_local_index(fixture_path("corpus_web.jsonl"))
+
+
+@pytest.fixture(scope="module")
+def indexes():
+    return {kind: build_local_index(fixture_path(f"corpus_{kind.name}.jsonl")) for kind in (WIKIPEDIA, PUBMED)}
+
+
+@pytest.fixture
+def live(indexes, web_index):
+    """live(**sessions): a live-style provider set and its sessions, healthy unless replaced.
+
+    The healthy sessions answer as mock mode does: bundled negations,
+    hashed bag-of-words embeddings, the mock verdict rules, and search
+    results from the bundled web corpus.
+    """
+    search = LocalCorpusSource(WEB, web_index)
+
+    def search_reply(request):
+        hits = search.retrieve(request.params["q"], request.params["num"])
+        return Reply(body={"items": [{"title": d.title, "snippet": d.body, "link": d.doc_id} for d in hits]})
+
+    def make(sources=CANONICAL_SOURCES, **replaced):
+        sessions = {
+            "negation": ScriptedSession(then=negation_reply),
+            "embed": ScriptedSession(then=embeddings(HashedBowEmbedder())),
+            "verdicts": ScriptedSession(then=verdict_reply),
+            "search": ScriptedSession(then=search_reply),
+            **replaced,
+        }
+        embedder = RemoteEmbedder(EMBED, client=JsonHttpClient(EMBED, KEY, session=sessions["embed"]))
+        every_source = {
+            WIKIPEDIA: LocalCorpusSource(WIKIPEDIA, indexes[WIKIPEDIA]),
+            PUBMED: BiomedicalSource(PUBMED, indexes[PUBMED], embedder=embedder),
+            WEB: WebSearchSource(endpoint=SEARCH, api_key=KEY, engine_id="e", session=sessions["search"]),
+        }
+        providers = ProviderSet(
+            sources={kind: every_source[kind] for kind in sources},
+            embedder=embedder,
+            verdicts=RemoteVerdictProvider(
+                CHAT, model="m", client=JsonHttpClient(CHAT, KEY, session=sessions["verdicts"])
+            ),
+            negator=RemoteNegationProvider(
+                CHAT, model="m", client=JsonHttpClient(CHAT, KEY, session=sessions["negation"])
+            ),
+        )
+        return providers, sessions
+
+    return make
+
+
+def verify(providers, claim=CLAIM):
+    return verify_claim(claim, providers, SCHEME, TEMPLATE, MOCK_CONFIG)
+
+
+def test_healthy_live_set_answers_like_mock_mode(live, caplog):
+    providers, sessions = live()
+    result = verify(providers)
+    assert result.source_errors == {}
+    assert not any(verdict.abstained for verdict in result.verdicts.values())
+    assert result.claim.negated_text == NEGATIONS[CLAIM.text]
+    # one negation, two searches, four verdicts
+    assert [len(sessions[name].requests) for name in ("negation", "search", "verdicts")] == [1, 2, 4]
+    assert_no_key(json.dumps(result.to_dict()), caplog.text)
+
+
+PUBMED_BODIES = {doc.body for doc in build_local_index(fixture_path("corpus_pubmed.jsonl")).by_row}
+
+
+def pubmed_fusion_fails(request):
+    """400 for any embedding call that carries a pubmed abstract: only fusion's calls do."""
+    if PUBMED_BODIES & set(request.json["input"]):
+        return Reply(400)
+    return embeddings(HashedBowEmbedder())(request)
+
+
+@pytest.mark.parametrize(
+    "kind, session, reply, error",
+    [
+        (WEB, "search", Reply(403), "web search failed: .*HTTP 403"),
+        (WEB, "search", Reply(error=requests.ConnectionError), "key=<redacted>"),
+        (WEB, "search", Reply(body={"items": "x"}), "no list of result objects"),
+        (PUBMED, "embed", pubmed_fusion_fails, "dense fusion embedding failed"),
+    ],
+    ids=["search-403", "search-down", "search-malformed", "fusion-embedding"],
+)
+def test_failed_retrieval_abstains_that_source(live, kind, session, reply, error, backoff_sleeps, caplog):
+    """Abstains: a source's retrieval (failed request, malformed search reply, failed fusion embedding)."""
+    providers, _ = live(**{session: ScriptedSession(then=reply)})
+    result = verify(providers)
+    assert set(result.source_errors) == {kind}
+    assert re.search(error, result.source_errors[kind])
+    assert {k for k, v in result.verdicts.items() if v.abstained} == {kind}
+    assert_no_key(json.dumps(result.to_dict()), caplog.text)
+
+
+@pytest.mark.parametrize(
+    "reply, errors",
+    [
+        (Reply(error=requests.ConnectionError), "giving up after retries"),
+        (top_logprobs("A"), "top_logprobs is a str"),
+        (top_logprobs([{"token": "A", "logprob": None}]), "no finite logprob"),
+        (top_logprobs([{"token": "maybe", "logprob": -0.1}]), None),
+    ],
+    ids=["verdicts-down", "top_logprobs-not-a-list", "logprob-missing", "no-option-letter"],
+)
+def test_failed_verdict_call_abstains(live, reply, errors, backoff_sleeps, caplog):
+    """Abstains: a verdict call (failed request, malformed top_logprobs, no option letter)."""
+    providers, sessions = live(verdicts=ScriptedSession(then=reply))
+    result = verify(providers)
+    assert all(verdict.abstained for verdict in result.verdicts.values())
+    if errors is None:  # no option letter: recorded at the floor, no cause
+        assert result.source_errors == {}
+        assert len(sessions["verdicts"].requests) == 4
+    else:
+        assert set(result.source_errors) == set(CANONICAL_SOURCES) | {MERGED}
+        assert all(errors in message for message in result.source_errors.values())
+    assert_no_key(json.dumps(result.to_dict()), caplog.text)
+
+
+def test_zero_claim_vector_abstains_every_source(live, caplog):
+    """Abstains: a source whose candidates cannot be ranked (the claim embeds to zeros).
+
+    Every source fails before the verdicts, so the merged verdict abstains
+    too, and no verdict request is sent.
+    """
+    hashed = embeddings(HashedBowEmbedder())
+
+    def zero_claim(request):
+        reply = hashed(request)
+        rows = [[0.0] * len(row) if text == CLAIM.text else row
+                for text, row in zip(request.json["input"], reply.body["embeddings"])]
+        return Reply(body={"embeddings": rows})
+
+    providers, sessions = live(embed=ScriptedSession(then=zero_claim))
+    result = verify(providers)
+    assert set(result.source_errors) == set(CANONICAL_SOURCES) | {MERGED}
+    assert all("zero vector" in result.source_errors[kind] for kind in CANONICAL_SOURCES)
+    assert all(verdict.abstained for verdict in result.verdicts.values())
+    assert sessions["verdicts"].requests == []
+    assert_no_key(caplog.text)
+
+
+def test_every_source_down_abstains_the_merged_verdict_without_a_call(live, backoff_sleeps, caplog):
+    """Abstains: the merged verdict, with no provider call, when every source failed."""
+    down = Reply(error=requests.ConnectionError)
+    providers, sessions = live(
+        sources=(PUBMED, WEB), embed=ScriptedSession(then=down), search=ScriptedSession(then=down)
+    )
+    result = verify(providers)
+    assert result.source_errors[MERGED] == "every source failed"
+    assert set(result.source_errors) == {PUBMED, WEB, MERGED}
+    assert all(verdict.abstained for verdict in result.verdicts.values())
+    assert sessions["verdicts"].requests == []
+    assert_no_key(json.dumps(result.to_dict()), caplog.text)
+
+
+@pytest.mark.parametrize(
+    "reply, raised",
+    [
+        (Reply(error=requests.Timeout), ProviderUnavailable),
+        (completion(7), ProviderUnavailable),
+        (completion(CLAIM.text), DegenerateNegation),
+        (completion(""), DegenerateNegation),
+    ],
+    ids=["negation-down", "content-not-text", "negation-equals-claim", "negation-empty"],
+)
+def test_failed_negation_aborts_the_claim(live, reply, raised, backoff_sleeps, caplog):
+    """Aborts: a failed negation (outage, content not text, degenerate reply); no fallback."""
+    providers, sessions = live(negation=ScriptedSession(then=reply))
+    with pytest.raises(raised) as info:
+        verify(providers)
+    # nothing after negation ran
+    assert [len(sessions[name].requests) for name in ("embed", "verdicts", "search")] == [0, 0, 0]
+    assert_no_key("".join(traceback.format_exception(info.value)), caplog.text)
+
+
+def embedding_reply(change):
+    """Hashed bag-of-words rows for the request, passed through change(rows)."""
+    hashed = embeddings(HashedBowEmbedder())
+    return lambda request: Reply(body={"embeddings": change(hashed(request).body["embeddings"])})
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        (Reply(error=requests.ConnectionError), "giving up after retries"),
+        (embedding_reply(lambda rows: rows[:-1]), "shape"),
+        (embedding_reply(lambda rows: [rows[0][:-1], *rows[1:]]), "unexpected embedding payload"),
+        (embedding_reply(lambda rows: [[float("nan")] * len(rows[0]), *rows[1:]]), "non-finite"),
+    ],
+    ids=["embeddings-down", "row-missing", "ragged-rows", "non-finite-row"],
+)
+def test_failed_embedding_aborts_the_claim(live, reply, error, backoff_sleeps, caplog):
+    """Aborts: an embedding call during selection or ranking that fails after the per-document retry."""
+    providers, _ = live(embed=ScriptedSession(then=reply))
+    with pytest.raises(ProviderUnavailable, match=error) as info:
+        verify(providers)
+    assert_no_key("".join(traceback.format_exception(info.value)), caplog.text)
+    assert "embedding per document" in caplog.text  # the batched call failed first
+
+
+def test_failed_claim_aborts_the_run_and_a_rerun_resumes(live, tmp_path, backoff_sleeps, caplog):
+    """Aborts the run; a re-run resumes: claims before the failing one keep their traces."""
+    failing = CLAIMS[2]
+
+    def negation_down_for_failing(request):
+        if failing.text in prompt_of(request):
+            return Reply(error=requests.ConnectionError)
+        return negation_reply(request)
+
+    plan = ExperimentPlan(
+        dataset=DatasetDescriptor(name="fixture", scheme=SCHEME, path=mock_claims_path()),
+        sources=CANONICAL_SOURCES, condition=ClaimCondition.ORIGINAL_PLUS_NEGATED, cfg=MOCK_CONFIG,
+    )
+    full = run_experiment(plan, live()[0], tmp_path / "full", max_workers=1)
+    outage, _ = live(negation=ScriptedSession(then=negation_down_for_failing))
+    resumed = tmp_path / "resumed"
+    with pytest.raises(ProviderUnavailable):
+        run_experiment(plan, outage, resumed, max_workers=1)
+    assert sorted(p.name for p in resumed.iterdir()) == ["run-manifest.json", "traces"]
+    assert sorted(p.stem for p in (resumed / "traces").iterdir()) == sorted(c.id for c in CLAIMS[:2])
+    run_experiment(plan, live()[0], resumed, max_workers=1)
+    files = sorted(p for p in full.rglob("*") if p.is_file())
+    assert [p.read_bytes() for p in files] == [(resumed / p.relative_to(full)).read_bytes() for p in files]
+    assert_no_key(*(p.read_text() for p in files), caplog.text)

@@ -1,17 +1,20 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FixtureEmbedder, ZeroVector, cosine_similarity, make_doc
+from conftest import FixtureEmbedder, Reply, ScriptedSession, ZeroVector, cosine_similarity, make_doc
+from veriscope._http import JsonHttpClient
 from veriscope.errors import ProviderUnavailable
 from veriscope.selection import (
     EmbeddingMemo,
     EvidenceSentence,
     HashedBowEmbedder,
     Polarity,
+    RemoteEmbedder,
     select_evidence,
 )
 from veriscope.sources import split_sentences
@@ -247,6 +250,13 @@ class TestEvidenceSentence:
                 similarity=1.5,
             )
 
+    def test_nan_similarity_rejected(self):
+        with pytest.raises(ValueError, match="nan outside"):
+            EvidenceSentence(
+                text="x y z", source=PUBMED, doc_id="d", polarity=Polarity.FROM_CLAIM,
+                similarity=math.nan,
+            )
+
     def test_round_trip(self):
         sentence = EvidenceSentence(
             text="Cats sleep.", source=PUBMED, doc_id="d9", polarity=Polarity.FROM_NEGATION,
@@ -255,36 +265,20 @@ class TestEvidenceSentence:
         assert EvidenceSentence.from_dict(sentence.to_dict()) == sentence
 
 
+def remote_embedder(*schedule):
+    """A RemoteEmbedder over a ScriptedSession of schedule, and that session."""
+    session = ScriptedSession(*schedule)
+    client = JsonHttpClient("http://fake/embed", session=session)
+    return RemoteEmbedder(url="http://fake/embed", client=client), session
+
+
 class TestRemoteEmbedder:
-    def _client(self, payload):
-        from veriscope._http import JsonHttpClient
-
-        class _Session:
-            def __init__(self):
-                self.payloads = []
-
-            def post(self, url, json=None, headers=None, timeout=None):
-                self.payloads.append(json)
-
-                class _Resp:
-                    status_code = 200
-
-                    def json(self):
-                        return payload
-
-                return _Resp()
-
-        session = _Session()
-        return JsonHttpClient("http://fake/embed", session=session, sleep=lambda s: None), session
-
     def test_parses_embeddings_field(self):
-        from veriscope.selection import RemoteEmbedder
-
-        client, session = self._client({"embeddings": [[1.0, 2.0], [3.0, 4.0]]})
-        embedder = RemoteEmbedder(url="http://fake/embed", client=client)
+        embedder, session = remote_embedder(Reply(body={"embeddings": [[1.0, 2.0], [3.0, 4.0]]}))
         vectors = embedder.embed(["a", "b"])
         assert vectors.shape == (2, 2)
-        assert session.payloads[0] == {"input": ["a", "b"]}
+        [request] = session.requests
+        assert request.json == {"input": ["a", "b"]}
 
     @pytest.mark.parametrize(
         "vectors",
@@ -298,18 +292,19 @@ class TestRemoteEmbedder:
         ids=["short", "long", "ragged", "flat", "non-numeric"],
     )
     def test_reply_not_one_row_per_text_raises(self, vectors):
-        from veriscope.selection import RemoteEmbedder
-
-        client, _ = self._client({"embeddings": vectors})
-        embedder = RemoteEmbedder(url="http://fake/embed", client=client)
+        embedder, _ = remote_embedder(Reply(body={"embeddings": vectors}))
         with pytest.raises(ProviderUnavailable):
             embedder.embed(["a", "b"])
 
-    def test_bad_payload_raises(self):
-        from veriscope.selection import RemoteEmbedder
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_raises(self, value):
+        # json, which requests decodes with, reads NaN and Infinity as floats
+        embedder, _ = remote_embedder(Reply(body={"embeddings": [[1.0, 2.0], [value, 1.0]]}))
+        with pytest.raises(ProviderUnavailable, match="non-finite"):
+            embedder.embed(["a", "b"])
 
-        client, _ = self._client(["not", "a", "dict"])
-        embedder = RemoteEmbedder(url="http://fake/embed", client=client)
+    def test_bad_payload_raises(self):
+        embedder, _ = remote_embedder(Reply(body=["not", "a", "dict"]))
         with pytest.raises(ProviderUnavailable):
             embedder.embed(["a"])
 
@@ -391,6 +386,22 @@ class TestSelectEvidence:
         ]
         with pytest.raises(ProviderUnavailable, match="Unknown sentence here"):
             select_evidence("cats", docs, EmbeddingMemo(fixture), cfg)
+
+    def test_non_finite_embedding_is_not_evidence(self, cfg):
+        # Every odd row is [NaN, 1.0]: "First sentence here." would score NaN,
+        # which used to clamp to -1.0 and be kept over "Cats sleep." at 1.0.
+        doc = make_doc("d1", "First sentence here. Cats sleep.", 1)
+
+        def nan_rows(request):
+            rows = [[math.nan, 1.0] if i % 2 else [1.0, 1.0] for i in range(len(request.json["input"]))]
+            return Reply(body={"embeddings": rows})
+
+        remote, _ = remote_embedder(nan_rows)
+        with pytest.raises(ProviderUnavailable, match="non-finite"):
+            select_evidence("Cats sleep.", [doc], EmbeddingMemo(remote), cfg)
+        local = FixtureEmbedder({"Cats sleep.": [1.0, 1.0], "First sentence here.": [math.nan, 1.0]})
+        with pytest.raises(ValueError, match="nan outside"):
+            select_evidence("Cats sleep.", [doc], EmbeddingMemo(local), cfg)
 
     def test_zero_vector_sentences_skipped(self, embedder, cfg):
         doc = make_doc("d1", "Cats sleep. ... !!!", 1)

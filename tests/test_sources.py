@@ -8,7 +8,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FixtureSource, ZeroVector, cosine_similarity, make_doc
+from conftest import FixtureSource, Reply, ScriptedSession, ZeroVector, cosine_similarity, make_doc
 from veriscope.assets import load_prompt, load_scheme
 from veriscope.errors import ConfigurationError, ProviderUnavailable, SourceUnavailable
 from veriscope.index import LocalIndex
@@ -374,38 +374,10 @@ class TestBiomedicalSourceCache:
         assert [(d.doc_id, d.score) for d in zeroed.retrieve("zinc zz", 3)] == expected
 
 
-class _FakeWebSession:
-    """Answers every GET alike: raises error, or replies status with payload."""
-
-    def __init__(self, payload=None, status=200, error=None):
-        self.payload = {} if payload is None else payload
-        self.status = status
-        self.error = error
-        self.params = None
-        self.requests = 0
-
-    def get(self, url, params=None, timeout=None):
-        self.requests += 1
-        if self.error is not None:
-            raise self.error
-        self.params = params
-        fake = self
-
-        class _Resp:
-            status_code = fake.status
-
-            def json(self):
-                return fake.payload
-
-        return _Resp()
-
-
-def web_source(session, api_key="k"):
-    """A WebSearchSource, and the list its client records backoff sleeps in instead of sleeping."""
-    source = WebSearchSource(api_key=api_key, engine_id="e", session=session)
-    sleeps = []
-    source._client._sleep = sleeps.append
-    return source, sleeps
+def web_source(*schedule, then=None, api_key="k"):
+    """A WebSearchSource over a ScriptedSession of schedule, and that session."""
+    session = ScriptedSession(*schedule, then=then)
+    return WebSearchSource(api_key=api_key, engine_id="e", session=session), session
 
 
 class TestWebSearchSource:
@@ -422,23 +394,21 @@ class TestWebSearchSource:
                 {"title": "More zinc", "snippet": "Still mixed.", "link": "http://b"},
             ]
         }
-        session = _FakeWebSession(payload)
-        source = WebSearchSource(api_key="k", engine_id="e", session=session)
+        source, session = web_source(Reply(body=payload))
         docs = source.retrieve("zinc", 2)
         assert [d.doc_id for d in docs] == ["http://a", "http://b"]
         assert docs[0].body == "Zinc and colds. Mixed evidence."
         assert docs[0].rank == 1 and docs[1].rank == 2
         assert docs[0].score >= docs[1].score
-        assert session.params["q"] == "zinc"
-        assert session.params["num"] == 2
-        assert session.requests == 1
+        [request] = session.requests
+        assert request.method == "GET" and request.headers is None
+        assert request.params == {"key": "k", "cx": "e", "q": "zinc", "num": 2}
 
     def test_negative_k_is_refused(self):
-        session = _FakeWebSession({"items": [{"title": "Zinc", "snippet": "Mixed.", "link": "a"}]})
-        source = WebSearchSource(api_key="k", engine_id="e", session=session)
+        source, session = web_source()
         with pytest.raises(ValueError, match="k must be >= 0"):
             source.retrieve("zinc", -1)
-        assert session.requests == 0
+        assert session.requests == []
 
     def test_null_fields_are_not_the_text_none(self):
         payload = {
@@ -448,40 +418,37 @@ class TestWebSearchSource:
                 {"title": "Third", "snippet": ["not", "text"]},
             ]
         }
-        source = WebSearchSource(api_key="k", engine_id="e", session=_FakeWebSession(payload))
+        source, _ = web_source(Reply(body=payload))
         docs = source.retrieve("zinc", 3)
         assert [d.doc_id for d in docs] == ["result-1", "http://b", "result-3"]
         assert [(d.title, d.body) for d in docs] == [("", "First."), ("", ""), ("Third", "Third. ")]
         assert not any("None" in d.body for d in docs)
 
-    def test_http_error(self):
+    def test_http_error(self, backoff_sleeps):
         # 503 is retried with exponential backoff, then the source gives up
-        session = _FakeWebSession(status=503)
-        source, sleeps = web_source(session)
+        source, session = web_source(*[Reply(503)] * 5)
         with pytest.raises(SourceUnavailable, match="HTTP 503"):
             source.retrieve("zinc", 2)
-        assert session.requests == 5
-        assert sleeps == [0.5, 1.0, 2.0, 4.0]
+        assert len(session.requests) == 5
+        assert backoff_sleeps == [0.5, 1.0, 2.0, 4.0]
 
     def test_client_error_is_not_retried(self):
-        session = _FakeWebSession(status=403)
-        source, _ = web_source(session)
+        source, session = web_source(Reply(403))
         with pytest.raises(SourceUnavailable, match="HTTP 403"):
             source.retrieve("zinc", 2)
-        assert session.requests == 1
+        assert len(session.requests) == 1
 
-    def test_network_error(self):
-        session = _FakeWebSession(error=requests.ConnectionError("x"))
-        source, _ = web_source(session)
-        with pytest.raises(SourceUnavailable):
+    def test_network_error(self, backoff_sleeps):
+        source, session = web_source(*[Reply(error=requests.ConnectionError)] * 5)
+        with pytest.raises(SourceUnavailable, match="ConnectionError"):
             source.retrieve("zinc", 2)
-        assert session.requests == 5
+        assert len(session.requests) == 5
 
-    def test_network_error_redacts_api_key(self):
+    def test_network_error_redacts_api_key(self, backoff_sleeps):
         key = "sk/secret+key"
         url = "https://search.example/v1?key=sk%2Fsecret%2Bkey&cx=e&q=zinc"
         error = requests.ConnectionError(f"Max retries exceeded with url: {url} ({key})")
-        source, _ = web_source(_FakeWebSession(error=error), api_key=key)
+        source, _ = web_source(then=Reply(error=error), api_key=key)
         with pytest.raises(SourceUnavailable) as info:
             source.retrieve("zinc", 2)
         assert key not in str(info.value)
@@ -490,7 +457,7 @@ class TestWebSearchSource:
         assert info.value.__cause__ is None and info.value.__suppress_context__
 
     def test_no_items(self):
-        source = WebSearchSource(api_key="k", engine_id="e", session=_FakeWebSession({}))
+        source, _ = web_source(Reply(body={}))
         assert source.retrieve("zinc", 2) == []
 
     @pytest.mark.parametrize(
@@ -506,6 +473,6 @@ class TestWebSearchSource:
         ids=["reply-list", "items-string", "items-object", "items-null", "item-string", "item-number"],
     )
     def test_malformed_reply_is_a_source_outage(self, payload):
-        source = WebSearchSource(api_key="k", engine_id="e", session=_FakeWebSession(payload))
+        source, _ = web_source(Reply(body=payload))
         with pytest.raises(SourceUnavailable, match="no list of result objects"):
             source.retrieve("zinc", 2)

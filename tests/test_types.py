@@ -128,6 +128,22 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(final_top_p=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("retrieval_depth", 5.5),
+            ("selection_docs", 3.0),
+            ("sentences_per_doc", True),
+            ("final_top_p", 2.5),
+            ("final_top_p", "5"),
+            ("merge_heuristic", "false"),
+            ("merge_heuristic", 0),
+        ],
+    )
+    def test_wrong_types_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**{field: value})
+
     def test_round_trip(self):
         cfg = PipelineConfig(retrieval_depth=7, selection_docs=3, seed=11)
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg

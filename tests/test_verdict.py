@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_sentence
+from conftest import ScriptedSession, make_sentence, top_logprobs
+from veriscope._http import JsonHttpClient
 from veriscope.errors import (
     NoValidOption,
     ProviderUnavailable,
@@ -240,38 +241,11 @@ class TestRuleVerdictProvider:
         assert provider.choose(p1, scheme3).logits != provider.choose(p2, scheme3).logits
 
 
-class _FakeLogprobSession:
-    def __init__(self, entries):
-        self._entries = entries
-        self.payloads = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.payloads.append(json)
-        entries = self._entries
-
-        class _Resp:
-            status_code = 200
-
-            def json(self):
-                return {
-                    "choices": [
-                        {"logprobs": {"content": [{"top_logprobs": entries}]}}
-                    ]
-                }
-
-        return _Resp()
-
-
 class TestRemoteVerdictProvider:
     def _provider(self, entries):
-        from veriscope._http import JsonHttpClient
-
-        session = _FakeLogprobSession(entries)
-        client = JsonHttpClient("http://fake/llm", session=session, sleep=lambda s: None)
-        return (
-            RemoteVerdictProvider(url="http://fake/llm", model="m", client=client),
-            session,
-        )
+        session = ScriptedSession(top_logprobs(entries))
+        client = JsonHttpClient("http://fake/llm", session=session)
+        return RemoteVerdictProvider(url="http://fake/llm", model="m", client=client), session
 
     def test_parses_top_logprobs(self, scheme3):
         provider, session = self._provider(
@@ -284,7 +258,8 @@ class TestRemoteVerdictProvider:
         )
         logits = provider.choose("prompt", scheme3)
         assert logits.logits == (-0.05, -3.2, DEFAULT_LOGPROB_FLOOR)
-        payload = session.payloads[0]
+        [request] = session.requests
+        payload = request.json
         assert payload["logprobs"] is True
         assert payload["max_tokens"] == 1
 
