@@ -38,18 +38,17 @@ class CorpusStats:
     avg_doc_length: float
     doc_frequencies: Mapping[str, int]
 
-    def df(self, term: str) -> int:
-        return self.doc_frequencies.get(term, 0)
+
+def idf(df: int, doc_count: int) -> float:
+    return math.log(1.0 + (doc_count + 0.5) / (df + 0.5))
 
 
-def idf(term: str, stats: CorpusStats) -> float:
-    return math.log(1.0 + (stats.doc_count + 0.5) / (stats.df(term) + 0.5))
+def length_norm(doc_length, avg_doc_length: float, b: float = B):
+    """The document-length factor 1 - b + b * |d| / avgdl (1.0 for an empty corpus).
 
-
-def length_norm(doc_length: int, stats: CorpusStats, b: float = B) -> float:
-    """The document-length factor 1 - b + b * |d| / avgdl (1.0 for an empty corpus)."""
-    if stats.avg_doc_length > 0:
-        return 1.0 - b + b * doc_length / stats.avg_doc_length
+    An array of lengths gets, element-wise, the value of the scalar call."""
+    if avg_doc_length > 0:
+        return 1.0 - b + b * doc_length / avg_doc_length
     return 1.0
 
 
@@ -62,11 +61,12 @@ def bm25_score(
 ) -> float:
     """Score one document (as a token sequence) against the query terms."""
     counts = Counter(doc_tokens)
-    norm = length_norm(len(doc_tokens), stats, b)
+    norm = length_norm(len(doc_tokens), stats.avg_doc_length, b)
     score = 0.0
     for term in query_terms:
         tf = counts.get(term, 0)
         if tf == 0:
             continue
-        score += idf(term, stats) * tf * (k1 + 1.0) / (tf + k1 * norm)
+        term_idf = idf(stats.doc_frequencies.get(term, 0), stats.doc_count)
+        score += term_idf * tf * (k1 + 1.0) / (tf + k1 * norm)
     return score

@@ -87,14 +87,14 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _pipeline_config(config: dict, mock: bool) -> PipelineConfig:
+    """The mode's defaults (MOCK_CONFIG or PipelineConfig()) with the config file's keys."""
+    defaults = MOCK_CONFIG if mock else PipelineConfig()
     fields = {f.name: config[f.name] for f in dataclasses.fields(PipelineConfig) if f.name in config}
-    if not fields:
-        return MOCK_CONFIG if mock else PipelineConfig()
     depth = fields.get("retrieval_depth")
     if isinstance(depth, int) and "selection_docs" not in fields:
-        fields["selection_docs"] = min(PipelineConfig().selection_docs, depth)
+        fields["selection_docs"] = min(defaults.selection_docs, depth)
     try:
-        return PipelineConfig(**fields)
+        return dataclasses.replace(defaults, **fields)
     except ValueError as exc:
         raise click.UsageError(f"invalid pipeline config: {exc}")
 

@@ -4,45 +4,53 @@ Documents come from JSONL files (one object per line with doc_id, title
 and body).  Only the body is indexed; web-style adapters fold titles
 into the body before they reach this layer.
 
-Queries are scored term-at-a-time from precomputed impacts (Anh & Moffat
-2006): a (term, doc) posting's BM25 contribution never changes, so each
-term keeps an array of document rows (a document's row is its place in
-doc_id order) and an array of contributions, and a query is one array
-addition per query term.  The arrays are built the first time a query
-uses the term, so building and loading an index do no per-posting work
-beyond reading the postings.  Ranking stays in arrays: scored_rows
-returns (rows, scores), cutting a large candidate set to its top k by
-partition, and ranked makes (document, score) pairs only for the rows
-it returns.
+An index is its documents in doc_id order (by_row; a document's row is
+its place there) and one compressed-sparse-row layout of integer
+postings: the terms, numbered by first occurrence, and per term t the
+span offsets[t]:offsets[t+1] of the rows and tf arrays, in row order.  A
+term's df is the length of its span.
 
-The persisted layout is a directory of manifest.json + postings.json +
-docs.jsonl, written with sorted keys so identical corpora always produce
-identical bytes.
+Queries are scored from precomputed impacts (Anh & Moffat 2006): a
+posting's BM25 contribution never changes, so the first query derives
+every contribution in one vectorized pass, and a query sums its terms'
+contributions per document with one bincount.  Ranking stays in arrays:
+scored_rows returns (rows, scores), cutting a large candidate set to its
+top k by partition, and ranked makes (document, score) pairs only for
+those rows.
+
+The persisted layout is a flat directory: manifest.json, docs.jsonl (row
+order, sorted keys), terms.json and offsets.npy, rows.npy and tf.npy
+(no pickles).  Identical corpora always produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .bm25 import K1, CorpusStats, idf, length_norm, tokenize
-from .errors import EmptyCorpus, MalformedDocument
+from .bm25 import K1, idf, length_norm, tokenize
+from .errors import ConfigurationError, EmptyCorpus, MalformedDocument
 from .types import split_sentences
 
 log = logging.getLogger(__name__)
 
-FORMAT_TAG = "veriscope-index/1"
+FORMAT_TAG = "veriscope-index/2"
 
 MANIFEST_FILE = "manifest.json"
-POSTINGS_FILE = "postings.json"
 DOCS_FILE = "docs.jsonl"
+TERMS_FILE = "terms.json"
+#: The .npy files of the integer postings, all int64 (numpy's index type
+#: on 64-bit hosts, which fancy indexing uses without a conversion).
+ARRAY_FILES = ("offsets", "rows", "tf")
 
 #: scored_rows partitions before it sorts only when the matching rows
 #: outnumber k by more than this.  Below it one stable sort is faster,
@@ -73,95 +81,90 @@ class StoredDocument:
 class LocalIndex:
     """Read-only after construction; safe for concurrent retrieval.
 
-    The scoring arrays and each document's sentence split are filled on
-    first use.  Threads that race on a first use compute the same values,
-    and whichever store lands last replaces an equal one.
+    The posting contributions and each document's sentence split are
+    filled on first use.  Threads that race on a first use compute the
+    same values, and whichever store lands last replaces an equal one.
     """
 
     def __init__(
         self,
-        documents: dict[str, StoredDocument],
-        postings: dict[str, dict[str, int]],
+        by_row: list[StoredDocument],
+        terms: dict[str, int],
+        offsets: np.ndarray,
+        rows: np.ndarray,
+        tf: np.ndarray,
         skipped: int = 0,
     ):
-        self._documents = documents
-        self._postings = postings
+        """terms maps each term to its number, 0, 1, ... in the dict's order."""
+        self._offsets = offsets.tolist()  # the query loop reads a list faster than an array
+        if len(self._offsets) != len(terms) + 1 or not self._offsets[-1] == len(rows) == len(tf):
+            raise ValueError("the postings arrays do not match the term list")
+        #: The documents in ascending doc_id order: by_row[r] is row r of every scoring array.
+        self.by_row = by_row
+        self.doc_count = len(by_row)
+        self.term_count = len(terms)
         self.skipped = skipped
-        total_length = sum(doc.length for doc in documents.values())
-        self.stats = CorpusStats(
-            doc_count=len(documents),
-            avg_doc_length=total_length / len(documents) if documents else 0.0,
-            doc_frequencies={term: len(entry) for term, entry in postings.items()},
-        )
-        self._impacts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    @property
-    def doc_count(self) -> int:
-        return self.stats.doc_count
-
-    @property
-    def term_count(self) -> int:
-        return len(self._postings)
-
-    def document(self, doc_id: str) -> StoredDocument:
-        return self._documents[doc_id]
+        self._terms = terms
+        self._posting_rows = rows
+        self._tf = tf
+        self.avg_doc_length = sum(doc.length for doc in by_row) / len(by_row) if by_row else 0.0
 
     @classmethod
     def from_documents(cls, docs: Iterable[tuple[str, str, str]], skipped: int = 0) -> "LocalIndex":
-        """Build from (doc_id, title, body) triples; raises EmptyCorpus on none."""
-        documents: dict[str, StoredDocument] = {}
-        postings: dict[str, dict[str, int]] = {}
-        for doc_id, title, body in docs:
-            tokens = tokenize(body)
-            documents[doc_id] = StoredDocument(doc_id, title, body, len(tokens))
-            for term, tf in Counter(tokens).items():
-                postings.setdefault(term, {})[doc_id] = tf
-        if not documents:
+        """Build from (doc_id, title, body) triples; raises EmptyCorpus on none
+        and ValueError on a repeated doc_id.
+
+        Terms are numbered by first occurrence in row order.  Each token is
+        keyed term * doc_count + row, and one sort of the keys lays out the
+        postings: a run of equal keys is a posting, its length the tf.  The
+        numpy calls are few and fixed: on a small corpus each outweighs a posting.
+        """
+        by_row: list[StoredDocument] = []
+        tokens: list[str] = []
+        for doc_id, title, body in sorted(docs, key=itemgetter(0)):
+            if by_row and by_row[-1].doc_id == doc_id:
+                raise ValueError(f"duplicate doc_id {doc_id!r}")
+            doc_tokens = tokenize(body)
+            by_row.append(StoredDocument(doc_id, title, body, len(doc_tokens)))
+            tokens.extend(doc_tokens)
+        if not by_row:
             raise EmptyCorpus("no valid documents to index")
-        return cls(documents, postings, skipped=skipped)
+        n = len(by_row)
+        terms = defaultdict(count().__next__)  # numbers each new term on first lookup
+        keys = np.fromiter(map(terms.__getitem__, tokens), np.int64, len(tokens)) * n
+        keys += np.arange(n).repeat([doc.length for doc in by_row])
+        keys.sort()
+        run_starts = np.empty(len(keys) + 1, bool)
+        run_starts[0] = run_starts[-1] = True
+        np.not_equal(keys[1:], keys[:-1], out=run_starts[1:-1])
+        bounds = run_starts.nonzero()[0]
+        keys = keys[bounds[:-1]]
+        terms.default_factory = None  # numbering done: an unknown term now misses
+        offsets = keys.searchsorted(np.arange(0, (len(terms) + 1) * n, n))
+        return cls(by_row, terms, offsets, keys % n, bounds[1:] - bounds[:-1], skipped=skipped)
 
     @cached_property
-    def by_row(self) -> list[StoredDocument]:
-        """The documents in ascending doc_id order: by_row[r] is row r of every scoring array."""
-        return [self._documents[doc_id] for doc_id in sorted(self._documents)]
-
-    @cached_property
-    def _rows(self) -> dict[str, int]:
-        return {doc.doc_id: row for row, doc in enumerate(self.by_row)}
-
-    @cached_property
-    def _length_norms(self) -> np.ndarray:
-        return np.array([length_norm(doc.length, self.stats) for doc in self.by_row])
-
-    def _term_impacts(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """(rows, contributions) of the term's postings; None for an unindexed term."""
-        impacts = self._impacts.get(term)
-        if impacts is None:
-            entry = self._postings.get(term)
-            if not entry:
-                return None
-            doc_rows = self._rows
-            rows = np.fromiter((doc_rows[doc_id] for doc_id in entry), np.intp, len(entry))
-            tf = np.fromiter(entry.values(), np.float64, len(entry))
-            # bm25_score's expression, evaluated element-wise in the same order.
-            contributions = (
-                idf(term, self.stats) * tf * (K1 + 1.0) / (tf + K1 * self._length_norms[rows])
-            )
-            impacts = self._impacts[term] = (rows, contributions)
-        return impacts
+    def _contributions(self) -> np.ndarray:
+        """Each posting's BM25 contribution: bm25_score's expression, evaluated
+        element-wise in the same order, with idf once per term."""
+        df = np.diff(self._offsets)
+        idfs = np.array([idf(value, self.doc_count) for value in df.tolist()])
+        lengths = np.array([doc.length for doc in self.by_row])
+        norms = length_norm(lengths[self._posting_rows], self.avg_doc_length)
+        return np.repeat(idfs, df) * self._tf * (K1 + 1.0) / (self._tf + K1 * norms)
 
     def scored_rows(self, query_text: str, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Rows and BM25 scores of the documents matching a query term, top k first.
 
-        Each query term adds its postings' precomputed contributions to a
-        per-document accumulator, in query order and with repeats.  The
-        contributions use bm25_score's expression and are summed in the
-        same order from 0.0, so every score equals brute-force scoring of
-        the whole corpus bit for bit.  Every contribution is positive, so
-        the matching documents are the accumulator's nonzero entries.
+        The postings of the query terms, in query order and with repeats,
+        go through one bincount, which adds each document's contributions
+        in input order from 0.0.  The contributions use bm25_score's
+        expression and are summed in its order, so every score equals
+        brute-force scoring of the whole corpus bit for bit.  Every
+        contribution is positive, so the matches are the nonzero sums.
 
-        Rows are ordered by (-score, doc_id): the accumulator is in row
-        (doc_id) order and the sort on score is stable.  With k, and more
+        Rows are ordered by (-score, doc_id): the sums are in row (doc_id)
+        order and the sort on score is stable.  With k, and more
         than k + PARTITION_MARGIN matching rows, an argpartition first
         keeps every row scoring at least the k-th best score, ties
         included, so the stable sort of that slice orders the boundary
@@ -171,12 +174,16 @@ class LocalIndex:
         """
         if k is not None and k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        scores = np.zeros(self.stats.doc_count)
-        for term in tokenize(query_text):
-            impacts = self._term_impacts(term)
-            if impacts is not None:
-                rows, contributions = impacts
-                scores[rows] += contributions
+        offsets = self._offsets
+        hits = [t for t in map(self._terms.get, tokenize(query_text)) if t is not None]
+        if not hits:
+            return np.empty(0, np.intp), np.empty(0)
+        spans = [slice(offsets[t], offsets[t + 1]) for t in hits]
+        scores = np.bincount(
+            np.concatenate([self._posting_rows[span] for span in spans]),
+            np.concatenate([self._contributions[span] for span in spans]),
+            self.doc_count,
+        )
         rows = scores.nonzero()[0]
         keys = -scores[rows]
         if k and len(rows) > k + PARTITION_MARGIN:
@@ -198,49 +205,41 @@ class LocalIndex:
     def save(self, out_dir: Path) -> None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "format": FORMAT_TAG,
-            "doc_count": self.stats.doc_count,
-            "avg_doc_length": self.stats.avg_doc_length,
-            "term_count": self.term_count,
-        }
+        manifest = {"format": FORMAT_TAG, "doc_count": self.doc_count,
+                    "avg_doc_length": self.avg_doc_length, "term_count": self.term_count}
         (out_dir / MANIFEST_FILE).write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
-        postings = {
-            term: sorted(entry.items()) for term, entry in sorted(self._postings.items())
-        }
-        (out_dir / POSTINGS_FILE).write_text(
-            json.dumps(postings, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
         with (out_dir / DOCS_FILE).open("w", encoding="utf-8") as handle:
-            for doc_id in sorted(self._documents):
-                doc = self._documents[doc_id]
-                record = {
-                    "doc_id": doc.doc_id,
-                    "title": doc.title,
-                    "body": doc.body,
-                    "length": doc.length,
-                }
+            for doc in self.by_row:
+                record = {"doc_id": doc.doc_id, "title": doc.title,
+                          "body": doc.body, "length": doc.length}
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
+        (out_dir / TERMS_FILE).write_text(json.dumps(list(self._terms)) + "\n", encoding="utf-8")
+        offsets = np.array(self._offsets, np.int64)
+        for name, array in zip(ARRAY_FILES, (offsets, self._posting_rows, self._tf)):
+            np.save(out_dir / f"{name}.npy", array, allow_pickle=False)
 
     @classmethod
     def load(cls, index_dir: Path) -> "LocalIndex":
+        """Read a saved index.  A missing or unreadable directory, or another
+        format (veriscope-index/1 included), raises ConfigurationError."""
         index_dir = Path(index_dir)
-        manifest = json.loads((index_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
-        if manifest.get("format") != FORMAT_TAG:
-            raise ValueError(f"unsupported index format: {manifest.get('format')!r}")
-        postings_raw = json.loads((index_dir / POSTINGS_FILE).read_text(encoding="utf-8"))
-        postings = {term: dict(entry) for term, entry in postings_raw.items()}
-        documents: dict[str, StoredDocument] = {}
-        with (index_dir / DOCS_FILE).open(encoding="utf-8") as handle:
-            for line in handle:
-                record = json.loads(line)
-                documents[record["doc_id"]] = StoredDocument(
-                    record["doc_id"], record["title"], record["body"], record["length"]
-                )
-        return cls(documents, postings)
+        try:
+            manifest = json.loads((index_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
+            if manifest.get("format") != FORMAT_TAG:
+                raise ValueError(f"format {manifest.get('format')!r}, expected {FORMAT_TAG!r}")
+            with (index_dir / DOCS_FILE).open(encoding="utf-8") as handle:
+                by_row = [StoredDocument(r["doc_id"], r["title"], r["body"], r["length"])
+                          for r in map(json.loads, handle)]
+            terms = json.loads((index_dir / TERMS_FILE).read_text(encoding="utf-8"))
+            arrays = [np.load(index_dir / f"{n}.npy", allow_pickle=False) for n in ARRAY_FILES]
+            return cls(by_row, dict(zip(terms, count())), *arrays)
+        except (OSError, ValueError, KeyError) as exc:
+            raise ConfigurationError(
+                f"cannot load the index in {index_dir} ({exc}); build it again with "
+                f"`veriscope index <corpus> --out {index_dir}`"
+            ) from exc
 
 
 def _parse_record(lineno: int, line: str) -> tuple[str, str, str]:

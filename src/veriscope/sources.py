@@ -121,12 +121,10 @@ class BiomedicalSource:
     it, or when it wraps another embedder object, a memo of the query's
     own is used, so rows never cross embedders.  The matrix is allocated
     at the first fill and takes docs x dim x 8 bytes (200 docs at 256
-    dimensions: 400 KB).  The index's scoring arrays add postings x 16
-    bytes once every term has been queried: an 8-byte row (numpy's
-    native index type, which fancy indexing uses without a conversion)
-    and an 8-byte contribution per posting.  An embedder failure raises
-    SourceUnavailable.  For plain BM25 without an embedder, use
-    LocalCorpusSource.
+    dimensions: 400 KB).  The index holds postings x 24 bytes: an 8-byte
+    row and tf per posting, and from its first query an 8-byte BM25
+    contribution.  An embedder failure raises SourceUnavailable.  For
+    plain BM25 without an embedder, use LocalCorpusSource.
     """
 
     def __init__(self, kind: SourceKind, index: LocalIndex, embedder):

@@ -260,8 +260,8 @@ class PipelineConfig(JsonRecord):
     seed              seed for any stochastic tie-breaking (subset shuffles)
     merge_heuristic   enable the dangling-segment fusion clause in merging
 
-    The four counts must be ints (not bools) and merge_heuristic a bool;
-    anything else raises ValueError.
+    The four counts and seed must be ints (not bools) and merge_heuristic
+    a bool; anything else raises ValueError.
     """
 
     retrieval_depth: int = 5
@@ -272,11 +272,12 @@ class PipelineConfig(JsonRecord):
     merge_heuristic: bool = True
 
     def __post_init__(self):
-        for name in ("retrieval_depth", "selection_docs", "sentences_per_doc", "final_top_p"):
+        counts = ("retrieval_depth", "selection_docs", "sentences_per_doc", "final_top_p")
+        for name in (*counts, "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
+            if name in counts and value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not isinstance(self.merge_heuristic, bool):
             raise ValueError(f"merge_heuristic must be true or false, got {self.merge_heuristic!r}")

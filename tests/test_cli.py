@@ -57,6 +57,39 @@ class TestIndexCommand:
         assert result.exit_code != 0
 
 
+def _format_1_index(index_dir):
+    """An index directory in format 1 (JSON postings)."""
+    index_dir.mkdir()
+    manifest = {"avg_doc_length": 2.0, "doc_count": 1, "format": "veriscope-index/1", "term_count": 2}
+    (index_dir / "manifest.json").write_text(json.dumps(manifest))
+    (index_dir / "postings.json").write_text('{"cats":[["d1",1]],"purr":[["d1",1]]}\n')
+    (index_dir / "docs.jsonl").write_text(
+        json.dumps({"body": "Cats purr.", "doc_id": "d1", "length": 2, "title": ""}) + "\n"
+    )
+
+
+class TestUnusableIndexDirectory:
+    @pytest.mark.parametrize("make", [_format_1_index, lambda path: None], ids=["format-1", "missing"])
+    @pytest.mark.parametrize("command", ["verify", "evaluate"])
+    def test_exit_3_naming_the_directory(self, runner, tmp_path, make, command):
+        index_dir = tmp_path / "wiki-index"
+        make(index_dir)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"wikipedia_index": str(index_dir)}))
+        claims = tmp_path / "claims.jsonl"
+        claims.write_text(json.dumps({"id": "c1", "claim": "Cats purr.", "label": "Supported"}) + "\n")
+        args = {
+            "verify": ["verify", "Cats purr."],
+            "evaluate": ["evaluate", "--claims", str(claims), "--out", str(tmp_path / "run")],
+        }[command]
+        result = runner.invoke(main, [*args, "--sources", "wikipedia", "--config", str(config)])
+        assert result.exit_code == 3, result.output
+        assert "configuration error: " in result.output
+        assert str(index_dir) in result.output
+        assert "veriscope index" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 class TestNegateCommand:
     def test_mock_fixture_negation(self, runner, no_network):
         result = runner.invoke(
@@ -198,6 +231,31 @@ class TestEvaluateCommand:
         assert manifest["config"]["retrieval_depth"] == 2
         assert manifest["config"]["selection_docs"] == 2
 
+    def test_mock_config_starts_from_the_mock_defaults(self, runner, tmp_path, no_network):
+        # {"seed": 7} is MOCK_CONFIG's own seed, so nothing else may change.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 7}))
+        plain, configured = tmp_path / "plain", tmp_path / "configured"
+        assert runner.invoke(main, ["evaluate", "--mock", "--out", str(plain)]).exit_code == 0
+        result = runner.invoke(
+            main, ["evaluate", "--mock", "--config", str(config), "--out", str(configured)]
+        )
+        assert result.exit_code == 0, result.output
+        assert (configured / "metrics.json").read_bytes() == (plain / "metrics.json").read_bytes()
+
+    def test_mock_depth_caps_the_mock_selection_docs(self, runner, tmp_path, no_network):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"retrieval_depth": 4}))
+        out = tmp_path / "run"
+        result = runner.invoke(
+            main, ["evaluate", "--mock", "--limit", "1", "--config", str(config), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "run-manifest.json").read_text())
+        assert manifest["config"]["retrieval_depth"] == 4
+        assert manifest["config"]["selection_docs"] == 3
+        assert manifest["config"]["seed"] == 7
+
     def test_invalid_config_values_usage_error(self, runner, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"retrieval_depth": 0}))
@@ -213,8 +271,10 @@ class TestEvaluateCommand:
             {"retrieval_depth": "4"},
             {"final_top_p": 2.5},
             {"merge_heuristic": "false"},
+            {"seed": "7"},
+            {"seed": True},
         ],
-        ids=["float-depth", "text-depth", "float-top-p", "text-heuristic"],
+        ids=["float-depth", "text-depth", "float-top-p", "text-heuristic", "text-seed", "bool-seed"],
     )
     def test_wrong_config_types_usage_error(self, runner, tmp_path, knobs):
         config = tmp_path / "config.json"

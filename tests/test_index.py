@@ -4,9 +4,10 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
-from veriscope.errors import EmptyCorpus
+from veriscope.errors import ConfigurationError, EmptyCorpus
 from veriscope.index import LocalIndex, build_local_index
 
 
@@ -14,6 +15,13 @@ def write_corpus(path, records):
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
+
+
+def assert_same_files(dir_a, dir_b):
+    names = sorted(path.name for path in dir_a.iterdir())
+    assert names == sorted(path.name for path in dir_b.iterdir())
+    for name in names:
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
 
 GOOD = [
@@ -29,7 +37,19 @@ class TestBuildLocalIndex:
         index = build_local_index(corpus)
         assert index.doc_count == 1
         assert index.term_count == 2
-        assert index.stats.avg_doc_length == 2.0
+        assert index.avg_doc_length == 2.0
+
+    def test_repeated_doc_id_rejected(self):
+        # Keeping the later body would leave the earlier body's postings behind.
+        with pytest.raises(ValueError, match="duplicate doc_id 'a'"):
+            LocalIndex.from_documents([("a", "", "cat sat"), ("a", "", "dog")])
+
+    def test_corpus_without_tokens(self, tmp_path):
+        index = LocalIndex.from_documents([("a", "", "?!"), ("b", "", "")])
+        index.save(tmp_path / "index")
+        for candidate in (index, LocalIndex.load(tmp_path / "index")):
+            assert candidate.term_count == 0
+            assert candidate.ranked("cat") == []
 
     def test_missing_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -90,8 +110,9 @@ class TestPersistence:
         built = build_local_index(corpus, index_dir)
         loaded = LocalIndex.load(index_dir)
         assert loaded.doc_count == built.doc_count
-        assert loaded.stats.avg_doc_length == built.stats.avg_doc_length
-        assert loaded.stats.doc_frequencies == dict(built.stats.doc_frequencies)
+        assert loaded.term_count == built.term_count
+        assert loaded.avg_doc_length == built.avg_doc_length
+        assert loaded.by_row == built.by_row
         # loaded index ranks identically
         for query in ("cat", "dog ran", "far cat"):
             got = [(d.doc_id, s) for d, s in loaded.ranked(query)]
@@ -105,8 +126,7 @@ class TestPersistence:
         dir_b = tmp_path / "b"
         build_local_index(corpus, dir_a)
         build_local_index(corpus, dir_b)
-        for name in ("manifest.json", "postings.json", "docs.jsonl"):
-            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+        assert_same_files(dir_a, dir_b)
 
     def test_load_save_byte_identical(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -115,8 +135,22 @@ class TestPersistence:
         build_local_index(corpus, dir_a)
         dir_b = tmp_path / "b"
         LocalIndex.load(dir_a).save(dir_b)
-        for name in ("manifest.json", "postings.json", "docs.jsonl"):
-            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+        assert_same_files(dir_a, dir_b)
+
+    def test_document_order_does_not_change_the_bytes(self, tmp_path):
+        docs = [("d2", "", "dog ran far cat"), ("d1", "", "cat sat cat"), ("d3", "", "far far")]
+        LocalIndex.from_documents(docs).save(tmp_path / "a")
+        LocalIndex.from_documents(reversed(docs)).save(tmp_path / "b")
+        assert_same_files(tmp_path / "a", tmp_path / "b")
+
+    def test_layout_is_flat_and_unpickled(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, GOOD)
+        build_local_index(corpus, tmp_path / "index")
+        names = sorted(path.name for path in (tmp_path / "index").iterdir())
+        assert names == ["docs.jsonl", "manifest.json", "offsets.npy", "rows.npy", "terms.json", "tf.npy"]
+        for name in ("offsets.npy", "rows.npy", "tf.npy"):
+            assert np.load(tmp_path / "index" / name, allow_pickle=False).dtype.kind == "i"
 
     def test_rejects_unknown_format(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -126,12 +160,40 @@ class TestPersistence:
         manifest = json.loads((index_dir / "manifest.json").read_text())
         manifest["format"] = "other/9"
         (index_dir / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="veriscope index"):
+            LocalIndex.load(index_dir)
+
+    def test_rejects_format_1_layout(self, tmp_path):
+        index_dir = tmp_path / "v1"
+        index_dir.mkdir()
+        manifest = {"avg_doc_length": 2.0, "doc_count": 1, "format": "veriscope-index/1", "term_count": 2}
+        (index_dir / "manifest.json").write_text(json.dumps(manifest))
+        (index_dir / "postings.json").write_text('{"cat":[["d1",1]],"sat":[["d1",1]]}\n')
+        (index_dir / "docs.jsonl").write_text(
+            json.dumps({"body": "cat sat", "doc_id": "d1", "length": 2, "title": ""}) + "\n"
+        )
+        with pytest.raises(ConfigurationError) as refused:
+            LocalIndex.load(index_dir)
+        assert str(index_dir) in str(refused.value)
+        assert "veriscope-index/1" in str(refused.value)
+        assert "veriscope index" in str(refused.value)
+
+    def test_rejects_missing_directory(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="veriscope index"):
+            LocalIndex.load(tmp_path / "nowhere")
+
+    def test_rejects_postings_that_do_not_match_the_terms(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, GOOD)
+        index_dir = tmp_path / "index"
+        build_local_index(corpus, index_dir)
+        (index_dir / "terms.json").write_text('["cat"]\n')
+        with pytest.raises(ConfigurationError, match="veriscope index"):
             LocalIndex.load(index_dir)
 
 
 def test_fresh_index_ranks_the_same_from_threads():
-    # The scoring arrays are filled on first use.  Eight threads start together
+    # The posting contributions are derived on first use.  Eight threads start together
     # on one fresh index and ask the same queries in the same order, so they
     # race on every first use, and each must get the serial results.
     rng = random.Random(5)

@@ -121,7 +121,7 @@ class TestBiomedicalSourceFusion:
         query = "zinc deficiency"
         lexical = [doc.doc_id for doc, _ in index.ranked(query)]
 
-        bodies = {doc_id: index.document(doc_id).body for doc_id in lexical}
+        bodies = {doc.doc_id: doc.body for doc in index.by_row}
         vecs = embedder.embed([query] + [bodies[d] for d in lexical])
         sims = {
             doc_id: cosine_similarity(vecs[0], vec) for doc_id, vec in zip(lexical, vecs[1:])
