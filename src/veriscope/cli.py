@@ -81,9 +81,12 @@ def _load_config_file(path: str | None) -> dict:
     if not config_path.exists():
         raise click.UsageError(f"config file not found: {config_path}")
     try:
-        return json.loads(config_path.read_text(encoding="utf-8"))
+        config = json.loads(config_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"config file {config_path} is not valid JSON: {exc}")
+    if not isinstance(config, dict):
+        raise click.UsageError(f"config file {config_path} must hold a JSON object")
+    return config
 
 
 def _pipeline_config(config: dict, mock: bool) -> PipelineConfig:

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from ._http import JsonHttpClient
+from .bm25 import tokenize
 from .errors import ConfigurationError, ProviderUnavailable
 from .types import ClaimPair, JsonRecord, PipelineConfig, SourceKind, normalize_sentence
 
@@ -67,38 +70,41 @@ class EmbeddingProvider(Protocol):
     def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
+class _Buckets(dict):
+    """token -> bucket (blake2b digest mod dim), computed on first lookup: _PunctuationTable's idiom."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def __missing__(self, token: str) -> int:
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        self[token] = bucket = int.from_bytes(digest, "big") % self.dim
+        return bucket
+
+
 class HashedBowEmbedder:
     """Deterministic offline embedder: hashed bag-of-words counts.
 
-    Tokens come from normalize_sentence; each token is hashed with a
-    stable 64-bit digest into one of `dim` buckets and counted.  Two
+    Tokens come from bm25.tokenize, BM25's tokenizer; each token is hashed
+    with a stable 64-bit digest into one of `dim` buckets and counted.  Two
     token-identical texts therefore embed identically (cosine 1.0), and
     lexical overlap translates directly into similarity.  Buckets are
-    memoized per token, so the memo grows with the vocabulary embedded;
-    concurrent first lookups of a token store the same value.
+    memoized per token (concurrent first lookups store the same value), so
+    the memo grows with the vocabulary embedded.
     """
 
     def __init__(self, dim: int = 256):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
-        self._buckets: dict[str, int] = {}
-
-    def _bucket(self, token: str) -> int:
-        bucket = self._buckets.get(token)
-        if bucket is None:
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-            bucket = self._buckets[token] = int.from_bytes(digest, "big") % self.dim
-        return bucket
+        self._buckets = _Buckets(dim)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         # One bincount over (row * dim + bucket) counts every token of the batch.
-        cells = [
-            row * self.dim + self._bucket(token)
-            for row, text in enumerate(texts)
-            for token in normalize_sentence(text).split()
-        ]
-        counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(texts) * self.dim)
+        tokens = [tokenize(text) for text in texts]
+        buckets = np.fromiter(map(self._buckets.__getitem__, chain.from_iterable(tokens)), np.intp)
+        cells = buckets + np.repeat(np.arange(0, len(texts) * self.dim, self.dim), list(map(len, tokens)))
+        counts = np.bincount(cells, minlength=len(texts) * self.dim)
         return counts.reshape(len(texts), self.dim).astype(np.float64)
 
 
@@ -152,10 +158,11 @@ class EmbeddingMemo:
     serves the rest from memory.  This is valid because every embedder
     here maps a text to the same vector whatever else is in the call.  A
     reply whose row count differs from the texts sent raises
-    ProviderUnavailable and caches nothing.  Each row's norm is kept
-    beside it, so a text's norm is computed once however often it is
-    scored.  The memo owns its queries' rows: each call also carries the
-    queries not held yet, so the first call that succeeds embeds them.
+    ProviderUnavailable and caches nothing.  Rows are kept in C order beside
+    their norm sqrt(row . row): np.linalg.norm's value, without its dispatch.
+    The memo owns its queries' rows: each call also carries the queries not
+    held yet, so the first call that succeeds embeds them, and similarities()
+    with its query and texts all held does not call prefetch().
     verify_claim makes one memo per claim before retrieval, with the claim
     and (dual condition) the negation as queries, so its size is bounded
     by one claim's texts.
@@ -171,13 +178,13 @@ class EmbeddingMemo:
         missing = [text for text in dict.fromkeys([*self._queries, *texts]) if text not in self._rows]
         if not missing:
             return
-        vectors = np.asarray(self.embedder.embed(missing), dtype=np.float64)
+        vectors = np.ascontiguousarray(self.embedder.embed(missing), dtype=np.float64)
         if vectors.ndim != 2 or len(vectors) != len(missing):
             raise ProviderUnavailable(
                 f"embedder returned shape {vectors.shape} for {len(missing)} texts"
             )
         self._rows.update(
-            (text, (row, float(np.linalg.norm(row)))) for text, row in zip(missing, vectors)
+            (text, (row, math.sqrt(row.dot(row)))) for text, row in zip(missing, vectors)
         )
 
     def row(self, text: str) -> tuple[np.ndarray, float]:
@@ -191,13 +198,14 @@ class EmbeddingMemo:
         not depend on the other texts (a matrix product would sum in
         another order).  None stands for a zero norm on either side.
         """
-        self.prefetch([query, *texts])
-        query_row, query_norm = self._rows[query]
+        rows = self._rows
+        if query not in rows or not all(map(rows.__contains__, texts)):
+            self.prefetch([query, *texts])
+        query_row, query_norm = rows[query]
         sims: list[float | None] = []
-        for text in texts:
-            row, norm = self._rows[text]
+        for row, norm in map(rows.__getitem__, texts):
             ok = query_norm != 0.0 and norm != 0.0
-            sims.append(float(np.dot(query_row, row) / (query_norm * norm)) if ok else None)
+            sims.append(float(query_row.dot(row)) / (query_norm * norm) if ok else None)
         return sims
 
 

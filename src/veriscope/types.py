@@ -36,7 +36,7 @@ class _PunctuationTable(dict):
         return mapped
 
 
-_PUNCTUATION_TABLE = _PunctuationTable()
+PUNCTUATION_TABLE = _PunctuationTable()
 
 
 def normalize_sentence(raw: str) -> str:
@@ -46,7 +46,7 @@ def normalize_sentence(raw: str) -> str:
     categories (P*), and collapses internal whitespace runs to single
     spaces.  Idempotent; empty input yields empty output.
     """
-    return " ".join(raw.translate(_PUNCTUATION_TABLE).lower().split())
+    return " ".join(raw.translate(PUNCTUATION_TABLE).lower().split())
 
 
 _TERMINATORS = re.compile(r"[.!?]")

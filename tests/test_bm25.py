@@ -11,6 +11,7 @@ from veriscope import index as index_module
 from veriscope.bm25 import CorpusStats, bm25_score, tokenize
 from veriscope.errors import EmptyCorpus
 from veriscope.index import LocalIndex
+from veriscope.types import normalize_sentence
 
 
 def brute_force_scores(query_terms, docs, k1=1.2, b=0.75):
@@ -222,3 +223,22 @@ def test_partitioned_top_k_is_a_prefix_of_the_exact_ranking(monkeypatch):
     # before it is sorted, so the boundary ties go through argpartition.
     monkeypatch.setattr(index_module, "PARTITION_MARGIN", 0)
     test_ranked_top_k_is_a_prefix_of_the_exact_ranking()
+
+
+# Punctuation (P*, deleted), symbols (S*, kept), letters, digits and
+# whitespace beyond ASCII (split on, like a space).
+_TOKENIZER_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(categories=["P"]),
+        st.characters(categories=["S"]),
+        st.characters(categories=["L", "N"]),
+        st.sampled_from([" ", "\t", "\n", "\x1c", "\x85", "\u00a0", "\u2003", "\u2028", "\u3000"]),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TOKENIZER_TEXT)
+def test_tokenize_equals_split_normalized_sentence(text):
+    assert tokenize(text) == normalize_sentence(text).split()

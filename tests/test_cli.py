@@ -291,6 +291,16 @@ class TestEvaluateCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "evaluate"])
+    @pytest.mark.parametrize("value", ["[1, 2]", '"text"', "7", "null"], ids=["list", "string", "number", "null"])
+    def test_config_that_is_not_an_object_usage_error(self, runner, tmp_path, no_network, command, value):
+        config = tmp_path / "config.json"
+        config.write_text(value)
+        args = ["Cats purr."] if command == "verify" else ["--out", str(tmp_path / "r")]
+        result = runner.invoke(main, [command, "--mock", "--config", str(config), *args])
+        assert result.exit_code == 2, result.output
+        assert f"config file {config} must hold a JSON object" in result.output
+
     def test_mock_rejects_remote_provider_request(self, runner, tmp_path, no_network):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"remote_embedder": True}))

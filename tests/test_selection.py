@@ -1,5 +1,8 @@
 import hashlib
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -192,6 +195,28 @@ def test_bincount_embedding_equals_per_token_loop(texts, dim):
     assert HashedBowEmbedder(dim=dim).embed([]).shape == (0, dim)
 
 
+def test_threads_embedding_through_one_fresh_embedder_get_the_same_rows():
+    # The first lookups of every token race in the bucket memo.
+    texts = [f"w{i} w{i * 7 % 50} shared, tokens! w{i % 13}" for i in range(200)]
+    want = HashedBowEmbedder(dim=64).embed(texts)
+    embedder = HashedBowEmbedder(dim=64)
+    start = threading.Barrier(4, timeout=30)
+
+    def embed():
+        start.wait()
+        return embedder.embed(texts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = [future.result(timeout=60) for future in [pool.submit(embed) for _ in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert np.array_equal(got, want)
+
+
 class _CountingEmbedder:
     def __init__(self, rows=None):
         self._inner = HashedBowEmbedder(dim=16)
@@ -226,6 +251,38 @@ class TestEmbeddingMemo:
         inner.rows = None
         assert memo.similarities("cats sleep", []) == []
         assert inner.calls[-1] == ["cats sleep"]
+
+    def test_norms_equal_linalg_norm_for_a_fortran_ordered_reply(self):
+        # The rows of a Fortran-ordered matrix are strided; the norm must still
+        # be np.linalg.norm's value (a dot over a contiguous copy) to the bit.
+        vectors = np.random.default_rng(3).standard_normal((6, 300))
+
+        class FortranEmbedder:
+            def embed(self, texts):
+                return np.asfortranarray(vectors[: len(texts)])
+
+        texts = [f"t{i}" for i in range(6)]
+        memo = EmbeddingMemo(FortranEmbedder())
+        memo.prefetch(texts)
+        for text, vector in zip(texts, vectors):
+            assert memo.row(text)[1] == float(np.linalg.norm(vector))
+
+    def test_held_rows_are_served_without_a_call(self, monkeypatch):
+        # "cats purr" is held only because it is one of the memo's queries.
+        inner = _CountingEmbedder()
+        memo = EmbeddingMemo(inner, queries=("cats sleep", "cats purr"))
+        memo.prefetch(["dogs bark", "..."])
+        assert inner.calls == [["cats sleep", "cats purr", "dogs bark", "..."]]
+        monkeypatch.setattr(memo, "prefetch", None)  # a miss would call it and fail
+        texts = ["cats purr", "dogs bark", "...", "cats sleep"]
+        got = memo.similarities("cats sleep", texts)
+        assert memo.similarities("cats purr", ["cats sleep"]) == [got[0]]
+        assert len(inner.calls) == 1
+        vectors = HashedBowEmbedder(dim=16).embed(["cats sleep"] + texts)
+        assert got[2] is None
+        assert got[:2] + got[3:] == [
+            cosine_similarity(vectors[0], row) for row in (vectors[1], vectors[2], vectors[4])
+        ]
 
 
 class TestEvidenceSentence:

@@ -65,7 +65,7 @@ def test_normalize_matches_reference_for_every_code_point():
     finally:
         # Every code point is now cached; drop them so later tests run with
         # the table ordinary text would leave.
-        types._PUNCTUATION_TABLE.clear()
+        types.PUNCTUATION_TABLE.clear()
 
 
 class TestClaimPair:
