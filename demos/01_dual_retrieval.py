@@ -14,8 +14,7 @@ from veriscope import (
     negate_claim,
 )
 from veriscope.assets import fixture_path
-from veriscope.mock import mock_negations
-from veriscope.negation import FixtureNegationProvider, RuleBasedNegator
+from veriscope.mock import mock_negator
 
 claim = ClaimPair(
     id="demo-1",
@@ -26,8 +25,7 @@ print("Claim:", claim.text)
 
 # 1. Negate the claim. The fixture provider mirrors what an LLM endpoint
 #    would return; unknown claims fall back to the crude rule-based negator.
-negator = FixtureNegationProvider(mock_negations(), fallback=RuleBasedNegator())
-claim = negate_claim(claim, negator)
+claim = negate_claim(claim, mock_negator())
 print("Negation:", claim.negated_text)
 
 # 2. Build a local index over the bundled abstracts corpus.

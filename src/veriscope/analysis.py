@@ -101,14 +101,6 @@ class KdeCurve:
     bandwidth: float
     n_samples: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(float(x) for x in self.grid))
-        object.__setattr__(self, "density", tuple(float(x) for x in self.density))
-        if len(self.grid) != len(self.density):
-            raise ValueError("grid and density lengths differ")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-
 
 def silverman_bandwidth(samples: Sequence[float]) -> float:
     """0.9 * min(sigma, IQR/1.34) * n^(-1/5); falls back to sigma when IQR is 0."""
@@ -327,15 +319,10 @@ _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"
                 "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-def render_kde_svg(
-    curves: Mapping[tuple[str, str], KdeCurve],
-    path: Path,
-    width: int = 720,
-    height: int = 420,
-) -> None:
+def render_kde_svg(curves: Mapping[tuple[str, str], KdeCurve], path: Path) -> None:
     """Static line chart of the KDE curves, one polyline per (regime, source)."""
     path = Path(path)
-    margin = 50
+    width, height, margin = 720, 420, 50
     keys = sorted(curves)
     if not keys:
         path.write_text(

@@ -43,30 +43,24 @@ def idf(df: int, doc_count: int) -> float:
     return math.log(1.0 + (doc_count + 0.5) / (df + 0.5))
 
 
-def length_norm(doc_length, avg_doc_length: float, b: float = B):
-    """The document-length factor 1 - b + b * |d| / avgdl (1.0 for an empty corpus).
+def length_norm(doc_length, avg_doc_length: float):
+    """The document-length factor 1 - B + B * |d| / avgdl (1.0 for an empty corpus).
 
     An array of lengths gets, element-wise, the value of the scalar call."""
     if avg_doc_length > 0:
-        return 1.0 - b + b * doc_length / avg_doc_length
+        return 1.0 - B + B * doc_length / avg_doc_length
     return 1.0
 
 
-def bm25_score(
-    query_terms: Sequence[str],
-    doc_tokens: Sequence[str],
-    stats: CorpusStats,
-    k1: float = K1,
-    b: float = B,
-) -> float:
+def bm25_score(query_terms: Sequence[str], doc_tokens: Sequence[str], stats: CorpusStats) -> float:
     """Score one document (as a token sequence) against the query terms."""
     counts = Counter(doc_tokens)
-    norm = length_norm(len(doc_tokens), stats.avg_doc_length, b)
+    norm = length_norm(len(doc_tokens), stats.avg_doc_length)
     score = 0.0
     for term in query_terms:
         tf = counts.get(term, 0)
         if tf == 0:
             continue
         term_idf = idf(stats.doc_frequencies.get(term, 0), stats.doc_count)
-        score += term_idf * tf * (k1 + 1.0) / (tf + k1 * norm)
+        score += term_idf * tf * (K1 + 1.0) / (tf + K1 * norm)
     return score

@@ -10,6 +10,7 @@ from the environment variables documented per provider.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -26,14 +27,14 @@ from .analysis import (
 )
 from .assets import load_prompt, load_scheme
 from .datasets import DatasetDescriptor
-from .errors import ConfigurationError, VeriscopeError
+from .errors import ConfigurationError, DegenerateNegation, ProviderUnavailable, VeriscopeError
 from .experiment import CONFIDENCES_FILE, ExperimentPlan, run_experiment
-from .index import build_local_index
-from .mock import MOCK_CONFIG, mock_claims_path, mock_provider_set
+from .index import LocalIndex, build_local_index
+from .mock import MOCK_CONFIG, mock_claims_path, mock_negator, mock_provider_set
 from .negation import RemoteNegationProvider, RuleBasedNegator, negate_claim
 from .pipeline import ClaimCondition, ProviderSet, verify_claim
-from .selection import RemoteEmbedder
-from .sources import LocalCorpusSource, WebSearchSource
+from .selection import HashedBowEmbedder, RemoteEmbedder
+from .sources import BiomedicalSource, LocalCorpusSource, WebSearchSource
 from .types import (
     CANONICAL_SOURCES,
     MERGED,
@@ -51,6 +52,8 @@ log = logging.getLogger("veriscope")
 EXIT_CONFIG = 3
 
 _SOURCE_BY_NAME = {kind.name: kind for kind in CANONICAL_SOURCES}
+
+_mock_option = click.option("--mock", is_flag=True, help="Run fully offline on bundled fixtures.")
 
 
 @contextmanager
@@ -74,18 +77,15 @@ def _setup_logging(level: str) -> None:
     )
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: Path | None) -> dict:
     if not path:
         return {}
-    config_path = Path(path)
-    if not config_path.exists():
-        raise click.UsageError(f"config file not found: {config_path}")
     try:
-        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise click.UsageError(f"config file {config_path} is not valid JSON: {exc}")
+        raise click.UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
-        raise click.UsageError(f"config file {config_path} must hold a JSON object")
+        raise click.UsageError(f"config file {path} must hold a JSON object")
     return config
 
 
@@ -117,10 +117,6 @@ def _parse_sources(spec: str | None) -> list[SourceKind]:
 
 
 def _live_provider_set(config: dict, sources: list[SourceKind]) -> ProviderSet:
-    from .index import LocalIndex
-    from .selection import HashedBowEmbedder
-    from .sources import BiomedicalSource
-
     if config.get("remote_embedder"):
         embedder = RemoteEmbedder()
     else:
@@ -152,12 +148,9 @@ def _live_provider_set(config: dict, sources: list[SourceKind]) -> ProviderSet:
 
 def _provider_set(mock: bool, config: dict, sources: list[SourceKind]) -> ProviderSet:
     if mock:
-        requested_remotes = [key for key in ("remote_embedder",) if config.get(key)]
-        if requested_remotes:
-            raise ConfigurationError(
-                f"mock mode forbids remote providers; drop {', '.join(requested_remotes)} "
-                "from the config or run without --mock"
-            )
+        if config.get("remote_embedder"):
+            raise ConfigurationError("mock mode forbids remote providers; drop remote_embedder "
+                                     "from the config or run without --mock")
         full = mock_provider_set()
         return dataclasses.replace(full, sources={kind: full.sources[kind] for kind in sources})
     return _live_provider_set(config, sources)
@@ -184,15 +177,18 @@ def cmd_index(corpus: Path, out: Path) -> None:
 
 @main.command("negate")
 @click.argument("claim_text")
-@click.option("--mock", is_flag=True, help="Use offline fixture/rule-based negation.")
+@_mock_option
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
 def cmd_negate(claim_text: str, mock: bool, as_json: bool) -> None:
-    """Generate the negated counterpart of one claim."""
+    """Generate the negated counterpart of one claim (rule-based if the provider fails)."""
+    claim = ClaimPair(id="cli", text=claim_text)
     with _reported_errors():
-        provider = mock_provider_set().negator if mock else RemoteNegationProvider()
-        claim = negate_claim(
-            ClaimPair(id="cli", text=claim_text), provider, fallback=RuleBasedNegator()
-        )
+        provider = mock_negator() if mock else RemoteNegationProvider()
+        try:
+            claim = negate_claim(claim, provider)
+        except (ProviderUnavailable, DegenerateNegation) as exc:
+            log.warning("negation failed for %s, using fallback: %s", claim.id, exc)
+            claim = negate_claim(claim, RuleBasedNegator())
     if as_json:
         click.echo(json.dumps({"claim": claim.text, "negation": claim.negated_text}))
     else:
@@ -230,29 +226,44 @@ def _render_verification(result) -> str:
     return "\n".join(lines)
 
 
+def _run_options(command):
+    """The options verify and evaluate share, read once into mock, config, sources,
+    condition, scheme and cfg.  Apply it below the command's own options."""
+
+    @_mock_option
+    @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
+    @click.option("--sources", "sources_spec", default=None,
+                  help="Comma-separated subset of wikipedia,pubmed,web.")
+    @click.option("--condition", type=click.Choice([c.value for c in ClaimCondition]),
+                  default=ClaimCondition.ORIGINAL_PLUS_NEGATED.value, show_default=True)
+    @click.option("--scheme", "scheme_name", default="scifact", show_default=True)
+    @functools.wraps(command)
+    def read(mock, config_path, sources_spec, condition, scheme_name, **options):
+        config = _load_config_file(config_path)
+        try:
+            scheme = load_scheme(scheme_name)
+        except (OSError, TypeError, ValueError) as exc:
+            raise click.UsageError(f"cannot load scheme {scheme_name}: {exc}")
+        return command(mock=mock, config=config, sources=_parse_sources(sources_spec), scheme=scheme,
+                       condition=ClaimCondition(condition), cfg=_pipeline_config(config, mock), **options)
+
+    return read
+
+
 @main.command("verify")
 @click.argument("claim_text")
-@click.option("--mock", is_flag=True, help="Run fully offline on bundled fixtures.")
-@click.option("--config", "config_path", type=click.Path(path_type=Path), default=None)
-@click.option("--sources", "sources_spec", default=None,
-              help="Comma-separated subset of wikipedia,pubmed,web.")
-@click.option("--condition", type=click.Choice([c.value for c in ClaimCondition]),
-              default=ClaimCondition.ORIGINAL_PLUS_NEGATED.value, show_default=True)
-@click.option("--scheme", "scheme_name", default="scifact", show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit one JSON object on stdout.")
-def cmd_verify(claim_text, mock, config_path, sources_spec, condition, scheme_name, as_json):
+@_run_options
+def cmd_verify(claim_text, as_json, mock, config, sources, condition, scheme, cfg):
     """Verify a single claim end to end."""
-    config = _load_config_file(config_path)
-    sources = _parse_sources(sources_spec)
-    scheme = load_scheme(scheme_name)
     with _reported_errors():
         result = verify_claim(
             ClaimPair(id="cli", text=claim_text),
             _provider_set(mock, config, sources),
             scheme,
             load_prompt("verdict"),
-            cfg=_pipeline_config(config, mock),
-            condition=ClaimCondition(condition),
+            cfg=cfg,
+            condition=condition,
         )
     if as_json:
         click.echo(json.dumps(result.to_dict(), sort_keys=True))
@@ -261,40 +272,31 @@ def cmd_verify(claim_text, mock, config_path, sources_spec, condition, scheme_na
 
 
 @main.command("evaluate")
-@click.option("--claims", "claims_path", type=click.Path(path_type=Path), default=None,
-              help="JSONL claims file (defaults to the bundled fixture set in mock mode).")
+@click.option("--claims", "claims_path", type=click.Path(exists=True, dir_okay=False, path_type=Path),
+              default=None, help="JSONL claims file (defaults to the bundled fixture set in mock mode).")
 @click.option("--dataset", "dataset_name", default="fixture", show_default=True)
-@click.option("--scheme", "scheme_name", default="scifact", show_default=True)
-@click.option("--mock", is_flag=True, help="Run fully offline on bundled fixtures.")
-@click.option("--config", "config_path", type=click.Path(path_type=Path), default=None)
-@click.option("--sources", "sources_spec", default=None)
-@click.option("--condition", type=click.Choice([c.value for c in ClaimCondition]),
-              default=ClaimCondition.ORIGINAL_PLUS_NEGATED.value, show_default=True)
 @click.option("--limit", type=click.IntRange(min=1), default=None,
               help="Evaluate only N claims (seeded shuffle).")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None,
               help="Run directory [default: runs/<dataset>-<condition>].")
 @click.option("--max-workers", type=click.IntRange(min=1), default=4, show_default=True)
-def cmd_evaluate(claims_path, dataset_name, scheme_name, mock, config_path, sources_spec,
-                 condition, limit, seed, out_dir, max_workers):
+@_run_options
+def cmd_evaluate(claims_path, dataset_name, limit, seed, out_dir, max_workers,
+                 mock, config, sources, condition, scheme, cfg):
     """Run the experiment grid over a claims file and report metrics."""
-    config = _load_config_file(config_path)
-    sources = _parse_sources(sources_spec)
-    scheme = load_scheme(scheme_name)
     if claims_path is None:
         if not mock:
             raise click.UsageError("--claims is required outside mock mode")
         claims_path = mock_claims_path()
-    cfg = _pipeline_config(config, mock)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     if out_dir is None:
-        out_dir = Path("runs") / f"{dataset_name}-{condition.replace('+', '-')}"
+        out_dir = Path("runs") / f"{dataset_name}-{condition.value.replace('+', '-')}"
     plan = ExperimentPlan(
         dataset=DatasetDescriptor(name=dataset_name, scheme=scheme, path=Path(claims_path)),
         sources=tuple(sources),
-        condition=ClaimCondition(condition),
+        condition=condition,
         cfg=cfg,
         limit=limit,
     )

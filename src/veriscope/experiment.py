@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .aggregation import write_aggregated_jsonl
 from .analysis import ConfidenceRow, compute_metrics, write_confidences_csv
+from .assets import load_prompt
 from .datasets import DatasetDescriptor, load_dataset
 from .errors import ConfigurationError
 from .pipeline import ClaimCondition, ClaimVerification, ProviderSet, _in_process, verify_claim
@@ -80,10 +81,10 @@ def run_experiment(
     plan: ExperimentPlan,
     providers: ProviderSet,
     out_dir: Path,
-    template: str | None = None,
     max_workers: int = 4,
 ) -> Path:
     """Execute the plan and write the artifact directory; returns out_dir.
+    Verdicts use the bundled "verdict" prompt; the manifest records its sha256.
 
     Source and verdict failures become abstentions inside the traces.
     Configuration errors, failed negations (ProviderUnavailable,
@@ -103,10 +104,7 @@ def run_experiment(
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-    if template is None:
-        from .assets import load_prompt
-
-        template = load_prompt("verdict")
+    template = load_prompt("verdict")
     missing = [kind.name for kind in plan.sources if kind not in providers.sources]
     if missing:
         raise ConfigurationError(f"no knowledge source configured for: {', '.join(missing)}")

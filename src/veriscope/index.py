@@ -222,8 +222,9 @@ class LocalIndex:
 
     @classmethod
     def load(cls, index_dir: Path) -> "LocalIndex":
-        """Read a saved index.  A missing or unreadable directory, or another
-        format (veriscope-index/1 included), raises ConfigurationError."""
+        """Read a saved index.  A missing or unreadable directory, another format
+        (veriscope-index/1 included), or a docs.jsonl or terms.json whose length is
+        not the manifest's doc_count or term_count raises ConfigurationError."""
         index_dir = Path(index_dir)
         try:
             manifest = json.loads((index_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
@@ -233,6 +234,9 @@ class LocalIndex:
                 by_row = [StoredDocument(r["doc_id"], r["title"], r["body"], r["length"])
                           for r in map(json.loads, handle)]
             terms = json.loads((index_dir / TERMS_FILE).read_text(encoding="utf-8"))
+            if (len(by_row), len(terms)) != (manifest["doc_count"], manifest["term_count"]):
+                raise ValueError(f"{len(by_row)} documents and {len(terms)} terms, not the manifest's "
+                                 f"{manifest['doc_count']} and {manifest['term_count']}")
             arrays = [np.load(index_dir / f"{n}.npy", allow_pickle=False) for n in ARRAY_FILES]
             return cls(by_row, dict(zip(terms, count())), *arrays)
         except (OSError, ValueError, KeyError) as exc:

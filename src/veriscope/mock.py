@@ -53,6 +53,11 @@ def mock_negations() -> dict[str, str]:
     return json.loads(fixture_path("negations.json").read_text(encoding="utf-8"))
 
 
+def mock_negator() -> FixtureNegationProvider:
+    """The bundled negations, with the rule-based negator for any other claim."""
+    return FixtureNegationProvider(mock_negations(), fallback=RuleBasedNegator())
+
+
 def mock_provider_set() -> ProviderSet:
     """Build the full offline provider set over the bundled corpora."""
     sources = {
@@ -64,5 +69,5 @@ def mock_provider_set() -> ProviderSet:
         sources=sources,
         embedder=HashedBowEmbedder(),
         verdicts=RuleVerdictProvider(MOCK_VERDICT_RULES, default_letter="C"),
-        negator=FixtureNegationProvider(mock_negations(), fallback=RuleBasedNegator()),
+        negator=mock_negator(),
     )

@@ -9,7 +9,6 @@ behavior in tests.
 
 from __future__ import annotations
 
-import logging
 import os
 from typing import Mapping, Protocol
 
@@ -17,8 +16,6 @@ from ._http import JsonHttpClient
 from .assets import load_prompt
 from .errors import ConfigurationError, DegenerateNegation, ProviderUnavailable
 from .types import ClaimPair
-
-log = logging.getLogger(__name__)
 
 #: Copulas/auxiliaries the rule-based negator knows how to flip.
 AUXILIARIES = ("is", "are", "was", "were", "can", "will", "does", "do")
@@ -126,29 +123,13 @@ class RemoteNegationProvider:
         return content.strip()
 
 
-def _paired(claim: ClaimPair, negated: str, origin: str) -> ClaimPair:
-    """claim.with_negation; ClaimPair's ValueError becomes DegenerateNegation."""
-    try:
-        return claim.with_negation(negated)
-    except ValueError as exc:
-        raise DegenerateNegation(f"{origin} negation degenerate: {exc}") from exc
-
-
-def negate_claim(
-    claim: ClaimPair,
-    provider: NegationProvider,
-    fallback: NegationProvider | None = None,
-) -> ClaimPair:
+def negate_claim(claim: ClaimPair, provider: NegationProvider) -> ClaimPair:
     """Return the claim with negated_text populated; the claim text is untouched.
 
-    A provider failure or a degenerate result (empty or equal to the
-    claim after normalization, which ClaimPair rejects) falls through to
-    the fallback when one is given and raises otherwise.
+    ProviderUnavailable propagates, with no fallback; a result ClaimPair rejects (not
+    text, empty, or equal to the claim after normalization) raises DegenerateNegation.
     """
     try:
-        return _paired(claim, provider.negate(claim.text), "provider")
-    except (ProviderUnavailable, DegenerateNegation) as exc:
-        if fallback is None:
-            raise
-        log.warning("negation failed for %s, using fallback: %s", claim.id, exc)
-    return _paired(claim, fallback.negate(claim.text), "fallback")
+        return claim.with_negation(provider.negate(claim.text))
+    except ValueError as exc:
+        raise DegenerateNegation(f"provider negation degenerate: {exc}") from exc

@@ -128,17 +128,16 @@ class RemoteEmbedder:
         self._client = client or JsonHttpClient(url, api_key or os.environ.get(ENV_EMBED_KEY))
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """One row per text, in order.
+        """One row per text, in order, read from the reply's "embeddings" list.
 
-        A reply whose rows differ in length, whose row count differs from
-        len(texts), or that holds a non-finite value (JSON decoding accepts
-        NaN and Infinity) raises ProviderUnavailable: callers map rows to
-        texts by position and score them as cosines.
+        A reply without "embeddings", whose rows differ in length, whose row
+        count differs from len(texts), or that holds a non-finite value (JSON
+        decoding accepts NaN and Infinity) raises ProviderUnavailable: callers
+        map rows to texts by position and score them as cosines.
         """
         data = self._client.post({"input": list(texts)})
         try:
-            vectors = data["embeddings"] if "embeddings" in data else data["data"]
-            matrix = np.asarray(vectors, dtype=np.float64)
+            matrix = np.asarray(data["embeddings"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderUnavailable(f"unexpected embedding payload: {exc}") from exc
         if len(matrix) != len(texts) or (len(texts) and matrix.ndim != 2):

@@ -207,15 +207,15 @@ class WebSearchSource:
     object whose items are a list of objects, raises SourceUnavailable.
     """
 
+    kind = WEB
+
     def __init__(
         self,
-        kind: SourceKind = WEB,
         endpoint: str = DEFAULT_SEARCH_ENDPOINT,
         api_key: str | None = None,
         engine_id: str | None = None,
         session: requests.Session | None = None,
     ):
-        self.kind = kind
         self._api_key = api_key or os.environ.get(ENV_SEARCH_KEY)
         self._engine_id = engine_id or os.environ.get(ENV_SEARCH_ENGINE)
         if not self._api_key or not self._engine_id:

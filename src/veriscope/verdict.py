@@ -199,24 +199,16 @@ class RuleVerdictProvider:
         self._default_letter = default_letter
 
     @staticmethod
-    def _claim_block(prompt: str) -> str:
-        _, marker, rest = prompt.partition("Claim:")
+    def _block(prompt: str, header: str, next_header: str) -> str:
+        _, marker, rest = prompt.partition(header)
         if not marker:
             return prompt
-        block, _, _ = rest.partition("Evidence:")
-        return block
-
-    @staticmethod
-    def _evidence_block(prompt: str) -> str:
-        _, marker, rest = prompt.partition("Evidence:")
-        if not marker:
-            return prompt
-        block, _, _ = rest.partition("Answer options")
+        block, _, _ = rest.partition(next_header)
         return block
 
     def choose(self, prompt: str, scheme: LabelScheme) -> LabelLogits:
-        claim_block = self._claim_block(prompt)
-        block = self._evidence_block(prompt)
+        claim_block = self._block(prompt, "Claim:", "Evidence:")
+        block = self._block(prompt, "Evidence:", "Answer options")
         letter = None
         for claim_marker, evidence_marker, rule_letter in self._rules:
             if claim_marker and claim_marker not in claim_block:

@@ -248,3 +248,12 @@ def top_logprobs(entries) -> Reply:
 def embeddings(embedder):
     """A schedule entry answering an embedding request with embedder's rows for its input."""
     return lambda request: Reply(body={"embeddings": embedder.embed(request.json["input"]).tolist()})
+
+
+def cut_index_file(index_dir, name):
+    """Drop the last 3 documents of docs.jsonl, or the last 3 terms of terms.json."""
+    path = index_dir / name
+    if name == "docs.jsonl":
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-3]))
+    else:
+        path.write_text(json.dumps(json.loads(path.read_text())[:-3]) + "\n")

@@ -2,9 +2,13 @@ import json
 import socket
 
 import pytest
+import requests
 from click.testing import CliRunner
 
+from conftest import Reply, ScriptedSession, completion, cut_index_file
+from veriscope.assets import fixture_path
 from veriscope.cli import main
+from veriscope.index import build_local_index
 
 
 @pytest.fixture
@@ -68,8 +72,22 @@ def _format_1_index(index_dir):
     )
 
 
+def _cut_index(name):
+    """A saved index of the bundled pubmed corpus with name cut short (cut_index_file)."""
+
+    def make(index_dir):
+        build_local_index(fixture_path("corpus_pubmed.jsonl"), index_dir)
+        cut_index_file(index_dir, name)
+
+    return make
+
+
 class TestUnusableIndexDirectory:
-    @pytest.mark.parametrize("make", [_format_1_index, lambda path: None], ids=["format-1", "missing"])
+    @pytest.mark.parametrize(
+        "make",
+        [_format_1_index, lambda path: None, _cut_index("docs.jsonl"), _cut_index("terms.json")],
+        ids=["format-1", "missing", "truncated-docs", "shortened-terms"],
+    )
     @pytest.mark.parametrize("command", ["verify", "evaluate"])
     def test_exit_3_naming_the_directory(self, runner, tmp_path, make, command):
         index_dir = tmp_path / "wiki-index"
@@ -113,6 +131,28 @@ class TestNegateCommand:
         monkeypatch.delenv("NEGATION_API_URL", raising=False)
         result = runner.invoke(main, ["negate", "The sky is blue"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "reply", [Reply(503), completion("The sky is blue")], ids=["provider-unavailable", "degenerate"]
+    )
+    def test_failed_negation_falls_back_to_rules(self, runner, monkeypatch, backoff_sleeps, caplog, reply):
+        session = ScriptedSession(then=reply)
+        monkeypatch.setenv("NEGATION_API_URL", "http://fake/chat")
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        result = runner.invoke(main, ["negate", "The sky is blue"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.strip() == "The sky is not blue"
+        assert session.requests
+        assert "negation failed for cli, using fallback" in caplog.text
+
+    def test_mock_builds_no_index(self, runner, monkeypatch, no_network):
+        def refuse(*args, **kwargs):
+            raise AssertionError("negate --mock built an index")
+
+        monkeypatch.setattr("veriscope.mock.build_local_index", refuse)
+        result = runner.invoke(main, ["negate", "The sky is blue", "--mock"])
+        assert result.exit_code == 0, result.output
+        assert result.output.strip() == "The sky is not blue"
 
 
 class TestVerifyCommand:
@@ -204,6 +244,29 @@ class TestEvaluateCommand:
     def test_live_without_claims_usage_error(self, runner):
         result = runner.invoke(main, ["evaluate"])
         assert result.exit_code == 2
+
+    def test_missing_claims_file_usage_error(self, runner, tmp_path):
+        claims = tmp_path / "missing.jsonl"
+        result = runner.invoke(
+            main, ["evaluate", "--mock", "--claims", str(claims), "--out", str(tmp_path / "r")]
+        )
+        assert result.exit_code == 2, result.output
+        assert str(claims) in result.output
+
+    @pytest.mark.parametrize("command", ["verify", "evaluate"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, "[1, 2]", "{not json", json.dumps({"name": "x", "labels": ["a", "b"], "option_letters": ["A", "A"]})],
+        ids=["missing", "not-an-object", "not-json", "repeated-letter"],
+    )
+    def test_bad_scheme_usage_error(self, runner, tmp_path, command, content):
+        scheme = tmp_path / "f.json"
+        if content is not None:
+            scheme.write_text(content)
+        args = ["Cats purr."] if command == "verify" else ["--out", str(tmp_path / "r")]
+        result = runner.invoke(main, [command, "--mock", "--scheme", str(scheme), *args])
+        assert result.exit_code == 2, result.output
+        assert str(scheme) in result.output
 
     def test_config_file_overrides_pipeline_knobs(self, runner, tmp_path, no_network):
         config = tmp_path / "config.json"

@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from conftest import cut_index_file
+from veriscope.assets import fixture_path
 from veriscope.errors import ConfigurationError, EmptyCorpus
 from veriscope.index import LocalIndex, build_local_index
 
@@ -190,6 +192,15 @@ class TestPersistence:
         (index_dir / "terms.json").write_text('["cat"]\n')
         with pytest.raises(ConfigurationError, match="veriscope index"):
             LocalIndex.load(index_dir)
+
+    @pytest.mark.parametrize("name", ["docs.jsonl", "terms.json"])
+    def test_rejects_files_shorter_than_the_manifest(self, tmp_path, name):
+        index_dir = tmp_path / "index"
+        build_local_index(fixture_path("corpus_pubmed.jsonl"), index_dir)
+        cut_index_file(index_dir, name)
+        with pytest.raises(ConfigurationError, match="not the manifest's") as refused:
+            LocalIndex.load(index_dir)
+        assert "veriscope index" in str(refused.value)
 
 
 def test_fresh_index_ranks_the_same_from_threads():

@@ -91,11 +91,6 @@ class TestNegateClaim:
         with pytest.raises(ProviderUnavailable):
             negate_claim(claim, _FailingProvider())
 
-    def test_provider_unavailable_with_fallback(self):
-        claim = ClaimPair(id="c1", text="The sky is blue")
-        out = negate_claim(claim, _FailingProvider(), fallback=RuleBasedNegator())
-        assert out.negated_text == "The sky is not blue"
-
     def test_degenerate_without_fallback(self):
         claim = ClaimPair(id="c1", text="The sky is blue")
         with pytest.raises(DegenerateNegation):
@@ -109,11 +104,6 @@ class TestNegateClaim:
         claim = ClaimPair(id="c1", text="The sky is blue")
         with pytest.raises(DegenerateNegation, match="must be a string"):
             negate_claim(claim, _NoneProvider())
-
-    def test_degenerate_with_fallback(self):
-        claim = ClaimPair(id="c1", text="The sky is blue")
-        out = negate_claim(claim, _EchoProvider(), fallback=RuleBasedNegator())
-        assert out.negated_text == "The sky is not blue"
 
 
 class TestReferenceNegations:

@@ -365,8 +365,10 @@ def embedding_reply(change):
         (embedding_reply(lambda rows: rows[:-1]), "shape"),
         (embedding_reply(lambda rows: [rows[0][:-1], *rows[1:]]), "unexpected embedding payload"),
         (embedding_reply(lambda rows: [[float("nan")] * len(rows[0]), *rows[1:]]), "non-finite"),
+        (lambda request: Reply(body={"data": embeddings(HashedBowEmbedder())(request).body["embeddings"]}),
+         "unexpected embedding payload"),
     ],
-    ids=["embeddings-down", "row-missing", "ragged-rows", "non-finite-row"],
+    ids=["embeddings-down", "row-missing", "ragged-rows", "non-finite-row", "data-not-embeddings"],
 )
 def test_failed_embedding_aborts_the_claim(live, reply, error, backoff_sleeps, caplog):
     """Aborts: an embedding call during selection or ranking that fails after the per-document retry."""
