@@ -141,24 +141,24 @@ def rank_and_truncate(
     Ties prefer claim-derived evidence, then the earlier original
     position.  Zero-vector candidates are skipped; a zero claim vector
     (no similarity of the claim to itself) raises RankingFailed.  An
-    embedding failure propagates unchanged.
+    embedding failure propagates unchanged.  Each kept candidate comes
+    back through EvidenceSentence.rescored: equal to a sentence built
+    fresh with the new similarity, its normalized text is not recomputed.
     """
     if not candidates:
         return []
     sims = memo.similarities(claim_text, [claim_text] + [c.text for c in candidates])
     if sims[0] is None:
         raise RankingFailed("claim embedded to a zero vector")
+    # (-sim, polarity rank, position) orders without a key function; positions are unique
     rescored: list[tuple[float, int, int, EvidenceSentence]] = []
     for position, (candidate, sim) in enumerate(zip(candidates, sims[1:])):
         if sim is None:
             continue
         polarity_rank = 0 if candidate.polarity is Polarity.FROM_CLAIM else 1
-        rescored.append((sim, polarity_rank, position, candidate))
-    rescored.sort(key=lambda item: (-item[0], item[1], item[2]))
-    return [
-        dataclasses.replace(candidate, similarity=sim)
-        for sim, _, _, candidate in rescored[:p]
-    ]
+        rescored.append((-sim, polarity_rank, position, candidate))
+    rescored.sort()
+    return [candidate.rescored(-negated_sim) for negated_sim, _, _, candidate in rescored[:p]]
 
 
 def aggregate_sources(bundles: Mapping[SourceKind, EvidenceBundle]) -> AggregatedEvidence:

@@ -117,14 +117,14 @@ def _parse_sources(spec: str | None) -> list[SourceKind]:
 
 
 def _live_provider_set(config: dict, sources: list[SourceKind]) -> ProviderSet:
-    if config.get("remote_embedder"):
-        embedder = RemoteEmbedder()
-    else:
-        embedder = HashedBowEmbedder()
+    # every provider that reads the environment is built before any index loads
+    embedder = RemoteEmbedder() if config.get("remote_embedder") else HashedBowEmbedder()
+    web = WebSearchSource() if WEB in sources else None
+    verdicts, negator = RemoteVerdictProvider(), RemoteNegationProvider()
     source_map = {}
     for kind in sources:
         if kind == WEB:
-            source_map[kind] = WebSearchSource()
+            source_map[kind] = web
             continue
         index_key = f"{kind.name}_index"
         index_dir = config.get(index_key)
@@ -138,12 +138,7 @@ def _live_provider_set(config: dict, sources: list[SourceKind]) -> ProviderSet:
             source_map[kind] = BiomedicalSource(kind, index, embedder=embedder)
         else:
             source_map[kind] = LocalCorpusSource(kind, index)
-    return ProviderSet(
-        sources=source_map,
-        embedder=embedder,
-        verdicts=RemoteVerdictProvider(),
-        negator=RemoteNegationProvider(),
-    )
+    return ProviderSet(sources=source_map, embedder=embedder, verdicts=verdicts, negator=negator)
 
 
 def _provider_set(mock: bool, config: dict, sources: list[SourceKind]) -> ProviderSet:

@@ -14,7 +14,8 @@ sources then run on the caller's thread while those requests are in
 flight.  With a remote verdict provider (or any unknown one) the four
 verdict calls of a claim overlap; the rule-based provider runs inline.
 A network thread starts only when none is idle and is kept for later
-claims, so an all-local claim starts none.
+claims, so an all-local claim starts none.  Only a network call makes a
+Future; an in-process call's value or exception is kept as a plain pair.
 One EmbeddingMemo per claim serves pubmed fusion, selection and ranking.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import contextvars
 import logging
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import partial
@@ -131,32 +132,42 @@ class ClaimVerification(JsonRecord):
         self.profile = build_profile(self.verdicts)
 
 
-def _run_calls(calls: dict) -> dict[object, Future]:
-    """Start every call and return key -> Future, in the order of calls.
+def _call(fn, *args) -> tuple:
+    """(fn(*args), None), or (None, the exception fn raised)."""
+    try:
+        return fn(*args), None
+    except Exception as exc:
+        return None, exc
+
+
+def _run_calls(calls: dict) -> dict[object, tuple]:
+    """Run every call and return key -> (value, error); _outcome reads one.
 
     calls maps a key to (waits_on_network, fn, *args).  Network-bound
     calls are submitted to _NETWORK first, each in a copy of the caller's
     context, so context variables set for the claim reach them; the rest
     then run here, on the caller's thread, while those requests are in
     flight.  It returns when every call is done, so no call outlives its
-    claim even if a result raises.  An exception is kept in its call's
-    Future either way, so callers handle both alike.
+    claim even if an in-process call raised.  An exception is kept as its
+    call's error either way, so callers handle both alike; only a network
+    call makes a Future.
     """
-    futures: dict[object, Future] = {}
-    for key, (network, fn, *args) in calls.items():
-        if network:
-            futures[key] = _NETWORK.submit(contextvars.copy_context().run, fn, *args)
-    submitted = list(futures.values())
-    for key, (network, fn, *args) in calls.items():
-        if not network:
-            futures[key] = done = Future()
-            try:
-                done.set_result(fn(*args))
-            except Exception as exc:
-                done.set_exception(exc)
-    if submitted:
-        wait(submitted)
-    return {key: futures[key] for key in calls}
+    futures = {
+        key: _NETWORK.submit(contextvars.copy_context().run, _call, fn, *args)
+        for key, (network, fn, *args) in calls.items()
+        if network
+    }
+    outcomes = {key: _call(fn, *args) for key, (network, fn, *args) in calls.items() if not network}
+    outcomes.update((key, future.result()) for key, future in futures.items())
+    return outcomes
+
+
+def _outcome(outcome: tuple):
+    """The value of one _run_calls outcome, or its exception raised."""
+    value, error = outcome
+    if error is not None:
+        raise error
+    return value
 
 
 def verify_claim(
@@ -223,14 +234,14 @@ def verify_claim(
             calls[(kind, Polarity.FROM_NEGATION)] = (
                 network, retrieve, claim.negated_text, cfg.retrieval_depth
             )
-    futures = _run_calls(calls)
+    outcomes = _run_calls(calls)
     source_errors: dict[SourceKind, str] = {}
     retrieved: dict[SourceKind, tuple[list, list]] = {}
     for kind in kinds:
         try:
-            docs_pos = futures[(kind, Polarity.FROM_CLAIM)].result()
+            docs_pos = _outcome(outcomes[(kind, Polarity.FROM_CLAIM)])
             docs_neg = (
-                futures[(kind, Polarity.FROM_NEGATION)].result() if dual else []
+                _outcome(outcomes[(kind, Polarity.FROM_NEGATION)]) if dual else []
             )
             retrieved[kind] = (docs_pos, docs_neg)
         except SourceUnavailable as exc:
@@ -285,7 +296,7 @@ def verify_claim(
     else:
         calls[MERGED] = (remote_verdicts, predict_verdict, claim, aggregated.sentences,
                          providers.verdicts, scheme, template)
-    futures = _run_calls(calls)
+    outcomes = _run_calls(calls)
 
     verdicts: dict[SourceKind, VeracityVerdict] = {}
     for kind in kinds + [MERGED]:
@@ -293,7 +304,7 @@ def verify_claim(
             verdicts[kind] = abstain_verdict(scheme)
             continue
         try:
-            verdicts[kind] = futures[kind].result()
+            verdicts[kind] = _outcome(outcomes[kind])
         except ProviderUnavailable as exc:
             log.warning("verdict provider failed for claim %s source %s: %s", claim.id, kind, exc)
             source_errors[kind] = str(exc)

@@ -48,7 +48,8 @@ class EvidenceSentence(JsonRecord):
 
     normalized is derived from text, so a trace never stores it, and
     similarity is clamped to [-1, 1] (NaN, and values outside by more
-    than 1e-9, are rejected).
+    than 1e-9, are rejected).  rescored gives the same sentence with
+    another similarity under that rule, keeping normalized as it is.
     """
 
     text: str
@@ -60,10 +61,21 @@ class EvidenceSentence(JsonRecord):
 
     def __post_init__(self):
         object.__setattr__(self, "normalized", normalize_sentence(self.text))
-        sim = float(self.similarity)
-        if not -1.0 - 1e-9 <= sim <= 1.0 + 1e-9:
-            raise ValueError(f"similarity {sim} outside [-1, 1]")
-        object.__setattr__(self, "similarity", min(1.0, max(-1.0, sim)))
+        object.__setattr__(self, "similarity", _clamped(self.similarity))
+
+    def rescored(self, similarity: float) -> EvidenceSentence:
+        """Equal to EvidenceSentence(text, source, doc_id, polarity, similarity),
+        without normalizing the unchanged text again."""
+        sentence = object.__new__(type(self))
+        sentence.__dict__.update(self.__dict__, similarity=_clamped(similarity))
+        return sentence
+
+
+def _clamped(similarity: float) -> float:
+    sim = float(similarity)
+    if not -1.0 - 1e-9 <= sim <= 1.0 + 1e-9:
+        raise ValueError(f"similarity {sim} outside [-1, 1]")
+    return min(1.0, max(-1.0, sim))
 
 
 class EmbeddingProvider(Protocol):
@@ -262,20 +274,21 @@ def select_evidence(
         if not sentences:
             continue
         sims = memo.similarities(query_text, sentences)
+        # (-sim, position) orders without a key function; positions are unique
         scored = [
-            (sim, position, sentence)
+            (-sim, position, sentence)
             for position, (sentence, sim) in enumerate(zip(sentences, sims))
             if sim is not None
         ]
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        for sim, _, sentence in scored[: cfg.sentences_per_doc]:
+        scored.sort()
+        for negated_sim, _, sentence in scored[: cfg.sentences_per_doc]:
             selected.append(
                 EvidenceSentence(
                     text=sentence,
                     source=doc.source,
                     doc_id=doc.doc_id,
                     polarity=polarity,
-                    similarity=sim,
+                    similarity=-negated_sim,
                 )
             )
     return selected

@@ -218,6 +218,40 @@ class TestRankAndTruncate:
             rank_and_truncate([make_sentence("words here")], "...", EmbeddingMemo(embedder), 2)
 
 
+class OutOfRangeMemo:
+    """A memo whose every similarity is 1.5."""
+
+    def similarities(self, query, texts):
+        return [1.5] * len(texts)
+
+
+class TestRescoredSentences:
+    def test_equal_to_fresh_sentences(self, embedder):
+        claim = "zinc shortens the common cold"
+        parts = [
+            make_sentence("Zinc, SHORTENS [SEP]", doc_id="d1", similarity=0.2),
+            make_sentence("the common cold.", doc_id="d1", similarity=0.4),
+            make_sentence("Colds are COMMON!", doc_id="d2", polarity=Polarity.FROM_NEGATION),
+            make_sentence("iron is different", doc_id="d3"),
+        ]
+        candidates = merge_segments(parts)
+        assert texts(candidates)[0] == "Zinc, SHORTENS the common cold."
+        sims = EmbeddingMemo(embedder).similarities(claim, texts(candidates))
+        fresh = {
+            c.text: EvidenceSentence(c.text, c.source, c.doc_id, c.polarity, sim)
+            for c, sim in zip(candidates, sims)
+        }
+        out = rank_and_truncate(candidates, claim, EmbeddingMemo(embedder), 5)
+        assert len(out) == len(candidates) == 3
+        assert out == [fresh[s.text] for s in out]
+        assert [hash(s) for s in out] == [hash(fresh[s.text]) for s in out]
+        assert out[0].normalized == normalize_sentence("Zinc, SHORTENS the common cold.")
+
+    def test_out_of_range_similarity_raises(self):
+        with pytest.raises(ValueError, match="outside"):
+            rank_and_truncate([make_sentence("words here")], "the claim", OutOfRangeMemo(), 2)
+
+
 def bundle(source, finals):
     return EvidenceBundle(
         final=tuple(make_sentence(t, source=source, similarity=0.9 - 0.1 * i)

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from conftest import Reply, ScriptedSession, completion, cut_index_file
 from veriscope.assets import fixture_path
 from veriscope.cli import main
-from veriscope.index import build_local_index
+from veriscope.index import LocalIndex, build_local_index
 
 
 @pytest.fixture
@@ -89,7 +89,10 @@ class TestUnusableIndexDirectory:
         ids=["format-1", "missing", "truncated-docs", "shortened-terms"],
     )
     @pytest.mark.parametrize("command", ["verify", "evaluate"])
-    def test_exit_3_naming_the_directory(self, runner, tmp_path, make, command):
+    def test_exit_3_naming_the_directory(self, runner, tmp_path, monkeypatch, make, command):
+        # the remote providers are built first; no request is sent, the index is refused
+        monkeypatch.setenv("LLM_API_URL", "http://127.0.0.1:9")
+        monkeypatch.setenv("NEGATION_API_URL", "http://127.0.0.1:9")
         index_dir = tmp_path / "wiki-index"
         make(index_dir)
         config = tmp_path / "config.json"
@@ -106,6 +109,28 @@ class TestUnusableIndexDirectory:
         assert str(index_dir) in result.output
         assert "veriscope index" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+def test_missing_environment_exits_before_any_index_loads(runner, tmp_path, monkeypatch, command):
+    index_dir = tmp_path / "wiki-index"
+    build_local_index(fixture_path("corpus_wikipedia.jsonl"), index_dir)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"wikipedia_index": str(index_dir)}))
+    claims = tmp_path / "claims.jsonl"
+    claims.write_text(json.dumps({"id": "c1", "claim": "Cats purr.", "label": "Supported"}) + "\n")
+    monkeypatch.delenv("LLM_API_URL", raising=False)
+    monkeypatch.setenv("NEGATION_API_URL", "http://127.0.0.1:9")
+    loads = []
+    monkeypatch.setattr(LocalIndex, "load", classmethod(lambda cls, path: loads.append(path)))
+    args = {
+        "verify": ["verify", "Cats purr."],
+        "evaluate": ["evaluate", "--claims", str(claims), "--out", str(tmp_path / "run")],
+    }[command]
+    result = runner.invoke(main, [*args, "--sources", "wikipedia", "--config", str(config)])
+    assert result.exit_code == 3, result.output
+    assert "LLM_API_URL" in result.output
+    assert loads == []
 
 
 class TestNegateCommand:

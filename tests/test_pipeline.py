@@ -423,6 +423,70 @@ class TestThreads:
         assert threading.get_ident() not in remote.threads
 
 
+class RaisingLocalSource(LocalCorpusSource):
+    """An in-process source whose first call releases held and raises TypeError."""
+
+    def __init__(self, source, held):
+        super().__init__(source.kind, source._index)
+        self.held = held
+
+    def retrieve(self, query_text, k):
+        if not self.held.is_set():
+            threading.Timer(0.1, self.held.set).start()
+        raise TypeError("a bug in a local source")
+
+
+class HeldRemoteSource(RecordingRemoteSource):
+    """A network-bound source whose calls wait until held is set."""
+
+    def __init__(self, source, held):
+        super().__init__(source)
+        self.held = held
+        self.returned = []
+
+    def retrieve(self, query_text, k):
+        try:
+            assert self.held.wait(timeout=5)
+            return super().retrieve(query_text, k)
+        finally:
+            self.returned.append(query_text)
+
+
+class DownLocalSource(LocalCorpusSource):
+    def retrieve(self, query_text, k):
+        raise SourceUnavailable(f"{self.kind.name} down")
+
+
+class TestInProcessOutcomes:
+    def test_in_process_bug_raises_after_the_network_calls_return(
+        self, mock, claim, scheme, template
+    ):
+        held = threading.Event()
+        sources = dict(mock.sources)
+        sources[WIKIPEDIA] = RaisingLocalSource(mock.sources[WIKIPEDIA], held)
+        remote = sources[WEB] = HeldRemoteSource(mock.sources[WEB], held)
+        with pytest.raises(TypeError, match="a bug in a local source"):
+            verify_claim(claim, with_providers(mock, sources=sources), scheme, template, MOCK_CONFIG)
+        assert held.is_set()
+        assert len(remote.returned) == 2
+
+    def test_in_process_source_unavailable_makes_only_that_source_abstain(
+        self, mock, claim, scheme, template
+    ):
+        sources = dict(mock.sources)
+        sources[WIKIPEDIA] = DownLocalSource(WIKIPEDIA, mock.sources[WIKIPEDIA]._index)
+        sources[WEB] = RecordingRemoteSource(mock.sources[WEB])
+        result = verify_claim(
+            claim, with_providers(mock, sources=sources), scheme, template, MOCK_CONFIG
+        )
+        assert result.source_errors == {WIKIPEDIA: "wikipedia down"}
+        assert result.verdicts[WIKIPEDIA].abstained
+        healthy = verify_claim(claim, mock, scheme, template, MOCK_CONFIG)
+        for kind in (PUBMED, WEB):
+            assert result.bundles[kind] == healthy.bundles[kind]
+            assert result.verdicts[kind] == healthy.verdicts[kind]
+
+
 class FailingEmbedder:
     def embed(self, texts):
         raise ProviderUnavailable("embedding endpoint down")

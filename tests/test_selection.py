@@ -460,6 +460,31 @@ class TestSelectEvidence:
         with pytest.raises(ValueError, match="nan outside"):
             select_evidence("Cats sleep.", [doc], EmbeddingMemo(local), cfg)
 
+    @pytest.mark.parametrize("per_doc", [1, 3])
+    def test_ties_prefer_the_earlier_sentence(self, per_doc):
+        # two sentences tie at the top, three below them
+        rows = {
+            "the query": [1.0, 0.0],
+            "Alpha one.": [1.0, 1.0],
+            "Beta two.": [2.0, 0.0],
+            "Gamma three.": [1.0, 1.0],
+            "Delta four.": [3.0, 0.0],
+            "Epsilon five.": [2.0, 2.0],
+        }
+        body = " ".join(text for text in rows if text != "the query")
+        doc = make_doc("d1", body, 1)
+        cfg = PipelineConfig(retrieval_depth=1, selection_docs=1, sentences_per_doc=per_doc)
+        out = select_evidence("the query", [doc], EmbeddingMemo(FixtureEmbedder(rows)), cfg)
+        sims = EmbeddingMemo(FixtureEmbedder(rows)).similarities("the query", doc.sentences)
+        # the earlier form: a key function over (sim, position, sentence)
+        scored = sorted(
+            zip(sims, range(len(sims)), doc.sentences), key=lambda item: (-item[0], item[1])
+        )
+        assert [(s.text, s.similarity) for s in out] == [
+            (sentence, sim) for sim, _, sentence in scored[:per_doc]
+        ]
+        assert [s.text for s in out] == ["Beta two.", "Delta four.", "Alpha one."][:per_doc]
+
     def test_zero_vector_sentences_skipped(self, embedder, cfg):
         doc = make_doc("d1", "Cats sleep. ... !!!", 1)
         out = select_evidence("cats", [doc], EmbeddingMemo(embedder), cfg)
