@@ -3,8 +3,8 @@
 Each client lets at most MAX_IN_FLIGHT (4) requests run at once and
 retries rate-limit (429) and server (5xx) responses and transport
 errors, timeouts included, MAX_RETRIES (4) times with exponential
-backoff: 0.5, 1, 2 and 4 s, 7.5 s in all.  Every other failure,
-a 200 whose body is not JSON among them, surfaces at once as
+backoff: 0.5, 1, 2 and 4 s, 7.5 s in all.  Every other failure (a 200
+whose body is not JSON, a malformed URL or header) surfaces at once as
 ProviderUnavailable, and so does the last retried failure.
 """
 
@@ -52,6 +52,8 @@ class JsonHttpClient:
                 try:
                     response = send(self.url, timeout=self._timeout, **kwargs)
                 except requests.RequestException as exc:
+                    if isinstance(exc, ValueError):  # a malformed URL or header: no retry mends it
+                        raise ProviderUnavailable(f"{self.url}: {type(exc).__name__}") from None
                     last_error = str(exc)
                 else:
                     if response.status_code == 200:

@@ -89,13 +89,13 @@ def run_experiment(
     Source and verdict failures become abstentions inside the traces.
     Configuration errors, failed negations (ProviderUnavailable,
     DegenerateNegation) and embedding calls that still fail after
-    claim_memo's per-document retry (ProviderUnavailable) abort the run:
+    selection's per-document retry (ProviderUnavailable) abort the run:
     no claim after the failing one in claim order starts, every claim
     that started finishes and keeps its trace, the first failure in claim
     order is raised, no derived artifact is written, and a re-run
     resumes.  Before any claim runs, an existing manifest must equal this
     run's except for limit and claims, and traces without a manifest are
-    refused (ConfigurationError).
+    refused (ConfigurationError), as is a trace of another claim text or label.
 
     When every provider runs in-process, the claims run one at a time on
     the caller's thread, in claim order.  Otherwise up to max_workers
@@ -135,14 +135,14 @@ def run_experiment(
     def process(claim: ClaimPair) -> ClaimVerification:
         trace_path = traces_dir / _trace_filename(claim.id)
         if trace_path.exists():
-            return ClaimVerification.from_dict(json.loads(trace_path.read_text(encoding="utf-8")))
+            held = ClaimVerification.from_dict(json.loads(trace_path.read_text(encoding="utf-8")))
+            if (held.claim.text, held.claim.gold_label) != (claim.text, claim.gold_label):
+                raise ConfigurationError(
+                    f"{trace_path} holds another claim; use a fresh output directory"
+                )
+            return held
         result = verify_claim(
-            claim,
-            run_providers,
-            scheme,
-            template,
-            cfg=plan.cfg,
-            condition=plan.condition,
+            claim, run_providers, scheme, template, cfg=plan.cfg, condition=plan.condition
         )
         _atomic_write_text(trace_path, json.dumps(result.to_dict(), sort_keys=True) + "\n")
         return result

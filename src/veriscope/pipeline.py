@@ -1,8 +1,8 @@
 """End-to-end verification of a single claim.
 
 Stage order per claim: negate (when the condition asks for it),
-retrieve per source for both the claim and its negation, select
-sentence evidence per polarity, deduplicate by symmetric difference,
+retrieve per source for each query (the claim, then its negation), select
+sentence evidence per query, deduplicate by symmetric difference,
 merge split segments, rank against the original claim and truncate,
 union across sources, then predict one verdict per source plus one over
 the merged evidence.  A failing source is recorded and the rest proceed.
@@ -42,7 +42,7 @@ from .aggregation import (
 from .analysis import SourceConfidenceProfile, build_profile
 from .errors import ConfigurationError, ProviderUnavailable, RankingFailed, SourceUnavailable
 from .negation import FixtureNegationProvider, NegationProvider, RuleBasedNegator, negate_claim
-from .selection import EmbeddingMemo, EmbeddingProvider, HashedBowEmbedder, Polarity, claim_memo, select_evidence
+from .selection import EmbeddingMemo, EmbeddingProvider, HashedBowEmbedder, Polarity, select_evidence
 from .sources import BiomedicalSource, KnowledgeSource, LocalCorpusSource
 from .types import MERGED, ClaimPair, JsonRecord, LabelScheme, PipelineConfig, SourceKind, source_order_key
 from .verdict import (
@@ -191,35 +191,35 @@ def verify_claim(
     change the negative evidence, and a skipped embedding would turn an
     outage into verdicts on no evidence.
 
-    This is the pipeline's one dual retrieval: every source is asked for
-    the claim and, under the dual condition, for its negation, with the
-    network-bound requests of all sources in flight together.  The two
-    result lists of a source never mix.
+    This is the pipeline's one dual retrieval: one flow over the
+    condition's queries (the claim, then under the dual condition its
+    negation), with every source's network-bound requests in flight
+    together; the result lists of a source never mix.
 
-    Every embedding call of the claim goes through one EmbeddingMemo,
-    made before retrieval, that owns the claim and negation rows: the
-    first call, pubmed fusion's (retrieve's memo keyword) or else
-    claim_memo's, embeds them, and no later call sends them again.
-    claim_memo embeds the selected documents' sentences in one call;
-    selection and ranking then embed only texts no call covered (sentences
-    joined by merge_segments).  If that call raises ProviderUnavailable,
-    selection retries one call per document, and a retry that fails
-    raises out of verify_claim; a failed fusion call only makes pubmed
-    abstain.
+    One EmbeddingMemo per claim, made before retrieval, owns the query
+    rows; the first embedding call (pubmed fusion's, through retrieve's
+    memo keyword, or else one batch of the selected documents' sentences)
+    embeds them.  Selection and ranking then embed only texts no call
+    covered (sentences joined by merge_segments).  If the batch raises
+    ProviderUnavailable (an endpoint may cap its size), selection retries
+    one call per document, and a retry that fails raises; a failed fusion
+    call only makes pubmed abstain.
     """
     cfg = cfg or PipelineConfig()
-    dual = condition is ClaimCondition.ORIGINAL_PLUS_NEGATED
-    if dual and claim.negated_text is None:
-        if providers.negator is None:
-            raise ConfigurationError(
-                "condition original+negated needs a negation provider or pre-negated claims"
-            )
-        claim = negate_claim(claim, providers.negator)
+    queries = {Polarity.FROM_CLAIM: claim.text}
+    if condition is ClaimCondition.ORIGINAL_PLUS_NEGATED:
+        if claim.negated_text is None:
+            if providers.negator is None:
+                raise ConfigurationError(
+                    "condition original+negated needs a negation provider or pre-negated claims"
+                )
+            claim = negate_claim(claim, providers.negator)
+        queries[Polarity.FROM_NEGATION] = claim.negated_text
 
     kinds = sorted(providers.sources, key=source_order_key)
-    memo = EmbeddingMemo(providers.embedder, [claim.text, claim.negated_text] if dual else [claim.text])
+    memo = EmbeddingMemo(providers.embedder, list(queries.values()))
     remote_verdicts = not _in_process(providers.verdicts)
-    # one retrieval call per source per polarity
+    # one retrieval call per source per query
     calls = {}
     for kind in kinds:
         source = providers.sources[kind]
@@ -227,43 +227,42 @@ def verify_claim(
         retrieve = source.retrieve
         if isinstance(source, BiomedicalSource):  # whatever its embedder: the memo stays on this thread
             network, retrieve = False, partial(retrieve, memo=memo)
-        calls[(kind, Polarity.FROM_CLAIM)] = (
-            network, retrieve, claim.text, cfg.retrieval_depth
-        )
-        if dual:
-            calls[(kind, Polarity.FROM_NEGATION)] = (
-                network, retrieve, claim.negated_text, cfg.retrieval_depth
-            )
+        for polarity, query in queries.items():
+            calls[(kind, polarity)] = (network, retrieve, query, cfg.retrieval_depth)
     outcomes = _run_calls(calls)
     source_errors: dict[SourceKind, str] = {}
-    retrieved: dict[SourceKind, tuple[list, list]] = {}
+    retrieved: dict[SourceKind, dict[Polarity, list]] = {}
     for kind in kinds:
         try:
-            docs_pos = _outcome(outcomes[(kind, Polarity.FROM_CLAIM)])
-            docs_neg = (
-                _outcome(outcomes[(kind, Polarity.FROM_NEGATION)]) if dual else []
-            )
-            retrieved[kind] = (docs_pos, docs_neg)
+            retrieved[kind] = {polarity: _outcome(outcomes[(kind, polarity)]) for polarity in queries}
         except SourceUnavailable as exc:
             log.warning("source %s unavailable for claim %s: %s", kind, claim.id, exc)
             source_errors[kind] = str(exc)
-            retrieved[kind] = ([], [])
 
-    claim_memo(claim, retrieved, memo, cfg)
+    # one embedding call for every sentence selection will score
+    batch = [
+        sentence
+        for docs_by_polarity in retrieved.values()
+        for docs in docs_by_polarity.values()
+        for doc in docs[: cfg.selection_docs]
+        for sentence in doc.sentences
+    ]
+    if batch:
+        try:
+            memo.prefetch(batch)
+        except ProviderUnavailable as exc:  # selection retries one call per document
+            log.warning(
+                "batched embedding failed for claim %s, embedding per document: %s", claim.id, exc
+            )
+
     bundles: dict[SourceKind, EvidenceBundle] = {}
     for kind in kinds:
-        docs_pos, docs_neg = retrieved[kind]
-        positive = select_evidence(
-            claim.text, docs_pos, memo, cfg, polarity=Polarity.FROM_CLAIM
-        )
-        negative = (
-            select_evidence(
-                claim.negated_text, docs_neg, memo, cfg,
-                polarity=Polarity.FROM_NEGATION,
-            )
-            if dual and docs_neg
-            else []
-        )
+        selected = {
+            polarity: select_evidence(queries[polarity], docs, memo, cfg, polarity=polarity)
+            for polarity, docs in retrieved.get(kind, {}).items()
+        }
+        positive = selected.get(Polarity.FROM_CLAIM, [])
+        negative = selected.get(Polarity.FROM_NEGATION, [])
         candidates = dedup_by_normalized(
             merge_segments(
                 symmetric_difference_dedup(positive, negative),
@@ -285,26 +284,20 @@ def verify_claim(
 
     aggregated = aggregate_sources(bundles)
 
-    calls = {
-        kind: (remote_verdicts, predict_verdict, claim, bundles[kind].final,
-               providers.verdicts, scheme, template)
-        for kind in kinds
-        if kind not in source_errors
-    }
-    if all(kind in source_errors for kind in kinds):
-        source_errors[MERGED] = "every source failed"
+    evidence = {kind: bundles[kind].final for kind in kinds if kind not in source_errors}
+    if evidence:
+        evidence[MERGED] = aggregated.sentences
     else:
-        calls[MERGED] = (remote_verdicts, predict_verdict, claim, aggregated.sentences,
-                         providers.verdicts, scheme, template)
-    outcomes = _run_calls(calls)
+        source_errors[MERGED] = "every source failed"
+    outcomes = _run_calls({
+        kind: (remote_verdicts, predict_verdict, claim, sentences, providers.verdicts, scheme, template)
+        for kind, sentences in evidence.items()
+    })
 
     verdicts: dict[SourceKind, VeracityVerdict] = {}
     for kind in kinds + [MERGED]:
-        if kind in source_errors:
-            verdicts[kind] = abstain_verdict(scheme)
-            continue
         try:
-            verdicts[kind] = _outcome(outcomes[kind])
+            verdicts[kind] = _outcome(outcomes[kind]) if kind in evidence else abstain_verdict(scheme)
         except ProviderUnavailable as exc:
             log.warning("verdict provider failed for claim %s source %s: %s", claim.id, kind, exc)
             source_errors[kind] = str(exc)

@@ -12,25 +12,22 @@ EmbeddingMemo.similarities.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
 from ._http import JsonHttpClient
 from .bm25 import tokenize
 from .errors import ConfigurationError, ProviderUnavailable
-from .types import ClaimPair, JsonRecord, PipelineConfig, SourceKind, normalize_sentence
+from .types import JsonRecord, PipelineConfig, SourceKind, normalize_sentence
 
 if TYPE_CHECKING:  # sources imports EmbeddingMemo from here
     from .sources import RetrievedDocument
-
-log = logging.getLogger(__name__)
 
 ENV_EMBED_URL = "EMBED_API_URL"
 ENV_EMBED_KEY = "EMBED_API_KEY"
@@ -220,37 +217,6 @@ class EmbeddingMemo:
         return sims
 
 
-def claim_memo(
-    claim: ClaimPair,
-    retrieved: Mapping[SourceKind, tuple[list, list]],
-    memo: EmbeddingMemo,
-    cfg: PipelineConfig,
-) -> None:
-    """Embed in one call, through the claim's memo, every sentence selection will score.
-
-    These are the sentences of the first selection_docs documents of each
-    source and polarity, read from each document's one split; the call also
-    carries the claim and negation rows unless pubmed fusion embedded them.
-    When it raises ProviderUnavailable (an endpoint may cap the batch size),
-    it is logged and selection retries with one call per document.  Any
-    other exception is a bug in the embedder and propagates.
-    """
-    sentences = [
-        sentence
-        for docs_pos, docs_neg in retrieved.values()
-        for doc in docs_pos[: cfg.selection_docs] + docs_neg[: cfg.selection_docs]
-        for sentence in doc.sentences
-    ]
-    if not sentences:
-        return
-    try:
-        memo.prefetch(sentences)
-    except ProviderUnavailable as exc:  # selection retries one call per document
-        log.warning(
-            "batched embedding failed for claim %s, embedding per document: %s", claim.id, exc
-        )
-
-
 def select_evidence(
     query_text: str,
     docs: Sequence[RetrievedDocument],
@@ -265,8 +231,8 @@ def select_evidence(
     survive; ties prefer the earlier sentence.  Zero-vector sentences
     are skipped rather than scored.  An embedding failure is not skipped:
     it propagates, and under verify_claim it fails the claim.  Under
-    verify_claim the memo already holds every row (claim_memo), so this
-    embeds nothing unless that batched call failed.
+    verify_claim the memo already holds every row (its one batched call),
+    so this embeds nothing unless that call failed.
     """
     selected: list[EvidenceSentence] = []
     for doc in docs[: cfg.selection_docs]:

@@ -368,6 +368,30 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="sources"):
             run_plan(tmp_path, providers, scheme, out_name="r", sources=(WIKIPEDIA, PUBMED))
 
+    @pytest.mark.parametrize("changed", [
+        {"claim": "A deficiency of vitamin B12 lowers homocysteine levels."},
+        {"label": "Refuted"},
+    ], ids=["text", "label"])
+    def test_resume_refuses_a_trace_of_another_claim(self, tmp_path, providers, scheme, changed):
+        # the manifest does not record the claims file, so each trace is checked against its claim
+        run_dir = run_plan(tmp_path, providers, scheme)
+        trace = run_dir / "traces" / "c-001.json"
+        held = trace.read_bytes()
+        lines = mock_claims_path().read_text().splitlines()
+        record = json.loads(lines[0])
+        assert record["id"] == "c-001"
+        claims = tmp_path / "b.jsonl"
+        claims.write_text("\n".join([json.dumps({**record, **changed}), *lines[1:]]) + "\n")
+        plan = ExperimentPlan(
+            dataset=DatasetDescriptor(name="fixture", scheme=scheme, path=claims),
+            sources=CANONICAL_SOURCES,
+            condition=ClaimCondition.ORIGINAL_PLUS_NEGATED,
+            cfg=MOCK_CONFIG,
+        )
+        with pytest.raises(ConfigurationError, match="c-001.json"):
+            run_experiment(plan, providers, run_dir)
+        assert trace.read_bytes() == held
+
     def test_manifest_describes_only_the_planned_sources(self, tmp_path, providers, scheme):
         run_dir = run_plan(tmp_path, providers, scheme, sources=(WIKIPEDIA, PUBMED))
         manifest = json.loads((run_dir / "run-manifest.json").read_text())

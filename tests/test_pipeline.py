@@ -317,6 +317,43 @@ def test_each_selected_document_is_split_once(mock, scheme, template, monkeypatc
     assert len(split) == len(set(split))
 
 
+class QueryRecordingSource(LocalCorpusSource):
+    """An in-process source that records the query of each call."""
+
+    def __init__(self, source):
+        super().__init__(source.kind, source._index)
+        self.queries = []
+
+    def retrieve(self, query_text, k):
+        self.queries.append(query_text)
+        return super().retrieve(query_text, k)
+
+
+PRE_NEGATED = "A deficiency of vitamin B12 leaves homocysteine levels unchanged."
+
+
+@pytest.mark.parametrize("condition, negated_text, queried_negation", [
+    (ClaimCondition.ORIGINAL_ONLY, None, None),
+    (ClaimCondition.ORIGINAL_ONLY, PRE_NEGATED, None),
+    (ClaimCondition.ORIGINAL_PLUS_NEGATED, None, mock_negations()[fixture_claims()[0].text]),
+    (ClaimCondition.ORIGINAL_PLUS_NEGATED, PRE_NEGATED, PRE_NEGATED),
+], ids=["original", "original-pre-negated", "dual", "dual-pre-negated"])
+def test_each_source_receives_the_conditions_queries(
+    mock, claim, scheme, template, condition, negated_text, queried_negation
+):
+    claim = dataclasses.replace(claim, negated_text=negated_text)
+    recording = {kind: QueryRecordingSource(src) for kind, src in mock.sources.items()}
+    result = verify_claim(
+        claim, with_providers(mock, sources=recording), scheme, template, MOCK_CONFIG,
+        condition=condition,
+    )
+    expected = [claim.text] if queried_negation is None else [claim.text, queried_negation]
+    assert {kind: source.queries for kind, source in recording.items()} == {
+        kind: expected for kind in CANONICAL_SOURCES
+    }
+    assert result == verify_claim(claim, mock, scheme, template, MOCK_CONFIG, condition=condition)
+
+
 class RecordingLocalSource(LocalCorpusSource):
     def __init__(self, source):
         super().__init__(source.kind, source._index)

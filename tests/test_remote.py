@@ -118,6 +118,8 @@ SCHEDULES = {
     "403": ([Reply(403)], 1, [], "HTTP 403"),
     "non-json-200": ([Reply(text="<html>Bad Gateway</html>")], 1, [], "response was not JSON"),
     "wrong-shape": ([WRONG_SHAPE], 1, [], WRONG_SHAPE),
+    # requests raises these before sending; no retry can mend the URL
+    "malformed-url": ([Reply(error=requests.exceptions.MissingSchema)], 1, [], "api: MissingSchema$"),
 }
 
 
