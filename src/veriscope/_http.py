@@ -6,16 +6,22 @@ errors, timeouts included, MAX_RETRIES (4) times with exponential
 backoff: 0.5, 1, 2 and 4 s, 7.5 s in all.  Every other failure (a 200
 whose body is not JSON, a malformed URL or header) surfaces at once as
 ProviderUnavailable, and so does the last retried failure.
+
+requests, and the HTTP stack under it, is imported by the first client
+that builds its own session or sends a request, so a run whose providers
+all stay in-process never loads it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import ProviderUnavailable
+
+if TYPE_CHECKING:
+    import requests
 
 MAX_IN_FLIGHT = 4
 MAX_RETRIES = 4
@@ -35,7 +41,11 @@ class JsonHttpClient:
         self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         self._semaphore = threading.Semaphore(MAX_IN_FLIGHT)
         self._timeout = timeout
-        self._session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self._session = session
 
     def post(self, payload: dict):
         """POST a JSON payload and return the decoded JSON response."""
@@ -46,6 +56,8 @@ class JsonHttpClient:
         return self._request(self._session.get, params=params)
 
     def _request(self, send, **kwargs):
+        import requests
+
         with self._semaphore:
             last_error = None
             for attempt in range(MAX_RETRIES + 1):

@@ -174,24 +174,37 @@ def aggregate_sources(bundles: Mapping[SourceKind, EvidenceBundle]) -> Aggregate
     return AggregatedEvidence(tuple(sentences))
 
 
-def write_aggregated_jsonl(results: Iterable, path: Path) -> None:
-    """One line per ClaimVerification: claim_id, the union's sentences, per_source bundles.
+def aggregated_jsonl_line(result, trace: Mapping) -> str:
+    """result's evidence.jsonl line: claim_id, the union's sentences, per_source bundles.
 
-    This published format repeats what a trace stores once: each bundle
-    carries claim_id and its source, and each sentence its normalized text.
+    trace is result.to_dict(); its sentence records are reused, so no
+    sentence is encoded a second time.  This published format repeats what
+    a trace stores once: each bundle carries claim_id and its source, and
+    each sentence its normalized text.
     """
+    claim_id = result.claim.id
+    per_source, final_records = {}, {}
+    for kind, bundle in result.bundles.items():
+        stored = trace["bundles"][kind.name]
+        stages = {
+            name: [{**record, "normalized": sentence.normalized}
+                   for record, sentence in zip(stored[name], getattr(bundle, name))]
+            for name in _STAGES
+        }
+        final_records.update(zip(map(id, bundle.final), stages["final"]))
+        per_source[kind.name] = {"claim_id": claim_id, "source": kind.name, **stages}
+    # the union's sentences are bundles' final ones: aggregate_sources keeps the objects
+    union = [final_records[id(s)] for s in result.aggregated.sentences]
+    line = {"claim_id": claim_id, "per_source": per_source, "sentences": union}
+    return json.dumps(line, sort_keys=True) + "\n"
 
-    def sentences(items):
-        return [{**s.to_dict(), "normalized": s.normalized} for s in items]
 
+def write_aggregated_jsonl(results: Iterable, path: Path) -> None:
+    """aggregated_jsonl_line of each ClaimVerification, as one file.
+
+    run_experiment does not hold its results to call this: it writes each
+    claim's line from the trace it has just written or loaded, in claim
+    order, to a temporary name it renames once every claim is in.
+    """
     with Path(path).open("w", encoding="utf-8") as handle:
-        for result in results:
-            claim_id = result.claim.id
-            per_source = {
-                kind.name: {"claim_id": claim_id, "source": kind.name}
-                | {name: sentences(getattr(bundle, name)) for name in _STAGES}
-                for kind, bundle in result.bundles.items()
-            }
-            line = {"claim_id": claim_id, "per_source": per_source,
-                    "sentences": sentences(result.aggregated.sentences)}
-            handle.write(json.dumps(line, sort_keys=True) + "\n")
+        handle.writelines(aggregated_jsonl_line(result, result.to_dict()) for result in results)

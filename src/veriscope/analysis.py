@@ -237,23 +237,17 @@ class ConfidenceRow:
     regime: str
     dispersion: float | None
 
+    def csv_fields(self) -> list[str]:
+        """The row as confidences.csv writes it: floats by repr, no dispersion as ""."""
+        dispersion = repr(self.dispersion) if self.dispersion is not None else ""
+        return [self.claim_id, self.source, self.label, repr(self.confidence), self.regime, dispersion]
+
 
 def write_confidences_csv(rows: Iterable[ConfidenceRow], path: Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CONFIDENCES_FIELDS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.claim_id,
-                    row.source,
-                    row.label,
-                    repr(row.confidence),
-                    row.regime,
-                    repr(row.dispersion) if row.dispersion is not None else "",
-                ]
-            )
+        writer.writerows(row.csv_fields() for row in rows)
 
 
 def read_confidences_csv(path: Path) -> list[ConfidenceRow]:

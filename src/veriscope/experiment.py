@@ -3,15 +3,19 @@
 A run writes one trace file per claim plus the claim-level evidence
 union, the per-(claim, source) confidence table, and a metrics report
 per source and for the merged condition.  Runs are resumable: claims
-whose trace file already exists are loaded instead of recomputed, and
-all derived artifacts are rebuilt from the complete trace set, so an
-interrupted-and-resumed run is byte-identical to an uninterrupted one.
-Run-level facts live only in the run manifest, which a resume must
-match.  Nothing in the artifacts depends on wall-clock time.
+whose trace file already exists are loaded instead of recomputed.  The
+derived artifacts are written in claim order as each claim's trace is
+written or loaded, under temporary names that are renamed once every
+claim is in, so an interrupted-and-resumed run is byte-identical to an
+uninterrupted one, and a finished claim is dropped once its rows are
+written.  Run-level facts live only in the run manifest, which a resume
+must match.  Nothing in the artifacts depends on wall-clock time.
 """
 
 from __future__ import annotations
 
+import collections
+import csv
 import dataclasses
 import hashlib
 import json
@@ -20,11 +24,12 @@ import random
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .aggregation import write_aggregated_jsonl
-from .analysis import ConfidenceRow, compute_metrics, write_confidences_csv
+from .aggregation import aggregated_jsonl_line
+from .analysis import CONFIDENCES_FIELDS, ConfidenceRow, compute_metrics
 from .assets import load_prompt
 from .datasets import DatasetDescriptor, load_dataset
 from .errors import ConfigurationError
@@ -36,6 +41,9 @@ MANIFEST_FILE = "run-manifest.json"
 CONFIDENCES_FILE = "confidences.csv"
 METRICS_FILE = "metrics.json"
 EVIDENCE_FILE = "evidence.jsonl"
+#: With max_workers claims in flight, up to this many times as many are
+#: submitted, so finished claims' rows wait behind a slow one in a bounded buffer.
+WINDOW_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,12 @@ def _trace_filename(claim_id: str) -> str:
     return f"{safe}.json"
 
 
+def _temporary(path: Path) -> Path:
+    return path.with_name(path.name + ".tmp")
+
+
 def _atomic_write_text(path: Path, content: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = _temporary(path)
     tmp.write_text(content, encoding="utf-8")
     os.replace(tmp, path)
 
@@ -92,10 +104,17 @@ def run_experiment(
     selection's per-document retry (ProviderUnavailable) abort the run:
     no claim after the failing one in claim order starts, every claim
     that started finishes and keeps its trace, the first failure in claim
-    order is raised, no derived artifact is written, and a re-run
+    order is raised, no derived artifact is left, and a re-run
     resumes.  Before any claim runs, an existing manifest must equal this
     run's except for limit and claims, and traces without a manifest are
     refused (ConfigurationError), as is a trace of another claim text or label.
+
+    Each claim's trace is written, or loaded on a resume, and its rows of
+    evidence.jsonl and confidences.csv are written in claim order under
+    temporary names; of its verdicts only (gold, predicted, abstained)
+    is kept for metrics.json.  The claim is then dropped, so memory does
+    not grow with the claims.  Once every claim is in, the files are
+    renamed to their names; an abort deletes them.
 
     When every provider runs in-process, the claims run one at a time on
     the caller's thread, in claim order.  Otherwise up to max_workers
@@ -132,42 +151,109 @@ def run_experiment(
     traces_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write_text(out_dir / MANIFEST_FILE, _json_dumps(manifest))
 
-    def process(claim: ClaimPair) -> ClaimVerification:
+    def process(claim: ClaimPair) -> tuple:
         trace_path = traces_dir / _trace_filename(claim.id)
         if trace_path.exists():
-            held = ClaimVerification.from_dict(json.loads(trace_path.read_text(encoding="utf-8")))
-            if (held.claim.text, held.claim.gold_label) != (claim.text, claim.gold_label):
+            result = ClaimVerification.from_dict(json.loads(trace_path.read_text(encoding="utf-8")))
+            if (result.claim.text, result.claim.gold_label) != (claim.text, claim.gold_label):
                 raise ConfigurationError(
                     f"{trace_path} holds another claim; use a fresh output directory"
                 )
-            return held
-        result = verify_claim(
-            claim, run_providers, scheme, template, cfg=plan.cfg, condition=plan.condition
-        )
-        _atomic_write_text(trace_path, json.dumps(result.to_dict(), sort_keys=True) + "\n")
-        return result
+            trace = result.to_dict()
+        else:
+            result = verify_claim(
+                claim, run_providers, scheme, template, cfg=plan.cfg, condition=plan.condition
+            )
+            trace = result.to_dict()
+            _atomic_write_text(trace_path, json.dumps(trace, sort_keys=True) + "\n")
+        return _claim_rows(result, trace)
 
-    if _in_process(run_providers):
-        # nothing to overlap: the interpreter lock would run them one at a time
-        results = [process(claim) for claim in claims]
-    else:
-        results = _overlapped(process, claims, max_workers)
-    _write_artifacts(out_dir, plan, results)
+    with _derived_files(out_dir, plan, len(claims)) as add:
+        if _in_process(run_providers):
+            # nothing to overlap: the interpreter lock would run them one at a time
+            for claim in claims:
+                add(process(claim))
+        else:
+            _overlapped(process, claims, max_workers, add)
     return out_dir
 
 
-def _overlapped(process, claims: list[ClaimPair], max_workers: int) -> list[ClaimVerification]:
-    """Run process over the claims, up to max_workers at once; results in claim order.
+def _claim_rows(result: ClaimVerification, trace: dict) -> tuple[str, list, list]:
+    """One claim's share of the derived files: its evidence.jsonl line, its
+    confidences.csv rows, and (source, (gold, predicted, abstained)) per verdict."""
+    claim, profile = result.claim, result.profile
+    regime = profile.regime.value if profile.regime else ""
+    verdicts = sorted(result.verdicts.items(), key=lambda kv: source_order_key(kv[0]))
+    rows = [
+        ConfidenceRow(claim.id, kind.name, verdict.label, verdict.confidence, regime,
+                      profile.dispersion).csv_fields()
+        for kind, verdict in verdicts
+    ]
+    outcomes = [(kind, (claim.gold_label, verdict.label, verdict.abstained)) for kind, verdict in verdicts]
+    return aggregated_jsonl_line(result, trace), rows, outcomes
 
-    Once a claim fails, no claim after it in claim order starts: with a
-    provider down, each would spend its retries on the outage.  Claims
-    before it still run, and every claim that started finishes and keeps
-    its trace.  The first failure in claim order is raised.
+
+@contextmanager
+def _derived_files(out_dir: Path, plan: ExperimentPlan, claims: int):
+    """Yield add, which writes one claim's _claim_rows; call it in claim order.
+
+    evidence.jsonl and confidences.csv grow under temporary names.  When
+    the block ends normally, metrics.json is written from the kept
+    outcomes and all three take their names; when it raises, the
+    temporaries are deleted, so no derived file is left.
+    """
+    paths = [out_dir / name for name in (EVIDENCE_FILE, CONFIDENCES_FILE, METRICS_FILE)]
+    temporaries = [_temporary(path) for path in paths]
+    kinds = sorted(plan.sources, key=source_order_key) + [MERGED]
+    outcomes = {kind: [] for kind in kinds}
+    try:
+        with temporaries[0].open("w", encoding="utf-8") as evidence, \
+                temporaries[1].open("w", encoding="utf-8", newline="") as confidences:
+            table = csv.writer(confidences)
+            table.writerow(CONFIDENCES_FIELDS)
+
+            def add(claim_rows: tuple) -> None:
+                line, rows, verdicts = claim_rows
+                evidence.write(line)
+                table.writerows(rows)
+                for kind, outcome in verdicts:
+                    outcomes[kind].append(outcome)
+
+            yield add
+        per_source_metrics, abstentions = {}, {}
+        for kind in kinds:
+            pairs = [(gold, predicted) for gold, predicted, _ in outcomes[kind]]
+            per_source_metrics[kind.name] = compute_metrics(pairs, plan.dataset.scheme).to_dict()
+            abstentions[kind.name] = sum(abstained for _, _, abstained in outcomes[kind])
+        metrics = {
+            "dataset": plan.dataset.name,
+            "condition": plan.condition.value,
+            "claims": claims,
+            "per_source": per_source_metrics,
+            "abstentions": abstentions,
+        }
+        temporaries[2].write_text(_json_dumps(metrics), encoding="utf-8")
+        for temporary, path in zip(temporaries, paths):
+            os.replace(temporary, path)
+    finally:  # renamed on success, so this deletes only an aborted run's temporaries
+        for temporary in temporaries:
+            temporary.unlink(missing_ok=True)
+
+
+def _overlapped(process, claims: list[ClaimPair], max_workers: int, emit) -> None:
+    """Run process over the claims, up to max_workers at once; emit each result in claim order.
+
+    Claims are submitted WINDOW_PER_WORKER * max_workers ahead of the
+    oldest unemitted one, so at most that many results wait behind a slow
+    claim.  Once a claim fails, no claim after it in claim order starts:
+    with a provider down, each would spend its retries on the outage.
+    Claims before it still run, and every claim that started finishes and
+    keeps its trace.  The first failure in claim order is raised.
     """
     first_failure = len(claims)
     failure_lock = threading.Lock()
 
-    def process_in_order(index: int, claim: ClaimPair) -> ClaimVerification | None:
+    def process_in_order(index: int, claim: ClaimPair):
         nonlocal first_failure
         if index > first_failure:
             return None
@@ -178,9 +264,19 @@ def _overlapped(process, claims: list[ClaimPair], max_workers: int) -> list[Clai
                 first_failure = min(first_failure, index)
             raise
 
+    window = WINDOW_PER_WORKER * max_workers
+    pending = collections.deque()
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(process_in_order, i, claim) for i, claim in enumerate(claims)]
-    return [future.result() for future in futures]
+        try:
+            for index, claim in enumerate(claims):
+                if len(pending) == window:
+                    emit(pending.popleft().result())
+                pending.append(pool.submit(process_in_order, index, claim))
+            while pending:
+                emit(pending.popleft().result())
+        finally:
+            for future in pending:  # whatever ended the run, a claim not yet started never starts
+                future.cancel()
 
 
 def _check_resumable(out_dir: Path, manifest: dict) -> None:
@@ -196,36 +292,3 @@ def _check_resumable(out_dir: Path, manifest: dict) -> None:
         held = f"traces but no {MANIFEST_FILE}"
     if held:
         raise ConfigurationError(f"{out_dir} holds {held}; use a fresh output directory")
-
-
-def _write_artifacts(out_dir: Path, plan: ExperimentPlan, results: list[ClaimVerification]) -> None:
-    write_aggregated_jsonl(results, out_dir / EVIDENCE_FILE)
-
-    rows = [
-        ConfidenceRow(
-            claim_id=result.claim.id,
-            source=kind.name,
-            label=verdict.label,
-            confidence=verdict.confidence,
-            regime=result.profile.regime.value if result.profile.regime else "",
-            dispersion=result.profile.dispersion,
-        )
-        for result in results
-        for kind, verdict in sorted(result.verdicts.items(), key=lambda kv: source_order_key(kv[0]))
-    ]
-    write_confidences_csv(rows, out_dir / CONFIDENCES_FILE)
-
-    per_source_metrics, abstentions = {}, {}
-    for kind in sorted(plan.sources, key=source_order_key) + [MERGED]:
-        verdicts = [(r.claim.gold_label, r.verdicts[kind]) for r in results if kind in r.verdicts]
-        pairs = [(gold, verdict.label) for gold, verdict in verdicts]
-        per_source_metrics[kind.name] = compute_metrics(pairs, plan.dataset.scheme).to_dict()
-        abstentions[kind.name] = sum(verdict.abstained for _, verdict in verdicts)
-    metrics = {
-        "dataset": plan.dataset.name,
-        "condition": plan.condition.value,
-        "claims": len(results),
-        "per_source": per_source_metrics,
-        "abstentions": abstentions,
-    }
-    _atomic_write_text(out_dir / METRICS_FILE, _json_dumps(metrics))

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -130,7 +129,7 @@ class LocalIndex:
         if not by_row:
             raise EmptyCorpus("no valid documents to index")
         n = len(by_row)
-        terms = defaultdict(count().__next__)  # numbers each new term on first lookup
+        terms = dict(zip(dict.fromkeys(tokens), count()))  # numbered by first occurrence
         keys = np.fromiter(map(terms.__getitem__, tokens), np.int64, len(tokens)) * n
         keys += np.arange(n).repeat([doc.length for doc in by_row])
         keys.sort()
@@ -139,7 +138,6 @@ class LocalIndex:
         np.not_equal(keys[1:], keys[:-1], out=run_starts[1:-1])
         bounds = run_starts.nonzero()[0]
         keys = keys[bounds[:-1]]
-        terms.default_factory = None  # numbering done: an unknown term now misses
         offsets = keys.searchsorted(np.arange(0, (len(terms) + 1) * n, n))
         return cls(by_row, terms, offsets, keys % n, bounds[1:] - bounds[:-1], skipped=skipped)
 
@@ -210,11 +208,11 @@ class LocalIndex:
         (out_dir / MANIFEST_FILE).write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
-        with (out_dir / DOCS_FILE).open("w", encoding="utf-8") as handle:
-            for doc in self.by_row:
-                record = {"doc_id": doc.doc_id, "title": doc.title,
-                          "body": doc.body, "length": doc.length}
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        # keys already in sorted order: sort_keys=True would build an encoder per record
+        records = [{"body": doc.body, "doc_id": doc.doc_id, "length": doc.length, "title": doc.title}
+                   for doc in self.by_row]
+        (out_dir / DOCS_FILE).write_text("".join(json.dumps(r) + "\n" for r in records),
+                                         encoding="utf-8")
         (out_dir / TERMS_FILE).write_text(json.dumps(list(self._terms)) + "\n", encoding="utf-8")
         offsets = np.array(self._offsets, np.int64)
         for name, array in zip(ARRAY_FILES, (offsets, self._posting_rows, self._tf)):
@@ -230,9 +228,9 @@ class LocalIndex:
             manifest = json.loads((index_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
             if manifest.get("format") != FORMAT_TAG:
                 raise ValueError(f"format {manifest.get('format')!r}, expected {FORMAT_TAG!r}")
-            with (index_dir / DOCS_FILE).open(encoding="utf-8") as handle:
-                by_row = [StoredDocument(r["doc_id"], r["title"], r["body"], r["length"])
-                          for r in map(json.loads, handle)]
+            lines = (index_dir / DOCS_FILE).read_text(encoding="utf-8").splitlines()
+            by_row = [StoredDocument(r["doc_id"], r["title"], r["body"], r["length"])
+                      for r in json.loads("[" + ",".join(lines) + "]")]
             terms = json.loads((index_dir / TERMS_FILE).read_text(encoding="utf-8"))
             if (len(by_row), len(terms)) != (manifest["doc_count"], manifest["term_count"]):
                 raise ValueError(f"{len(by_row)} documents and {len(terms)} terms, not the manifest's "

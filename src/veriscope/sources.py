@@ -15,17 +15,19 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 from urllib.parse import quote_plus
 
 import numpy as np
-import requests
 
 from ._http import JsonHttpClient
 from .errors import ConfigurationError, ProviderUnavailable, SourceUnavailable
 from .index import LocalIndex, StoredDocument
 from .selection import EmbeddingMemo
 from .types import SourceKind, WEB, split_sentences
+
+if TYPE_CHECKING:
+    import requests
 
 ENV_SEARCH_KEY = "SEARCH_API_KEY"
 ENV_SEARCH_ENGINE = "SEARCH_ENGINE_ID"

@@ -1,4 +1,7 @@
 import json
+import threading
+import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -606,3 +609,113 @@ class TestRunExperiment:
         assert "/" not in weird and "?" not in weird and " " not in weird
         # distinct ids never collide after sanitization
         assert _trace_filename("a/b") != _trace_filename("a b")
+
+
+class RemoteLookingVerdicts:
+    """Wraps a verdict provider in a class the pipeline does not know, so a run overlaps claims."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def choose(self, prompt, scheme):
+        return self.inner.choose(prompt, scheme)
+
+
+@pytest.fixture
+def most_claims_alive(monkeypatch):
+    """A one-item list: the most ClaimVerification objects alive at once,
+    sampled as each one is built, by verify_claim or from a resumed trace."""
+    from veriscope.pipeline import ClaimVerification
+
+    built, most, lock = [], [0], threading.Lock()
+    post_init = ClaimVerification.__post_init__
+
+    def counting_post_init(self, union):
+        post_init(self, union)
+        with lock:
+            built.append(weakref.ref(self))
+            most[0] = max(most[0], sum(ref() is not None for ref in built))
+
+    monkeypatch.setattr(ClaimVerification, "__post_init__", counting_post_init)
+    return most
+
+
+class TestRunMemory:
+    """A finished claim is dropped once its rows are written; derived files wait under temporary names."""
+
+    @pytest.mark.parametrize("remote", [False, True], ids=["in-process", "overlapped"])
+    def test_no_finished_claim_is_kept(self, tmp_path, providers, scheme, most_claims_alive, remote):
+        import dataclasses
+
+        expected = tree_bytes(run_plan(tmp_path, providers, scheme, out_name="expected"))
+        most_claims_alive[0] = 0
+        if remote:
+            providers = dataclasses.replace(providers, verdicts=RemoteLookingVerdicts(providers.verdicts))
+        run_dir = run_plan(tmp_path, providers, scheme, max_workers=2)
+        # in-process claims run one at a time; an overlapped one is dropped by its worker
+        assert 1 <= most_claims_alive[0] <= (2 if remote else 1)
+        most_claims_alive[0] = 0
+        for name in ("evidence.jsonl", "confidences.csv", "metrics.json"):
+            (run_dir / name).unlink()
+        run_plan(tmp_path, providers, scheme, max_workers=2)  # every trace resumed
+        assert 1 <= most_claims_alive[0] <= (2 if remote else 1)
+        produced = tree_bytes(run_dir)
+        assert [name for name in produced if produced[name] != expected[name]] == (
+            ["run-manifest.json"] if remote else []
+        )
+        assert produced.keys() == expected.keys()
+
+    def test_claims_are_submitted_in_a_window(self, tmp_path, providers, scheme, monkeypatch):
+        import dataclasses
+
+        from veriscope import experiment
+
+        record = json.loads(mock_claims_path().read_text().splitlines()[0])
+        claims = tmp_path / "claims.jsonl"
+        claims.write_text("".join(json.dumps({**record, "id": f"c-{i:03d}"}) + "\n" for i in range(30)))
+        plan = ExperimentPlan(
+            dataset=DatasetDescriptor(name="fixture", scheme=scheme, path=claims),
+            sources=CANONICAL_SOURCES, condition=ClaimCondition.ORIGINAL_PLUS_NEGATED, cfg=MOCK_CONFIG,
+        )
+        first = plan_claims(plan)[0].id
+        started, first_done = [], []
+
+        def slow_first(claim, *args, **kwargs):
+            started.append(claim.id)
+            if claim.id == first:
+                time.sleep(0.5)  # the other worker runs out of submitted claims meanwhile
+                first_done.append(len(started))
+            return verify_claim(claim, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "verify_claim", slow_first)
+        remote = dataclasses.replace(providers, verdicts=RemoteLookingVerdicts(providers.verdicts))
+        run_experiment(plan, remote, tmp_path / "run", max_workers=2)
+        assert len(started) == 30
+        assert first_done[0] <= experiment.WINDOW_PER_WORKER * 2
+
+    @pytest.mark.parametrize("remote", [False, True], ids=["in-process", "overlapped"])
+    def test_a_failed_claim_leaves_no_derived_or_temporary_file(
+        self, tmp_path, providers, scheme, monkeypatch, remote
+    ):
+        import dataclasses
+
+        from veriscope import experiment
+
+        failing = plan_claims(ExperimentPlan(
+            dataset=fixture_descriptor(scheme), sources=CANONICAL_SOURCES,
+            condition=ClaimCondition.ORIGINAL_PLUS_NEGATED, cfg=MOCK_CONFIG,
+        ))[2].id
+
+        def failing_third(claim, *args, **kwargs):
+            if claim.id == failing:
+                raise ProviderUnavailable("down")
+            return verify_claim(claim, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "verify_claim", failing_third)
+        if remote:
+            providers = dataclasses.replace(providers, verdicts=RemoteLookingVerdicts(providers.verdicts))
+        with pytest.raises(ProviderUnavailable, match="down"):
+            run_plan(tmp_path, providers, scheme, max_workers=2)
+        run_dir = tmp_path / "run"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["run-manifest.json", "traces"]
+        assert not list(run_dir.rglob("*.tmp"))

@@ -405,3 +405,43 @@ def test_failed_claim_aborts_the_run_and_a_rerun_resumes(live, tmp_path, backoff
     files = sorted(p for p in full.rglob("*") if p.is_file())
     assert [p.read_bytes() for p in files] == [(resumed / p.relative_to(full)).read_bytes() for p in files]
     assert_no_key(*(p.read_text() for p in files), caplog.text)
+
+
+HTTP_STACK = ("requests", "urllib3", "charset_normalizer")
+
+OFFLINE_RUN = """
+import json, sys, tempfile
+import veriscope, veriscope.cli
+from veriscope.assets import fixture_path, load_prompt, load_scheme
+from veriscope.index import build_local_index
+from veriscope.mock import MOCK_CONFIG, mock_provider_set
+from veriscope.pipeline import verify_claim
+from veriscope.selection import RemoteEmbedder
+from veriscope.types import ClaimPair
+
+claim = ClaimPair("c", "Coffee causes dehydration.", gold_label="Refuted")
+verify_claim(claim, mock_provider_set(), load_scheme("scifact"), load_prompt("verdict"), cfg=MOCK_CONFIG)
+with tempfile.TemporaryDirectory() as out:
+    build_local_index(fixture_path("corpus_wikipedia.jsonl"), out)
+offline = [name for name in sys.argv[1:] if name in sys.modules]
+RemoteEmbedder("http://127.0.0.1:9/embed")
+print(json.dumps({"offline": offline, "remote": [name for name in sys.argv[1:] if name in sys.modules]}))
+"""
+
+
+def test_offline_code_never_imports_the_http_stack():
+    """requests loads with the first remote client, never for mock providers or local indexes."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import veriscope
+
+    env = {**os.environ, "PYTHONPATH": str(Path(veriscope.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", OFFLINE_RUN, *HTTP_STACK],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded["offline"] == []
+    assert "requests" in loaded["remote"]
