@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from pathlib import Path
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import RankingFailed
@@ -25,6 +25,8 @@ _TERMINAL_PUNCTUATION = (".", "!", "?")
 
 
 _STAGES = ("positive", "negative", "candidates", "final")
+_string = json.encoder.encode_basestring_ascii
+_POLARITIES = {polarity: _string(polarity.value) for polarity in Polarity}
 
 
 @dataclass(frozen=True)
@@ -174,37 +176,54 @@ def aggregate_sources(bundles: Mapping[SourceKind, EvidenceBundle]) -> Aggregate
     return AggregatedEvidence(tuple(sentences))
 
 
-def aggregated_jsonl_line(result, trace: Mapping) -> str:
-    """result's evidence.jsonl line: claim_id, the union's sentences, per_source bundles.
+def encode_bundles(
+    claim_id: str,
+    bundles: Mapping[SourceKind, EvidenceBundle],
+    union: Sequence[EvidenceSentence],
+) -> tuple[str, str]:
+    """A claim's bundles as its trace stores them, and its evidence.jsonl line.
 
-    trace is result.to_dict(); its sentence records are reused, so no
-    sentence is encoded a second time.  This published format repeats what
-    a trace stores once: each bundle carries claim_id and its source, and
-    each sentence its normalized text.
+    The first is json.dumps, with sorted keys, of the bundles keyed by
+    source name as to_dict writes them.  The line is the published format
+    (claim_id, the union's sentences, per_source bundles) plus a newline.
+    It repeats what a trace stores once: each bundle carries claim_id and
+    its source, and each sentence its normalized text, after doc_id.
+
+    Both are written in one pass, with the bytes json.dumps(...,
+    sort_keys=True) gives: strings through encode_basestring_ascii, a
+    similarity (always a finite float) through float.__repr__, keys and
+    source names in sorted order.  A sentence object sits in several
+    places (positive and candidates, a final one again in the union), so
+    each distinct object is encoded once, its two records built from that
+    one encoding.
     """
-    claim_id = result.claim.id
-    per_source, final_records = {}, {}
-    for kind, bundle in result.bundles.items():
-        stored = trace["bundles"][kind.name]
-        stages = {
-            name: [{**record, "normalized": sentence.normalized}
-                   for record, sentence in zip(stored[name], getattr(bundle, name))]
-            for name in _STAGES
-        }
-        final_records.update(zip(map(id, bundle.final), stages["final"]))
-        per_source[kind.name] = {"claim_id": claim_id, "source": kind.name, **stages}
-    # the union's sentences are bundles' final ones: aggregate_sources keeps the objects
-    union = [final_records[id(s)] for s in result.aggregated.sentences]
-    line = {"claim_id": claim_id, "per_source": per_source, "sentences": union}
-    return json.dumps(line, sort_keys=True) + "\n"
+    records = {}  # id(sentence) -> (trace record, evidence record); the sentences outlive the call
 
+    def encoded(sentences) -> tuple[str, str]:
+        stored, published = [], []
+        for s in sentences:
+            pair = records.get(id(s))
+            if pair is None:  # keys in sorted order
+                doc_id = '{"doc_id": ' + _string(s.doc_id)
+                rest = (f', "polarity": {_POLARITIES[s.polarity]}'
+                        f', "similarity": {float.__repr__(s.similarity)}'
+                        f', "source": {_string(s.source.name)}, "text": {_string(s.text)}}}')
+                normalized = ', "normalized": ' + _string(s.normalized)
+                pair = records[id(s)] = (doc_id + rest, doc_id + normalized + rest)
+            stored.append(pair[0])
+            published.append(pair[1])
+        return f"[{', '.join(stored)}]", f"[{', '.join(published)}]"
 
-def write_aggregated_jsonl(results: Iterable, path: Path) -> None:
-    """aggregated_jsonl_line of each ClaimVerification, as one file.
-
-    run_experiment does not hold its results to call this: it writes each
-    claim's line from the trace it has just written or loaded, in claim
-    order, to a temporary name it renames once every claim is in.
-    """
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.writelines(aggregated_jsonl_line(result, result.to_dict()) for result in results)
+    claim = _string(claim_id)
+    stored, per_source = [], []
+    for kind in sorted(bundles, key=attrgetter("name")):
+        bundle, source = bundles[kind], _string(kind.name)
+        positive, negative, candidates, final = (encoded(getattr(bundle, name)) for name in _STAGES)
+        stored.append(f'{source}: {{"candidates": {candidates[0]}, "final": {final[0]}, '
+                      f'"negative": {negative[0]}, "positive": {positive[0]}}}')
+        per_source.append(f'{source}: {{"candidates": {candidates[1]}, "claim_id": {claim}, '
+                          f'"final": {final[1]}, "negative": {negative[1]}, '
+                          f'"positive": {positive[1]}, "source": {source}}}')
+    line = (f'{{"claim_id": {claim}, "per_source": {{{", ".join(per_source)}}}, '
+            f'"sentences": {encoded(union)[1]}}}\n')
+    return f"{{{', '.join(stored)}}}", line

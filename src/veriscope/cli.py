@@ -261,7 +261,7 @@ def cmd_verify(claim_text, as_json, mock, config, sources, condition, scheme, cf
             condition=condition,
         )
     if as_json:
-        click.echo(json.dumps(result.to_dict(), sort_keys=True))
+        click.echo(result.encoded()[0], nl=False)
     else:
         click.echo(_render_verification(result))
 

@@ -8,8 +8,10 @@ derived artifacts are written in claim order as each claim's trace is
 written or loaded, under temporary names that are renamed once every
 claim is in, so an interrupted-and-resumed run is byte-identical to an
 uninterrupted one, and a finished claim is dropped once its rows are
-written.  Run-level facts live only in the run manifest, which a resume
-must match.  Nothing in the artifacts depends on wall-clock time.
+written.  A claim's trace text and its evidence.jsonl line come from one
+encoding pass (ClaimVerification.encoded), fresh or resumed alike.
+Run-level facts live only in the run manifest, which a resume must
+match.  Nothing in the artifacts depends on wall-clock time.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .aggregation import aggregated_jsonl_line
 from .analysis import CONFIDENCES_FIELDS, ConfidenceRow, compute_metrics
 from .assets import load_prompt
 from .datasets import DatasetDescriptor, load_dataset
@@ -48,13 +49,22 @@ WINDOW_PER_WORKER = 4
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One cell row of the experiment grid, at a chosen subset size."""
+    """One cell row of the experiment grid, at a chosen subset size.
+
+    limit is None (every claim) or an int >= 1, not a bool; anything else
+    raises ValueError.
+    """
 
     dataset: DatasetDescriptor
     sources: tuple
     condition: ClaimCondition
     cfg: PipelineConfig
     limit: int | None = None
+
+    def __post_init__(self):
+        limit = self.limit
+        if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
+            raise ValueError(f"limit must be None or an integer >= 1, got {limit!r}")
 
 
 def plan_claims(plan: ExperimentPlan) -> list[ClaimPair]:
@@ -107,9 +117,10 @@ def run_experiment(
     order is raised, no derived artifact is left, and a re-run
     resumes.  Before any claim runs, an existing manifest must equal this
     run's except for limit and claims, and traces without a manifest are
-    refused (ConfigurationError), as is a trace of another claim text or label.
+    refused (ConfigurationError), as is a trace that does not decode or
+    holds another claim text or label.
 
-    Each claim's trace is written, or loaded on a resume, and its rows of
+    Each claim's trace is written, or decoded on a resume, and its rows of
     evidence.jsonl and confidences.csv are written in claim order under
     temporary names; of its verdicts only (gold, predicted, abstained)
     is kept for metrics.json.  The claim is then dropped, so memory does
@@ -154,19 +165,14 @@ def run_experiment(
     def process(claim: ClaimPair) -> tuple:
         trace_path = traces_dir / _trace_filename(claim.id)
         if trace_path.exists():
-            result = ClaimVerification.from_dict(json.loads(trace_path.read_text(encoding="utf-8")))
-            if (result.claim.text, result.claim.gold_label) != (claim.text, claim.gold_label):
-                raise ConfigurationError(
-                    f"{trace_path} holds another claim; use a fresh output directory"
-                )
-            trace = result.to_dict()
+            result, line = _resumed(trace_path, claim)
         else:
             result = verify_claim(
                 claim, run_providers, scheme, template, cfg=plan.cfg, condition=plan.condition
             )
-            trace = result.to_dict()
-            _atomic_write_text(trace_path, json.dumps(trace, sort_keys=True) + "\n")
-        return _claim_rows(result, trace)
+            trace, line = result.encoded()
+            _atomic_write_text(trace_path, trace)
+        return line, *_claim_rows(result)
 
     with _derived_files(out_dir, plan, len(claims)) as add:
         if _in_process(run_providers):
@@ -178,9 +184,31 @@ def run_experiment(
     return out_dir
 
 
-def _claim_rows(result: ClaimVerification, trace: dict) -> tuple[str, list, list]:
-    """One claim's share of the derived files: its evidence.jsonl line, its
-    confidences.csv rows, and (source, (gold, predicted, abstained)) per verdict."""
+def _resumed(trace_path: Path, claim: ClaimPair) -> tuple[ClaimVerification, str]:
+    """The trace at trace_path, decoded and checked against claim, and its evidence.jsonl line.
+
+    A trace that does not decode (invalid JSON, not an object, a missing
+    key without a default, a value its constructor refuses) or does not
+    encode again is refused, as is a trace of another claim text or label
+    (ConfigurationError naming the file); the file is left as it is.
+    """
+    try:
+        data = json.loads(trace_path.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"a JSON {type(data).__name__}, not an object")
+        result = ClaimVerification.from_dict(data)
+        line = result.encoded()[1]
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(
+            f"{trace_path} is not a readable trace ({exc}); delete it or use a fresh output directory"
+        ) from exc
+    if (result.claim.text, result.claim.gold_label) != (claim.text, claim.gold_label):
+        raise ConfigurationError(f"{trace_path} holds another claim; use a fresh output directory")
+    return result, line
+
+
+def _claim_rows(result: ClaimVerification) -> tuple[list, list]:
+    """One claim's confidences.csv rows, and (source, (gold, predicted, abstained)) per verdict."""
     claim, profile = result.claim, result.profile
     regime = profile.regime.value if profile.regime else ""
     verdicts = sorted(result.verdicts.items(), key=lambda kv: source_order_key(kv[0]))
@@ -190,12 +218,12 @@ def _claim_rows(result: ClaimVerification, trace: dict) -> tuple[str, list, list
         for kind, verdict in verdicts
     ]
     outcomes = [(kind, (claim.gold_label, verdict.label, verdict.abstained)) for kind, verdict in verdicts]
-    return aggregated_jsonl_line(result, trace), rows, outcomes
+    return rows, outcomes
 
 
 @contextmanager
 def _derived_files(out_dir: Path, plan: ExperimentPlan, claims: int):
-    """Yield add, which writes one claim's _claim_rows; call it in claim order.
+    """Yield add, which writes one claim's (evidence.jsonl line, *_claim_rows); call it in claim order.
 
     evidence.jsonl and confidences.csv grow under temporary names.  When
     the block ends normally, metrics.json is written from the kept

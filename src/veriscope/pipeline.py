@@ -22,6 +22,7 @@ One EmbeddingMemo per claim serves pubmed fusion, selection and ranking.
 from __future__ import annotations
 
 import contextvars
+import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +36,7 @@ from .aggregation import (
     EvidenceBundle,
     aggregate_sources,
     dedup_by_normalized,
+    encode_bundles,
     merge_segments,
     rank_and_truncate,
     symmetric_difference_dedup,
@@ -44,7 +46,16 @@ from .errors import ConfigurationError, ProviderUnavailable, RankingFailed, Sour
 from .negation import FixtureNegationProvider, NegationProvider, RuleBasedNegator, negate_claim
 from .selection import EmbeddingMemo, EmbeddingProvider, HashedBowEmbedder, Polarity, select_evidence
 from .sources import BiomedicalSource, KnowledgeSource, LocalCorpusSource
-from .types import MERGED, ClaimPair, JsonRecord, LabelScheme, PipelineConfig, SourceKind, source_order_key
+from .types import (
+    MERGED,
+    ClaimPair,
+    JsonRecord,
+    LabelScheme,
+    PipelineConfig,
+    SourceKind,
+    field_codecs,
+    source_order_key,
+)
 from .verdict import (
     RuleVerdictProvider,
     VeracityVerdict,
@@ -130,6 +141,20 @@ class ClaimVerification(JsonRecord):
     def __post_init__(self, union):
         self.aggregated = union if union is not None else aggregate_sources(self.bundles)
         self.profile = build_profile(self.verdicts)
+
+    def encoded(self) -> tuple[str, str]:
+        """The trace text and the evidence.jsonl line, from one pass over the bundles.
+
+        The trace text is json.dumps(self.to_dict(), sort_keys=True) plus a
+        newline, and the line encode_bundles's.  The bundles are encoded by
+        encode_bundles only, each sentence once; the other fields go through
+        the record codec and json.dumps.
+        """
+        bundles, line = encode_bundles(self.claim.id, self.bundles, self.aggregated.sentences)
+        others = {name: encode(getattr(self, name))
+                  for name, encode, _ in field_codecs(type(self)) if name != "bundles"}
+        # "bundles" sorts before every other field name, so it opens the object
+        return '{"bundles": ' + bundles + ", " + json.dumps(others, sort_keys=True)[1:] + "\n", line
 
 
 def _call(fn, *args) -> tuple:

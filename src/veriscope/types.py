@@ -179,9 +179,15 @@ def _codec(hint) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
     raise TypeError(f"no JSON codec for type hint {hint!r}")
 
 
-def _dataclass_codec(cls) -> tuple[Callable[[Any], dict], Callable[[Mapping[str, Any]], Any]]:
+@functools.cache
+def field_codecs(cls) -> tuple[tuple[str, Callable[[Any], Any], Callable[[Any], Any]], ...]:
+    """(name, encode, decode) of each init field of a dataclass, in field order."""
     hints = typing.get_type_hints(cls)
-    codecs = [(f.name, *_codec(hints[f.name])) for f in dataclasses.fields(cls) if f.init]
+    return tuple((f.name, *_codec(hints[f.name])) for f in dataclasses.fields(cls) if f.init)
+
+
+def _dataclass_codec(cls) -> tuple[Callable[[Any], dict], Callable[[Mapping[str, Any]], Any]]:
+    codecs = field_codecs(cls)
 
     def encode(obj) -> dict:
         data = {}

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FixtureEmbedder, make_sentence
@@ -14,12 +14,21 @@ from veriscope.aggregation import (
     merge_segments,
     rank_and_truncate,
     symmetric_difference_dedup,
-    write_aggregated_jsonl,
 )
 from veriscope.errors import ProviderUnavailable, RankingFailed
 from veriscope.pipeline import ClaimCondition, ClaimVerification
 from veriscope.selection import EmbeddingMemo, EvidenceSentence, Polarity
-from veriscope.types import PUBMED, WEB, WIKIPEDIA, ClaimPair, normalize_sentence
+from veriscope.types import (
+    MERGED,
+    PUBMED,
+    WEB,
+    WIKIPEDIA,
+    ClaimPair,
+    LabelScheme,
+    SourceKind,
+    normalize_sentence,
+)
+from veriscope.verdict import LabelLogits, VeracityVerdict
 
 
 def texts(sentences):
@@ -308,7 +317,7 @@ class TestAggregateSources:
 
 
 class TestSerialization:
-    def test_jsonl_round_trip(self, tmp_path):
+    def test_jsonl_round_trip(self):
         bundles = {
             WIKIPEDIA: bundle(WIKIPEDIA, ["w sentence", "shared text"]),
             PUBMED: bundle(PUBMED, ["shared text", "p sentence"]),
@@ -319,11 +328,10 @@ class TestSerialization:
             bundles=bundles,
             verdicts={},
         )
-        path = tmp_path / "evidence.jsonl"
-        write_aggregated_jsonl([result], path)
-        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        assert len(lines) == 1
-        line = lines[0]
+        trace, text = result.encoded()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert ClaimVerification.from_dict(json.loads(trace)) == result
+        line = json.loads(text)
         assert line["claim_id"] == "c1"
         sentence_lists = [line["sentences"]] + [
             data[stage] for data in line["per_source"].values()
@@ -353,3 +361,104 @@ class TestSerialization:
             return aggregate_sources({PUBMED: EvidenceBundle(final=tuple(final))})
 
         assert run() == run()
+
+
+def reference_jsonl_line(result) -> str:
+    """result's evidence.jsonl line built from result.to_dict(), as it was written
+    before the one-pass encoder: the encoder's line must equal it byte for byte."""
+    trace = result.to_dict()
+    claim_id = result.claim.id
+    per_source, final_records = {}, {}
+    for kind, stages_of in result.bundles.items():
+        stored = trace["bundles"][kind.name]
+        stages = {
+            name: [{**record, "normalized": sentence.normalized}
+                   for record, sentence in zip(stored[name], getattr(stages_of, name))]
+            for name in ("positive", "negative", "candidates", "final")
+        }
+        final_records.update(zip(map(id, stages_of.final), stages["final"]))
+        per_source[kind.name] = {"claim_id": claim_id, "source": kind.name, **stages}
+    union = [final_records[id(s)] for s in result.aggregated.sentences]
+    line = {"claim_id": claim_id, "per_source": per_source, "sentences": union}
+    return json.dumps(line, sort_keys=True) + "\n"
+
+
+ENCODER_SCHEME = LabelScheme("three", ("Supported", "Refuted", "NEI"), ("A", "B", "C"))
+# the canonical three and adapter names sorting before, between and after them,
+# some needing escapes
+ENCODER_SOURCES = [SourceKind(name) for name in (
+    "wikipedia", "pubmed", "web", "Alpha", "arxiv", "qa", "zeta", "web2", "w\u00e9b", '"q"\\', " x", "\U0001F600",
+)]
+texts_to_encode = st.text(
+    st.one_of(
+        st.characters(),  # any code point: non-ASCII, astral, control; "|" becomes a [SEP] marker
+        st.sampled_from(['"', "\\", "\u2028", "\x00", "\x1f", "\x7f", "\U0001F600", "\u00e9", " ", ".", "|"]),
+    ),
+    max_size=8,
+).map(lambda text: text.replace("|", "[SEP]"))
+doc_ids = st.sampled_from(["d1", "d2", 'd"3', "d\\4", "d\u00e9", "d\U0001F600", "d\u2028"])
+similarities = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.1, 1 / 3]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def encodable_results(draw):
+    """A ClaimVerification whose stages share sentence objects as the pipeline's do."""
+    def sentences(kind, polarity, max_size):
+        return draw(st.lists(st.builds(
+            EvidenceSentence, text=texts_to_encode, source=st.just(kind), doc_id=doc_ids,
+            polarity=st.just(polarity), similarity=similarities,
+        ), max_size=max_size))
+
+    kinds = draw(st.lists(st.sampled_from(ENCODER_SOURCES), unique=True, max_size=4))
+    bundles, source_errors = {}, {}
+    for kind in kinds:
+        if draw(st.booleans()) and draw(st.booleans()):  # a failed source: empty stages
+            source_errors[kind] = draw(texts_to_encode)
+            bundles[kind] = EvidenceBundle()
+            continue
+        positive = sentences(kind, Polarity.FROM_CLAIM, 3)
+        negative = sentences(kind, Polarity.FROM_NEGATION, 2)
+        # candidates reuse positive and negative objects, plus some a merge would make
+        kept = draw(st.lists(st.sampled_from(positive + negative), max_size=3)) if positive + negative else []
+        candidates = kept + sentences(kind, Polarity.FROM_CLAIM, 1)
+        # ranking keeps some candidates rescored; a final sentence may also be a candidate object
+        final = [s.rescored(draw(similarities)) if draw(st.booleans()) else s
+                 for s in draw(st.lists(st.sampled_from(candidates), max_size=3))] if candidates else []
+        bundles[kind] = EvidenceBundle(tuple(positive), tuple(negative), tuple(candidates), tuple(final))
+    logits = st.lists(st.floats(-30.0, 0.0), min_size=3, max_size=3)
+    verdicts = {
+        kind: VeracityVerdict(LabelLogits(ENCODER_SCHEME, draw(logits)), draw(st.booleans()))
+        for kind in [*kinds, MERGED]
+    }
+    claim = ClaimPair(
+        id=draw(texts_to_encode),
+        text="claim " + draw(texts_to_encode),
+        negated_text=draw(st.none() | st.just("not the claim " + draw(texts_to_encode))),
+        gold_label=draw(st.none() | st.sampled_from(ENCODER_SCHEME.labels)),
+    )
+    return ClaimVerification(
+        claim=claim, condition=draw(st.sampled_from(ClaimCondition)),
+        bundles=bundles, verdicts=verdicts, source_errors=source_errors,
+    )
+
+
+class TestClaimEncoder:
+    """ClaimVerification.encoded against the two encodings it replaces."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(encodable_results())
+    def test_matches_json_dumps_and_the_reference_line(self, result):
+        trace, line = result.encoded()
+        assert trace == json.dumps(result.to_dict(), sort_keys=True) + "\n"
+        assert line == reference_jsonl_line(result)
+        # a resumed trace shares no sentence object between stages, and encodes alike
+        assert ClaimVerification.from_dict(json.loads(trace)).encoded() == (trace, line)
+
+    def test_empty_union_and_no_sources(self):
+        result = ClaimVerification(
+            claim=ClaimPair("c1", "a claim"), condition=ClaimCondition.ORIGINAL_ONLY,
+            bundles={}, verdicts={},
+        )
+        trace, line = result.encoded()
+        assert trace == json.dumps(result.to_dict(), sort_keys=True) + "\n"
+        assert line == '{"claim_id": "c1", "per_source": {}, "sentences": []}\n'

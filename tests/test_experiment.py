@@ -264,6 +264,11 @@ def seed_interrupted_run(full: Path, resumed: Path, trace_names) -> None:
         (resumed / "traces" / name).write_bytes((full / "traces" / name).read_bytes())
 
 
+def with_one_merged_logit(trace: dict) -> dict:
+    trace["verdicts"]["merged"]["logits"]["logits"] = [0.5]
+    return trace
+
+
 def tree_bytes(root: Path) -> dict:
     return {
         str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
@@ -355,8 +360,26 @@ class TestRunExperiment:
         trace = json.loads((full / "traces" / "c-001.json").read_text())
         del trace["verdicts"]["merged"]["abstained"]
         (resumed / "traces" / "c-001.json").write_text(json.dumps(trace))
-        with pytest.raises(TypeError, match="abstained"):
+        with pytest.raises(ConfigurationError, match=r"c-001\.json.*abstained"):
             run_plan(tmp_path, providers, scheme, out_name="resumed")
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[: len(text) // 2],
+        lambda text: "[]",
+        lambda text: json.dumps({key: value for key, value in json.loads(text).items() if key != "verdicts"}),
+        lambda text: json.dumps(with_one_merged_logit(json.loads(text))),
+    ], ids=["truncated", "array", "no-verdicts", "one-logit"])
+    def test_resume_refuses_a_trace_that_does_not_decode(self, tmp_path, providers, scheme, damage):
+        full = run_plan(tmp_path, providers, scheme, out_name="full")
+        resumed = tmp_path / "resumed"
+        seed_interrupted_run(full, resumed, ())
+        trace = resumed / "traces" / "c-001.json"
+        damaged = damage((full / "traces" / "c-001.json").read_text())
+        trace.write_text(damaged)
+        with pytest.raises(ConfigurationError, match=r"c-001\.json.*delete it or use a fresh output"):
+            run_plan(tmp_path, providers, scheme, out_name="resumed")
+        assert trace.read_text() == damaged
+        assert sorted(p.name for p in resumed.iterdir()) == ["run-manifest.json", "traces"]
 
     def test_resume_with_another_seed_is_refused(self, tmp_path, providers, scheme):
         import dataclasses
@@ -576,6 +599,12 @@ class TestRunExperiment:
         )
         with pytest.raises(ConfigurationError):
             run_experiment(plan, partial, tmp_path / "x")
+
+    @pytest.mark.parametrize("limit", [0, -2, True, 2.0, "3"])
+    def test_limit_must_be_a_positive_integer(self, scheme, limit):
+        with pytest.raises(ValueError, match="limit"):
+            ExperimentPlan(dataset=fixture_descriptor(scheme), sources=CANONICAL_SOURCES,
+                           condition=ClaimCondition.ORIGINAL_ONLY, cfg=MOCK_CONFIG, limit=limit)
 
     def test_limit_truncates(self, tmp_path, providers, scheme):
         run_dir = run_plan(tmp_path, providers, scheme, out_name="lim", limit=2)
