@@ -11,9 +11,7 @@ across sources into the evidence set handed to the verifier.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import RankingFailed
@@ -25,8 +23,6 @@ _TERMINAL_PUNCTUATION = (".", "!", "?")
 
 
 _STAGES = ("positive", "negative", "candidates", "final")
-_string = json.encoder.encode_basestring_ascii
-_POLARITIES = {polarity: _string(polarity.value) for polarity in Polarity}
 
 
 @dataclass(frozen=True)
@@ -175,55 +171,3 @@ def aggregate_sources(bundles: Mapping[SourceKind, EvidenceBundle]) -> Aggregate
     )
     return AggregatedEvidence(tuple(sentences))
 
-
-def encode_bundles(
-    claim_id: str,
-    bundles: Mapping[SourceKind, EvidenceBundle],
-    union: Sequence[EvidenceSentence],
-) -> tuple[str, str]:
-    """A claim's bundles as its trace stores them, and its evidence.jsonl line.
-
-    The first is json.dumps, with sorted keys, of the bundles keyed by
-    source name as to_dict writes them.  The line is the published format
-    (claim_id, the union's sentences, per_source bundles) plus a newline.
-    It repeats what a trace stores once: each bundle carries claim_id and
-    its source, and each sentence its normalized text, after doc_id.
-
-    Both are written in one pass, with the bytes json.dumps(...,
-    sort_keys=True) gives: strings through encode_basestring_ascii, a
-    similarity (always a finite float) through float.__repr__, keys and
-    source names in sorted order.  A sentence object sits in several
-    places (positive and candidates, a final one again in the union), so
-    each distinct object is encoded once, its two records built from that
-    one encoding.
-    """
-    records = {}  # id(sentence) -> (trace record, evidence record); the sentences outlive the call
-
-    def encoded(sentences) -> tuple[str, str]:
-        stored, published = [], []
-        for s in sentences:
-            pair = records.get(id(s))
-            if pair is None:  # keys in sorted order
-                doc_id = '{"doc_id": ' + _string(s.doc_id)
-                rest = (f', "polarity": {_POLARITIES[s.polarity]}'
-                        f', "similarity": {float.__repr__(s.similarity)}'
-                        f', "source": {_string(s.source.name)}, "text": {_string(s.text)}}}')
-                normalized = ', "normalized": ' + _string(s.normalized)
-                pair = records[id(s)] = (doc_id + rest, doc_id + normalized + rest)
-            stored.append(pair[0])
-            published.append(pair[1])
-        return f"[{', '.join(stored)}]", f"[{', '.join(published)}]"
-
-    claim = _string(claim_id)
-    stored, per_source = [], []
-    for kind in sorted(bundles, key=attrgetter("name")):
-        bundle, source = bundles[kind], _string(kind.name)
-        positive, negative, candidates, final = (encoded(getattr(bundle, name)) for name in _STAGES)
-        stored.append(f'{source}: {{"candidates": {candidates[0]}, "final": {final[0]}, '
-                      f'"negative": {negative[0]}, "positive": {positive[0]}}}')
-        per_source.append(f'{source}: {{"candidates": {candidates[1]}, "claim_id": {claim}, '
-                          f'"final": {final[1]}, "negative": {negative[1]}, '
-                          f'"positive": {positive[1]}, "source": {source}}}')
-    line = (f'{{"claim_id": {claim}, "per_source": {{{", ".join(per_source)}}}, '
-            f'"sentences": {encoded(union)[1]}}}\n')
-    return f"{{{', '.join(stored)}}}", line

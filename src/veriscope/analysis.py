@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -241,13 +241,6 @@ class ConfidenceRow:
         """The row as confidences.csv writes it: floats by repr, no dispersion as ""."""
         dispersion = repr(self.dispersion) if self.dispersion is not None else ""
         return [self.claim_id, self.source, self.label, repr(self.confidence), self.regime, dispersion]
-
-
-def write_confidences_csv(rows: Iterable[ConfidenceRow], path: Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CONFIDENCES_FIELDS)
-        writer.writerows(row.csv_fields() for row in rows)
 
 
 def read_confidences_csv(path: Path) -> list[ConfidenceRow]:

@@ -8,10 +8,12 @@ derived artifacts are written in claim order as each claim's trace is
 written or loaded, under temporary names that are renamed once every
 claim is in, so an interrupted-and-resumed run is byte-identical to an
 uninterrupted one, and a finished claim is dropped once its rows are
-written.  A claim's trace text and its evidence.jsonl line come from one
-encoding pass (ClaimVerification.encoded), fresh or resumed alike.
-Run-level facts live only in the run manifest, which a resume must
-match.  Nothing in the artifacts depends on wall-clock time.
+written.  Each format has one writer: a claim's trace text and its
+evidence.jsonl line come from one encoding pass (ClaimVerification.encoded),
+fresh or resumed alike, and confidences.csv and metrics.json are written
+only by _derived_files.  Run-level facts live only in the run manifest,
+which a resume must be able to read and must match.  Nothing in the
+artifacts depends on wall-clock time.
 """
 
 from __future__ import annotations
@@ -115,10 +117,10 @@ def run_experiment(
     no claim after the failing one in claim order starts, every claim
     that started finishes and keeps its trace, the first failure in claim
     order is raised, no derived artifact is left, and a re-run
-    resumes.  Before any claim runs, an existing manifest must equal this
-    run's except for limit and claims, and traces without a manifest are
-    refused (ConfigurationError), as is a trace that does not decode or
-    holds another claim text or label.
+    resumes.  Before any claim runs, an existing manifest must be a JSON
+    object equal to this run's except for limit and claims, and traces
+    without a manifest are refused (ConfigurationError), as is a trace
+    that does not decode or holds another claim text or label.
 
     Each claim's trace is written, or decoded on a resume, and its rows of
     evidence.jsonl and confidences.csv are written in claim order under
@@ -308,10 +310,19 @@ def _overlapped(process, claims: list[ClaimPair], max_workers: int, emit) -> Non
 
 
 def _check_resumable(out_dir: Path, manifest: dict) -> None:
-    """Refuse a directory holding another run's manifest, or traces but no manifest."""
+    """Refuse a directory holding another run's manifest, an unreadable one (invalid
+    JSON or not an object), or traces but no manifest."""
     held = ""
     if (out_dir / MANIFEST_FILE).exists():
-        previous = json.loads((out_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
+        try:
+            previous = json.loads((out_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
+            if not isinstance(previous, dict):
+                raise ValueError(f"a JSON {type(previous).__name__}, not an object")
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{out_dir / MANIFEST_FILE} is not a readable run manifest ({exc}); "
+                "use a fresh output directory"
+            ) from exc
         keys = sorted((previous.keys() | manifest.keys()) - {"limit", "claims"})
         differing = [key for key in keys if previous.get(key) != manifest.get(key)]
         if differing:

@@ -221,21 +221,32 @@ class LocalIndex:
     @classmethod
     def load(cls, index_dir: Path) -> "LocalIndex":
         """Read a saved index.  A missing or unreadable directory, another format
-        (veriscope-index/1 included), or a docs.jsonl or terms.json whose length is
-        not the manifest's doc_count or term_count raises ConfigurationError."""
+        (veriscope-index/1 included), a manifest or docs.jsonl record that is not
+        an object, a terms.json that is not a list, postings that are not 1-D
+        int64, or a docs.jsonl or terms.json whose length is not the manifest's
+        doc_count or term_count raises ConfigurationError."""
         index_dir = Path(index_dir)
         try:
             manifest = json.loads((index_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
+            if not isinstance(manifest, dict):
+                raise ValueError(f"{MANIFEST_FILE} is not an object")
             if manifest.get("format") != FORMAT_TAG:
                 raise ValueError(f"format {manifest.get('format')!r}, expected {FORMAT_TAG!r}")
             lines = (index_dir / DOCS_FILE).read_text(encoding="utf-8").splitlines()
-            by_row = [StoredDocument(r["doc_id"], r["title"], r["body"], r["length"])
-                      for r in json.loads("[" + ",".join(lines) + "]")]
+            records = json.loads("[" + ",".join(lines) + "]")
+            if not all(isinstance(r, dict) for r in records):
+                raise ValueError(f"a {DOCS_FILE} record is not an object")
+            by_row = [StoredDocument(r["doc_id"], r["title"], r["body"], r["length"]) for r in records]
             terms = json.loads((index_dir / TERMS_FILE).read_text(encoding="utf-8"))
+            if not isinstance(terms, list):
+                raise ValueError(f"{TERMS_FILE} is not a list")
             if (len(by_row), len(terms)) != (manifest["doc_count"], manifest["term_count"]):
                 raise ValueError(f"{len(by_row)} documents and {len(terms)} terms, not the manifest's "
                                  f"{manifest['doc_count']} and {manifest['term_count']}")
             arrays = [np.load(index_dir / f"{n}.npy", allow_pickle=False) for n in ARRAY_FILES]
+            for name, array in zip(ARRAY_FILES, arrays):
+                if array.dtype != np.int64 or array.ndim != 1:
+                    raise ValueError(f"{name}.npy is {array.ndim}-D {array.dtype}, not 1-D int64")
             return cls(by_row, dict(zip(terms, count())), *arrays)
         except (OSError, ValueError, KeyError) as exc:
             raise ConfigurationError(

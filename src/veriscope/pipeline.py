@@ -5,7 +5,9 @@ retrieve per source for each query (the claim, then its negation), select
 sentence evidence per query, deduplicate by symmetric difference,
 merge split segments, rank against the original claim and truncate,
 union across sources, then predict one verdict per source plus one over
-the merged evidence.  A failing source is recorded and the rest proceed.
+the merged evidence.  A failing source is recorded and the rest proceed;
+each warning logged on the way carries claim_id, source and stage
+(retrieval, selection, ranking or verdict) as log-record fields.
 
 Only calls that wait on the network use threads.  Retrieval from web
 search and from any source class not known to run in-process is
@@ -29,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 from typing import Mapping
 
 from .aggregation import (
@@ -36,7 +39,6 @@ from .aggregation import (
     EvidenceBundle,
     aggregate_sources,
     dedup_by_normalized,
-    encode_bundles,
     merge_segments,
     rank_and_truncate,
     symmetric_difference_dedup,
@@ -65,6 +67,9 @@ from .verdict import (
 )
 
 log = logging.getLogger(__name__)
+
+_string = json.encoder.encode_basestring_ascii
+_POLARITIES = {polarity: _string(polarity.value) for polarity in Polarity}
 
 # The threads for calls that wait on the network, shared by every claim.
 # No cap of its own: a thread starts only when none is idle, so the count
@@ -146,15 +151,61 @@ class ClaimVerification(JsonRecord):
         """The trace text and the evidence.jsonl line, from one pass over the bundles.
 
         The trace text is json.dumps(self.to_dict(), sort_keys=True) plus a
-        newline, and the line encode_bundles's.  The bundles are encoded by
-        encode_bundles only, each sentence once; the other fields go through
-        the record codec and json.dumps.
+        newline.  The line is the published format (claim_id, the union's
+        sentences, per_source bundles) plus a newline; it repeats what a
+        trace stores once: each bundle carries claim_id and its source, and
+        each sentence its normalized text, after doc_id.
+
+        The bundles and the union are written here, in the bytes json.dumps
+        (..., sort_keys=True) gives: strings through encode_basestring_ascii,
+        a similarity (always a finite float) through float.__repr__, keys and
+        source names in sorted order.  A sentence object sits in several
+        places (positive and candidates, a final one again in the union), so
+        each distinct object is encoded once, its two records built from
+        that one encoding.  The other fields go through the record codec and
+        json.dumps.
         """
-        bundles, line = encode_bundles(self.claim.id, self.bundles, self.aggregated.sentences)
+        records = {}  # id(sentence) -> (trace record, evidence record); the sentences outlive the call
+
+        def encode_sentences(sentences) -> tuple[str, str]:
+            stored, published = [], []
+            for s in sentences:
+                pair = records.get(id(s))
+                if pair is None:  # keys in sorted order
+                    doc_id = '{"doc_id": ' + _string(s.doc_id)
+                    rest = (f', "polarity": {_POLARITIES[s.polarity]}'
+                            f', "similarity": {float.__repr__(s.similarity)}'
+                            f', "source": {_string(s.source.name)}, "text": {_string(s.text)}}}')
+                    normalized = ', "normalized": ' + _string(s.normalized)
+                    pair = records[id(s)] = (doc_id + rest, doc_id + normalized + rest)
+                stored.append(pair[0])
+                published.append(pair[1])
+            return f"[{', '.join(stored)}]", f"[{', '.join(published)}]"
+
+        claim = _string(self.claim.id)
+        stored, per_source = [], []
+        for kind in sorted(self.bundles, key=attrgetter("name")):
+            bundle, source = self.bundles[kind], _string(kind.name)
+            candidates, final, negative, positive = map(
+                encode_sentences, (bundle.candidates, bundle.final, bundle.negative, bundle.positive)
+            )
+            stored.append(f'{source}: {{"candidates": {candidates[0]}, "final": {final[0]}, '
+                          f'"negative": {negative[0]}, "positive": {positive[0]}}}')
+            per_source.append(f'{source}: {{"candidates": {candidates[1]}, "claim_id": {claim}, '
+                              f'"final": {final[1]}, "negative": {negative[1]}, '
+                              f'"positive": {positive[1]}, "source": {source}}}')
         others = {name: encode(getattr(self, name))
                   for name, encode, _ in field_codecs(type(self)) if name != "bundles"}
         # "bundles" sorts before every other field name, so it opens the object
-        return '{"bundles": ' + bundles + ", " + json.dumps(others, sort_keys=True)[1:] + "\n", line
+        trace = f'{{"bundles": {{{", ".join(stored)}}}, {json.dumps(others, sort_keys=True)[1:]}\n'
+        line = (f'{{"claim_id": {claim}, "per_source": {{{", ".join(per_source)}}}, '
+                f'"sentences": {encode_sentences(self.aggregated.sentences)[1]}}}\n')
+        return trace, line
+
+
+def _log_fields(claim: ClaimPair, kind: SourceKind | None, stage: str) -> dict:
+    """A pipeline warning's record fields: claim_id, source (a name, or None) and stage."""
+    return {"claim_id": claim.id, "source": kind.name if kind else None, "stage": stage}
 
 
 def _call(fn, *args) -> tuple:
@@ -261,7 +312,8 @@ def verify_claim(
         try:
             retrieved[kind] = {polarity: _outcome(outcomes[(kind, polarity)]) for polarity in queries}
         except SourceUnavailable as exc:
-            log.warning("source %s unavailable for claim %s: %s", kind, claim.id, exc)
+            log.warning("source %s unavailable for claim %s: %s", kind, claim.id, exc,
+                        extra=_log_fields(claim, kind, "retrieval"))
             source_errors[kind] = str(exc)
 
     # one embedding call for every sentence selection will score
@@ -277,7 +329,8 @@ def verify_claim(
             memo.prefetch(batch)
         except ProviderUnavailable as exc:  # selection retries one call per document
             log.warning(
-                "batched embedding failed for claim %s, embedding per document: %s", claim.id, exc
+                "batched embedding failed for claim %s, embedding per document: %s", claim.id, exc,
+                extra=_log_fields(claim, None, "selection"),
             )
 
     bundles: dict[SourceKind, EvidenceBundle] = {}
@@ -297,7 +350,8 @@ def verify_claim(
         try:
             final = rank_and_truncate(candidates, claim.text, memo, cfg.final_top_p)
         except RankingFailed as exc:
-            log.warning("ranking failed for claim %s source %s: %s", claim.id, kind, exc)
+            log.warning("ranking failed for claim %s source %s: %s", claim.id, kind, exc,
+                        extra=_log_fields(claim, kind, "ranking"))
             source_errors.setdefault(kind, str(exc))
             final = []
         bundles[kind] = EvidenceBundle(
@@ -324,7 +378,8 @@ def verify_claim(
         try:
             verdicts[kind] = _outcome(outcomes[kind]) if kind in evidence else abstain_verdict(scheme)
         except ProviderUnavailable as exc:
-            log.warning("verdict provider failed for claim %s source %s: %s", claim.id, kind, exc)
+            log.warning("verdict provider failed for claim %s source %s: %s", claim.id, kind, exc,
+                        extra=_log_fields(claim, kind, "verdict"))
             source_errors[kind] = str(exc)
             verdicts[kind] = abstain_verdict(scheme)
 

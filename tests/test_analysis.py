@@ -18,16 +18,26 @@ from veriscope.analysis import (
     read_confidences_csv,
     render_kde_svg,
     silverman_bandwidth,
-    write_confidences_csv,
     write_kde_csv,
 )
+from veriscope.datasets import DatasetDescriptor
 from veriscope.errors import (
     DegenerateSamples,
     TooFewSamples,
     UnknownGoldLabel,
     WrongArity,
 )
-from veriscope.types import MERGED, PUBMED, WEB, WIKIPEDIA, LabelScheme
+from veriscope.experiment import ExperimentPlan, _derived_files
+from veriscope.pipeline import ClaimCondition
+from veriscope.types import (
+    CANONICAL_SOURCES,
+    MERGED,
+    PUBMED,
+    WEB,
+    WIKIPEDIA,
+    LabelScheme,
+    PipelineConfig,
+)
 from veriscope.verdict import (
     ABSTAIN_LABEL,
     DEFAULT_LOGPROB_FLOOR,
@@ -298,14 +308,22 @@ class TestCsvRoundTrip:
             ConfidenceRow("c2", "pubmed", "Refuted", -1.5, "", None),
         ]
 
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "confidences.csv"
-        write_confidences_csv(self._rows(), path)
+    def _written(self, tmp_path, scheme3, rows):
+        """confidences.csv as a run writes it: through _derived_files, the table's one writer."""
+        plan = ExperimentPlan(
+            dataset=DatasetDescriptor("fixture", scheme3, tmp_path / "claims.jsonl"),
+            sources=CANONICAL_SOURCES, condition=ClaimCondition.ORIGINAL_ONLY, cfg=PipelineConfig(),
+        )
+        with _derived_files(tmp_path, plan, 0) as add:
+            add(("", [row.csv_fields() for row in rows], []))
+        return tmp_path / "confidences.csv"
+
+    def test_round_trip(self, tmp_path, scheme3):
+        path = self._written(tmp_path, scheme3, self._rows())
         assert read_confidences_csv(path) == self._rows()
 
-    def test_header(self, tmp_path):
-        path = tmp_path / "confidences.csv"
-        write_confidences_csv([], path)
+    def test_header(self, tmp_path, scheme3):
+        path = self._written(tmp_path, scheme3, [])
         with path.open(newline="") as fh:
             header = next(csv.reader(fh))
         assert header == ["claim_id", "source", "label", "confidence", "regime", "dispersion"]

@@ -381,6 +381,21 @@ class TestRunExperiment:
         assert trace.read_text() == damaged
         assert sorted(p.name for p in resumed.iterdir()) == ["run-manifest.json", "traces"]
 
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[: len(text) // 2],
+        lambda text: "[1, 2]",
+    ], ids=["truncated", "array"])
+    def test_resume_refuses_an_unreadable_manifest(self, tmp_path, providers, scheme, damage):
+        full = run_plan(tmp_path, providers, scheme, out_name="full")
+        resumed = tmp_path / "resumed"
+        seed_interrupted_run(full, resumed, ("c-001.json",))
+        manifest = resumed / "run-manifest.json"
+        manifest.write_text(damage(manifest.read_text()))
+        held = tree_bytes(resumed)
+        with pytest.raises(ConfigurationError, match=r"run-manifest\.json.*use a fresh output"):
+            run_plan(tmp_path, providers, scheme, out_name="resumed")
+        assert tree_bytes(resumed) == held
+
     def test_resume_with_another_seed_is_refused(self, tmp_path, providers, scheme):
         import dataclasses
 

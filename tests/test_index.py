@@ -202,6 +202,21 @@ class TestPersistence:
             LocalIndex.load(index_dir)
         assert "veriscope index" in str(refused.value)
 
+    @pytest.mark.parametrize("name, damage", [
+        ("manifest.json", lambda path: path.write_text("[]")),
+        ("docs.jsonl", lambda path: path.write_text("[1]\n" + path.read_text().split("\n", 1)[1])),
+        ("docs.jsonl", lambda path: path.write_text('"x"\n' + path.read_text().split("\n", 1)[1])),
+        ("terms.json", lambda path: path.write_text("7\n")),
+        ("rows.npy", lambda path: np.save(path, np.load(path).astype(float), allow_pickle=False)),
+    ], ids=["manifest-array", "docs-array", "docs-string", "terms-number", "rows-float"])
+    def test_rejects_malformed_files(self, tmp_path, name, damage):
+        index_dir = tmp_path / "index"
+        build_local_index(fixture_path("corpus_pubmed.jsonl"), index_dir)
+        damage(index_dir / name)
+        with pytest.raises(ConfigurationError, match="veriscope index") as refused:
+            LocalIndex.load(index_dir)
+        assert name in str(refused.value)
+
 
 def test_fresh_index_ranks_the_same_from_threads():
     # The posting contributions are derived on first use.  Eight threads start together

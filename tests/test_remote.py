@@ -232,6 +232,17 @@ def verify(providers, claim=CLAIM):
     return verify_claim(claim, providers, SCHEME, TEMPLATE, MOCK_CONFIG)
 
 
+def pipeline_warnings(caplog) -> set[tuple]:
+    """(claim_id, source, stage) of each pipeline warning; no message or field holds the key."""
+    fields = set()
+    for record in caplog.records:
+        if record.name == "veriscope.pipeline":
+            record_fields = (record.claim_id, record.source, record.stage)
+            assert_no_key(record.getMessage(), *map(str, record_fields))
+            fields.add(record_fields)
+    return fields
+
+
 def test_healthy_live_set_answers_like_mock_mode(live, caplog):
     providers, sessions = live()
     result = verify(providers)
@@ -270,6 +281,7 @@ def test_failed_retrieval_abstains_that_source(live, kind, session, reply, error
     assert set(result.source_errors) == {kind}
     assert re.search(error, result.source_errors[kind])
     assert {k for k, v in result.verdicts.items() if v.abstained} == {kind}
+    assert (CLAIM.id, kind.name, "retrieval") in pipeline_warnings(caplog)
     assert_no_key(json.dumps(result.to_dict()), caplog.text)
 
 
@@ -294,6 +306,8 @@ def test_failed_verdict_call_abstains(live, reply, errors, backoff_sleeps, caplo
     else:
         assert set(result.source_errors) == set(CANONICAL_SOURCES) | {MERGED}
         assert all(errors in message for message in result.source_errors.values())
+    expected = set() if errors is None else {(CLAIM.id, kind.name, "verdict") for kind in result.verdicts}
+    assert pipeline_warnings(caplog) == expected
     assert_no_key(json.dumps(result.to_dict()), caplog.text)
 
 
@@ -317,6 +331,7 @@ def test_zero_claim_vector_abstains_every_source(live, caplog):
     assert all("zero vector" in result.source_errors[kind] for kind in CANONICAL_SOURCES)
     assert all(verdict.abstained for verdict in result.verdicts.values())
     assert sessions["verdicts"].requests == []
+    assert pipeline_warnings(caplog) == {(CLAIM.id, kind.name, "ranking") for kind in CANONICAL_SOURCES}
     assert_no_key(caplog.text)
 
 
@@ -379,6 +394,7 @@ def test_failed_embedding_aborts_the_claim(live, reply, error, backoff_sleeps, c
         verify(providers)
     assert_no_key("".join(traceback.format_exception(info.value)), caplog.text)
     assert "embedding per document" in caplog.text  # the batched call failed first
+    assert (CLAIM.id, None, "selection") in pipeline_warnings(caplog)
 
 
 def test_failed_claim_aborts_the_run_and_a_rerun_resumes(live, tmp_path, backoff_sleeps, caplog):
