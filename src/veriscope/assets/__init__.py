@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import atexit
-import json
 from contextlib import ExitStack
 from importlib import resources
 from pathlib import Path
 
-from ..types import LabelScheme
+from ..types import LabelScheme, parse_json
 
 BUILTIN_SCHEMES = ("scifact", "averitec", "liar", "pubhealth")
 
@@ -38,7 +37,7 @@ def load_scheme(name_or_path: str) -> LabelScheme:
                 f"unknown scheme {name_or_path!r}: not builtin {BUILTIN_SCHEMES} and no such file"
             )
         raw = path.read_text(encoding="utf-8")
-    return LabelScheme.from_dict(json.loads(raw))
+    return LabelScheme.from_dict(parse_json(raw, dict, f"scheme {name_or_path!r}"))
 
 
 def fixture_path(name: str) -> Path:

@@ -28,7 +28,7 @@ from .analysis import (
 from .assets import load_prompt, load_scheme
 from .datasets import DatasetDescriptor
 from .errors import ConfigurationError, DegenerateNegation, ProviderUnavailable, VeriscopeError
-from .experiment import CONFIDENCES_FILE, ExperimentPlan, run_experiment
+from .experiment import CONFIDENCES_FILE, METRICS_FILE, ExperimentPlan, run_experiment
 from .index import LocalIndex, build_local_index
 from .mock import MOCK_CONFIG, mock_claims_path, mock_negator, mock_provider_set
 from .negation import RemoteNegationProvider, RuleBasedNegator, negate_claim
@@ -43,6 +43,7 @@ from .types import (
     ClaimPair,
     PipelineConfig,
     SourceKind,
+    parse_json,
     source_order_key,
 )
 from .verdict import RemoteVerdictProvider
@@ -77,15 +78,26 @@ def _setup_logging(level: str) -> None:
     )
 
 
+#: Every config key the CLI reads, with its JSON type; PipelineConfig checks its own fields.
+_CONFIG_TYPES = dict.fromkeys((field.name for field in dataclasses.fields(PipelineConfig)), object) | {
+    "remote_embedder": bool, "pubmed_dense_fusion": bool, "wikipedia_index": str, "pubmed_index": str}
+
+
 def _load_config_file(path: Path | None) -> dict:
+    """The config file's object; a key the CLI does not read, or of another type, is a usage error."""
     if not path:
         return {}
     try:
-        config = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(config, dict):
-        raise click.UsageError(f"config file {path} must hold a JSON object")
+        config = parse_json(path.read_text(encoding="utf-8"), dict, f"config file {path}")
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    for key, value in config.items():
+        if key not in _CONFIG_TYPES:
+            raise click.UsageError(f"config file {path}: unknown key {key!r}; "
+                                   f"the keys are {', '.join(_CONFIG_TYPES)}")
+        if not isinstance(value, _CONFIG_TYPES[key]):
+            kind = "boolean" if _CONFIG_TYPES[key] is bool else "string"
+            raise click.UsageError(f"config file {path}: {key!r} must be a JSON {kind}, got {value!r}")
     return config
 
 
@@ -298,7 +310,7 @@ def cmd_evaluate(claims_path, dataset_name, limit, seed, out_dir, max_workers,
     with _reported_errors():
         providers = _provider_set(mock, config, sources)
         run_dir = run_experiment(plan, providers, Path(out_dir), max_workers=max_workers)
-    metrics = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))
+    metrics = parse_json((run_dir / METRICS_FILE).read_text(encoding="utf-8"), dict, METRICS_FILE)
     click.echo(f"run artifacts: {run_dir}")
     click.echo(f"{'source':<12} {'A':>7} {'P':>7} {'R':>7} {'F1':>7} {'abstain':>8}")
     for source_name, report in metrics["per_source"].items():

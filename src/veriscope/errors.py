@@ -17,15 +17,6 @@ class SourceUnavailable(VeriscopeError):
     """A knowledge source failed; the pipeline continues with the others."""
 
 
-class MalformedDocument(VeriscopeError):
-    """A corpus line failed the document schema. Carries the 1-based line number."""
-
-    def __init__(self, lineno: int, reason: str):
-        self.lineno = lineno
-        self.reason = reason
-        super().__init__(f"line {lineno}: {reason}")
-
-
 class EmptyCorpus(VeriscopeError):
     """Indexing produced zero valid documents."""
 

@@ -22,7 +22,6 @@ import collections
 import csv
 import dataclasses
 import hashlib
-import json
 import os
 import random
 import re
@@ -37,7 +36,7 @@ from .assets import load_prompt
 from .datasets import DatasetDescriptor, load_dataset
 from .errors import ConfigurationError
 from .pipeline import ClaimCondition, ClaimVerification, ProviderSet, _in_process, verify_claim
-from .types import MERGED, ClaimPair, PipelineConfig, source_order_key
+from .types import MERGED, ClaimPair, PipelineConfig, indented_json, parse_json, source_order_key
 
 TRACES_DIR = "traces"
 MANIFEST_FILE = "run-manifest.json"
@@ -95,10 +94,6 @@ def _atomic_write_text(path: Path, content: str) -> None:
     tmp = _temporary(path)
     tmp.write_text(content, encoding="utf-8")
     os.replace(tmp, path)
-
-
-def _json_dumps(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def run_experiment(
@@ -162,7 +157,7 @@ def run_experiment(
     }
     _check_resumable(out_dir, manifest)
     traces_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out_dir / MANIFEST_FILE, _json_dumps(manifest))
+    _atomic_write_text(out_dir / MANIFEST_FILE, indented_json(manifest))
 
     def process(claim: ClaimPair) -> tuple:
         trace_path = traces_dir / _trace_filename(claim.id)
@@ -195,9 +190,7 @@ def _resumed(trace_path: Path, claim: ClaimPair) -> tuple[ClaimVerification, str
     (ConfigurationError naming the file); the file is left as it is.
     """
     try:
-        data = json.loads(trace_path.read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"a JSON {type(data).__name__}, not an object")
+        data = parse_json(trace_path.read_text(encoding="utf-8"), dict, trace_path.name)
         result = ClaimVerification.from_dict(data)
         line = result.encoded()[1]
     except (ValueError, TypeError, AttributeError) as exc:
@@ -262,7 +255,7 @@ def _derived_files(out_dir: Path, plan: ExperimentPlan, claims: int):
             "per_source": per_source_metrics,
             "abstentions": abstentions,
         }
-        temporaries[2].write_text(_json_dumps(metrics), encoding="utf-8")
+        temporaries[2].write_text(indented_json(metrics), encoding="utf-8")
         for temporary, path in zip(temporaries, paths):
             os.replace(temporary, path)
     finally:  # renamed on success, so this deletes only an aborted run's temporaries
@@ -312,17 +305,12 @@ def _overlapped(process, claims: list[ClaimPair], max_workers: int, emit) -> Non
 def _check_resumable(out_dir: Path, manifest: dict) -> None:
     """Refuse a directory holding another run's manifest, an unreadable one (invalid
     JSON or not an object), or traces but no manifest."""
-    held = ""
-    if (out_dir / MANIFEST_FILE).exists():
+    held, path = "", out_dir / MANIFEST_FILE
+    if path.exists():
         try:
-            previous = json.loads((out_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
-            if not isinstance(previous, dict):
-                raise ValueError(f"a JSON {type(previous).__name__}, not an object")
+            previous = parse_json(path.read_text(encoding="utf-8"), dict, f"the run manifest {path}")
         except ValueError as exc:
-            raise ConfigurationError(
-                f"{out_dir / MANIFEST_FILE} is not a readable run manifest ({exc}); "
-                "use a fresh output directory"
-            ) from exc
+            raise ConfigurationError(f"{exc}; use a fresh output directory") from exc
         keys = sorted((previous.keys() | manifest.keys()) - {"limit", "claims"})
         differing = [key for key in keys if previous.get(key) != manifest.get(key)]
         if differing:

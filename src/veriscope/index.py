@@ -1,8 +1,9 @@
 """Local inverted index: the offline stand-in for a hosted search cluster.
 
-Documents come from JSONL files (one object per line with doc_id, title
-and body).  Only the body is indexed; web-style adapters fold titles
-into the body before they reach this layer.
+Documents come from JSONL files: one object per line whose doc_id, title
+and body are strings, doc_id not empty (the document rule, which saved
+docs.jsonl records also pass).  Only the body is indexed; web-style
+adapters fold titles into the body before they reach this layer.
 
 An index is its documents in doc_id order (by_row; a document's row is
 its place there) and one compressed-sparse-row layout of integer
@@ -26,7 +27,6 @@ order, sorted keys), terms.json and offsets.npy, rows.npy and tf.npy
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -37,10 +37,8 @@ from typing import Iterable
 import numpy as np
 
 from .bm25 import K1, idf, length_norm, tokenize
-from .errors import ConfigurationError, EmptyCorpus, MalformedDocument
-from .types import split_sentences
-
-log = logging.getLogger(__name__)
+from .errors import ConfigurationError, EmptyCorpus
+from .types import indented_json, parse_json, read_jsonl, split_sentences
 
 FORMAT_TAG = "veriscope-index/2"
 
@@ -205,9 +203,7 @@ class LocalIndex:
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = {"format": FORMAT_TAG, "doc_count": self.doc_count,
                     "avg_doc_length": self.avg_doc_length, "term_count": self.term_count}
-        (out_dir / MANIFEST_FILE).write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        (out_dir / MANIFEST_FILE).write_text(indented_json(manifest), encoding="utf-8")
         # keys already in sorted order: sort_keys=True would build an encoder per record
         records = [{"body": doc.body, "doc_id": doc.doc_id, "length": doc.length, "title": doc.title}
                    for doc in self.by_row]
@@ -221,25 +217,23 @@ class LocalIndex:
     @classmethod
     def load(cls, index_dir: Path) -> "LocalIndex":
         """Read a saved index.  A missing or unreadable directory, another format
-        (veriscope-index/1 included), a manifest or docs.jsonl record that is not
-        an object, a terms.json that is not a list, postings that are not 1-D
-        int64, or a docs.jsonl or terms.json whose length is not the manifest's
-        doc_count or term_count raises ConfigurationError."""
+        (veriscope-index/1 included), a manifest that is not an object, a
+        docs.jsonl record that fails the corpus document rule or whose length is
+        not an int >= 0, a terms.json that is not a list of strings, postings
+        that are not 1-D int64, or a docs.jsonl or terms.json whose length is
+        not the manifest's doc_count or term_count raises ConfigurationError."""
         index_dir = Path(index_dir)
         try:
-            manifest = json.loads((index_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
-            if not isinstance(manifest, dict):
-                raise ValueError(f"{MANIFEST_FILE} is not an object")
+            manifest = parse_json((index_dir / MANIFEST_FILE).read_text(encoding="utf-8"), dict,
+                                  MANIFEST_FILE)
             if manifest.get("format") != FORMAT_TAG:
                 raise ValueError(f"format {manifest.get('format')!r}, expected {FORMAT_TAG!r}")
             lines = (index_dir / DOCS_FILE).read_text(encoding="utf-8").splitlines()
-            records = json.loads("[" + ",".join(lines) + "]")
-            if not all(isinstance(r, dict) for r in records):
-                raise ValueError(f"a {DOCS_FILE} record is not an object")
-            by_row = [StoredDocument(r["doc_id"], r["title"], r["body"], r["length"]) for r in records]
-            terms = json.loads((index_dir / TERMS_FILE).read_text(encoding="utf-8"))
-            if not isinstance(terms, list):
-                raise ValueError(f"{TERMS_FILE} is not a list")
+            records = parse_json("[" + ",".join(lines) + "]", list, DOCS_FILE)
+            by_row = [_stored_document(r, lineno) for lineno, r in enumerate(records, start=1)]
+            terms = parse_json((index_dir / TERMS_FILE).read_text(encoding="utf-8"), list, TERMS_FILE)
+            if not all(isinstance(term, str) for term in terms):
+                raise ValueError(f"a {TERMS_FILE} entry is not a string")
             if (len(by_row), len(terms)) != (manifest["doc_count"], manifest["term_count"]):
                 raise ValueError(f"{len(by_row)} documents and {len(terms)} terms, not the manifest's "
                                  f"{manifest['doc_count']} and {manifest['term_count']}")
@@ -255,54 +249,49 @@ class LocalIndex:
             ) from exc
 
 
-def _parse_record(lineno: int, line: str) -> tuple[str, str, str]:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(lineno, f"invalid JSON ({exc.msg})") from exc
-    if not isinstance(record, dict):
-        raise MalformedDocument(lineno, "record is not an object")
+def _document_fields(record: dict) -> tuple[str, str, str]:
+    """The (doc_id, title, body) of a corpus line or docs.jsonl record, checked by the document rule."""
     for field in ("doc_id", "title", "body"):
-        if field not in record:
-            raise MalformedDocument(lineno, f"missing field {field!r}")
-        if not isinstance(record[field], str):
-            raise MalformedDocument(lineno, f"field {field!r} is not a string")
+        if not isinstance(record.get(field), str):
+            raise ValueError(f"field {field!r} is missing or not a string")
     if not record["doc_id"]:
-        raise MalformedDocument(lineno, "empty doc_id")
+        raise ValueError("empty doc_id")
     return record["doc_id"], record["title"], record["body"]
 
 
-def build_local_index(corpus_path: Path, out_dir: Path | None = None) -> LocalIndex:
-    """Index a JSONL corpus; optionally persist to out_dir.
+def _stored_document(record, lineno: int) -> StoredDocument:
+    """Line lineno of docs.jsonl: the document rule, and a length that is an int >= 0."""
+    length = record.get("length") if isinstance(record, dict) else None
+    try:
+        if isinstance(length, bool) or not isinstance(length, int) or length < 0:
+            raise ValueError("not an object with a length that is an int >= 0")
+        return StoredDocument(*_document_fields(record), length)
+    except ValueError as exc:
+        raise ValueError(f"{DOCS_FILE} line {lineno}: {exc}") from None
 
-    Malformed lines are logged with their line number and skipped;
-    duplicate doc_ids are rejected the same way.  Raises EmptyCorpus when
-    nothing valid remains.  Identical input always yields identical
-    persisted bytes.
+
+def build_local_index(corpus_path: Path, out_dir: Path | None = None) -> LocalIndex:
+    """Index a JSONL corpus file, or every *.jsonl file of a directory; optionally persist to out_dir.
+
+    A line failing the document rule or repeating a doc_id is logged and
+    skipped (types.read_jsonl).  A missing path raises FileNotFoundError,
+    and no valid document EmptyCorpus.  Identical input always yields
+    identical persisted bytes.
     """
     corpus_path = Path(corpus_path)
-    if not corpus_path.exists():
-        raise FileNotFoundError(f"corpus not found: {corpus_path}")
     files = sorted(corpus_path.glob("*.jsonl")) if corpus_path.is_dir() else [corpus_path]
-    triples: list[tuple[str, str, str]] = []
     seen_ids: set[str] = set()
-    skipped = 0
-    for file in files:
-        with file.open(encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    doc_id, title, body = _parse_record(lineno, line)
-                    if doc_id in seen_ids:
-                        raise MalformedDocument(lineno, f"duplicate doc_id {doc_id!r}")
-                except MalformedDocument as exc:
-                    log.warning("skipping corpus %s: %s", file.name, exc)
-                    skipped += 1
-                    continue
-                seen_ids.add(doc_id)
-                triples.append((doc_id, title, body))
-    index = LocalIndex.from_documents(triples, skipped=skipped)
+
+    def document(record: dict, lineno: int) -> tuple[str, str, str]:
+        doc_id, title, body = _document_fields(record)
+        if doc_id in seen_ids:
+            raise ValueError(f"duplicate doc_id {doc_id!r}")
+        seen_ids.add(doc_id)
+        return doc_id, title, body
+
+    read = [read_jsonl(file, document) for file in files]
+    index = LocalIndex.from_documents([doc for kept, _ in read for doc in kept],
+                                      skipped=sum(rejected for _, rejected in read))
     if out_dir is not None:
         index.save(Path(out_dir))
     return index

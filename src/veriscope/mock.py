@@ -9,15 +9,13 @@ from deterministic substring rules over the rendered evidence.
 
 from __future__ import annotations
 
-import json
-
 from .assets import fixture_path
 from .index import build_local_index
 from .negation import FixtureNegationProvider, RuleBasedNegator
 from .pipeline import ProviderSet
 from .selection import HashedBowEmbedder
 from .sources import LocalCorpusSource
-from .types import PUBMED, WEB, WIKIPEDIA, PipelineConfig
+from .types import PUBMED, WEB, WIKIPEDIA, PipelineConfig, parse_json
 from .verdict import RuleVerdictProvider
 
 #: (claim marker, evidence marker, letter) rules for the mock verdict
@@ -50,7 +48,7 @@ def mock_claims_path():
 
 
 def mock_negations() -> dict[str, str]:
-    return json.loads(fixture_path("negations.json").read_text(encoding="utf-8"))
+    return parse_json(fixture_path("negations.json").read_text(encoding="utf-8"), dict, "negations.json")
 
 
 def mock_negator() -> FixtureNegationProvider:

@@ -4,7 +4,9 @@ Every stage exchanges the same small set of immutable value objects:
 claims paired with their negated counterparts, knowledge-source
 identities, label schemes for verdict options, and the numeric knobs
 that bound retrieval depth and evidence budgets.  All types here are
-frozen dataclasses and safe to share across threads.
+frozen dataclasses and safe to share across threads.  Every JSON input
+(claims, corpora, index files, run files, configs) is parsed and
+refused by parse_json and read_jsonl here.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import collections.abc
 import dataclasses
 import functools
+import json
+import logging
 import operator
 import re
 import types
@@ -19,7 +23,10 @@ import typing
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Any, Callable, Mapping
+
+log = logging.getLogger(__name__)
 
 
 class _PunctuationTable(dict):
@@ -144,6 +151,39 @@ class JsonRecord:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]):
         return _codec(cls)[1](data)
+
+
+def parse_json(text: str, kind: type, source: str) -> Any:
+    """The JSON document in text, whose top-level value must be a kind (dict or list).
+    Invalid JSON or another top-level type raises ValueError naming source."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} is not valid JSON ({exc})") from None
+    if not isinstance(value, kind):
+        raise ValueError(f"{source} must hold a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
+def read_jsonl(path: Path, record: Callable[[dict, int], Any]) -> tuple[list, int]:
+    """record(obj, lineno) of each non-blank line's JSON object in file order, and the count rejected.
+    A line that is not a JSON object, or whose record call raises ValueError,
+    is logged once as "<file name> line <n> rejected: <reason>" and skipped."""
+    kept, rejected = [], 0
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.strip():
+                try:
+                    kept.append(record(parse_json(line, dict, "the line"), lineno))
+                except ValueError as exc:
+                    rejected += 1
+                    log.warning("%s line %d rejected: %s", path.name, lineno, exc)
+    return kept, rejected
+
+
+def indented_json(data) -> str:
+    """The one indented JSON form (sorted keys) of the index and run manifests and metrics.json."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def _same(value):

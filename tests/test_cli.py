@@ -353,23 +353,29 @@ class TestEvaluateCommand:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
-        "knobs",
+        "knobs, message",
         [
-            {"retrieval_depth": 4.5, "selection_docs": 3},
-            {"retrieval_depth": "4"},
-            {"final_top_p": 2.5},
-            {"merge_heuristic": "false"},
-            {"seed": "7"},
-            {"seed": True},
+            ({"retrieval_depth": 4.5, "selection_docs": 3}, "invalid pipeline config"),
+            ({"retrieval_depth": "4"}, "invalid pipeline config"),
+            ({"final_top_p": 2.5}, "invalid pipeline config"),
+            ({"merge_heuristic": "false"}, "invalid pipeline config"),
+            ({"seed": "7"}, "invalid pipeline config"),
+            ({"seed": True}, "invalid pipeline config"),
+            ({"remote_embedder": "false"}, "'remote_embedder' must be a JSON boolean"),
+            ({"pubmed_dense_fusion": 1}, "'pubmed_dense_fusion' must be a JSON boolean"),
+            ({"wikipedia_index": 5}, "'wikipedia_index' must be a JSON string"),
+            ({"pubmed_index": ["indexes/pubmed"]}, "'pubmed_index' must be a JSON string"),
+            ({"pubmed_dense_fussion": True}, "unknown key 'pubmed_dense_fussion'"),
         ],
-        ids=["float-depth", "text-depth", "float-top-p", "text-heuristic", "text-seed", "bool-seed"],
+        ids=["float-depth", "text-depth", "float-top-p", "text-heuristic", "text-seed", "bool-seed",
+             "text-remote-embedder", "number-fusion", "number-index", "list-index", "misspelt-key"],
     )
-    def test_wrong_config_types_usage_error(self, runner, tmp_path, knobs):
+    def test_wrong_config_types_usage_error(self, runner, tmp_path, knobs, message):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(knobs))
         result = runner.invoke(main, ["verify", "--mock", "--config", str(config), "Cats purr."])
         assert result.exit_code == 2
-        assert "invalid pipeline config" in result.output
+        assert message in result.output
 
     def test_malformed_config_usage_error(self, runner, tmp_path):
         config = tmp_path / "config.json"

@@ -56,13 +56,17 @@ class TestLoadDataset:
             "not json",
             json.dumps({"id": "d", "claim": "Fish swim.", "label": "Refuted"}),
             "[1, 2]",
+            json.dumps({"id": "e", "claim": ["Cats", "purr"], "label": "Supported"}),
+            json.dumps({"id": "f", "claim": 123, "label": "Supported"}),
         ]
         path.write_text("\n".join(lines) + "\n")
         with caplog.at_level("WARNING"):
             claims = load_dataset(DatasetDescriptor(name="t", scheme=scheme, path=path))
         assert [c.id for c in claims] == ["a", "d"]
-        assert caplog.text.count("rejected") == 4
+        assert caplog.text.count("rejected") == 6
         assert "line 2" in caplog.text
+        assert "line 7 rejected" in caplog.text
+        assert "line 8 rejected" in caplog.text
 
     def test_rejects_duplicate_claim_ids(self, tmp_path, scheme, caplog):
         path = tmp_path / "claims.jsonl"

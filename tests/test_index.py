@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -100,7 +101,7 @@ class TestBuildLocalIndex:
         with caplog.at_level("WARNING"):
             index = build_local_index(tmp_path)
         assert index.doc_count == 2
-        assert "2.jsonl: line 1:" in caplog.text
+        assert "2.jsonl line 1 rejected:" in caplog.text
         assert "line 3" not in caplog.text
 
 
@@ -208,7 +209,11 @@ class TestPersistence:
         ("docs.jsonl", lambda path: path.write_text('"x"\n' + path.read_text().split("\n", 1)[1])),
         ("terms.json", lambda path: path.write_text("7\n")),
         ("rows.npy", lambda path: np.save(path, np.load(path).astype(float), allow_pickle=False)),
-    ], ids=["manifest-array", "docs-array", "docs-string", "terms-number", "rows-float"])
+        ("terms.json", lambda path: path.write_text(json.dumps(list(range(len(json.loads(path.read_text()))))))),
+        ("docs.jsonl", lambda path: path.write_text(re.sub(r'"length": (\d+)', r'"length": "\1"',
+                                                           path.read_text(), count=1))),
+    ], ids=["manifest-array", "docs-array", "docs-string", "terms-number", "rows-float",
+            "terms-integers", "docs-length-string"])
     def test_rejects_malformed_files(self, tmp_path, name, damage):
         index_dir = tmp_path / "index"
         build_local_index(fixture_path("corpus_pubmed.jsonl"), index_dir)
