@@ -124,6 +124,8 @@ def _parse_sources(spec: str | None) -> list[SourceKind]:
             raise click.UsageError(
                 f"unknown source {name!r}; choose from {', '.join(_SOURCE_BY_NAME)}"
             )
+        if _SOURCE_BY_NAME[name] in kinds:
+            raise click.UsageError(f"source {name!r} is given twice")
         kinds.append(_SOURCE_BY_NAME[name])
     return kinds
 

@@ -6,15 +6,11 @@ class VeriscopeError(Exception):
 
 
 class ProviderUnavailable(VeriscopeError):
-    """A remote provider (negation, embedding, verdict) could not be reached."""
+    """A provider or source failed; verify_claim's stage decides: abstain or abort the claim."""
 
 
 class DegenerateNegation(VeriscopeError):
     """A negation provider returned empty text or text equivalent to the input."""
-
-
-class SourceUnavailable(VeriscopeError):
-    """A knowledge source failed; the pipeline continues with the others."""
 
 
 class EmptyCorpus(VeriscopeError):

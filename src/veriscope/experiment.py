@@ -52,8 +52,8 @@ WINDOW_PER_WORKER = 4
 class ExperimentPlan:
     """One cell row of the experiment grid, at a chosen subset size.
 
-    limit is None (every claim) or an int >= 1, not a bool; anything else
-    raises ValueError.
+    sources must be non-empty with no source twice, and limit None (every
+    claim) or an int >= 1, not a bool; anything else raises ValueError.
     """
 
     dataset: DatasetDescriptor
@@ -63,6 +63,8 @@ class ExperimentPlan:
     limit: int | None = None
 
     def __post_init__(self):
+        if not self.sources or len(set(self.sources)) != len(self.sources):
+            raise ValueError(f"sources must be non-empty with no source twice, got {self.sources!r}")
         limit = self.limit
         if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
             raise ValueError(f"limit must be None or an integer >= 1, got {limit!r}")

@@ -103,7 +103,7 @@ class RemoteNegationProvider:
             raise ConfigurationError(f"remote negation needs {ENV_URL}")
         self.model = model or os.environ.get(ENV_MODEL, "")
         self._template = load_prompt("negation")
-        self._client = client or JsonHttpClient(url, api_key or os.environ.get(ENV_KEY))
+        self.client = client or JsonHttpClient(url, api_key or os.environ.get(ENV_KEY))
 
     def negate(self, claim_text: str) -> str:
         payload = {
@@ -113,7 +113,7 @@ class RemoteNegationProvider:
                 {"role": "user", "content": self._template.replace("{claim}", claim_text)}
             ],
         }
-        data = self._client.post(payload)
+        data = self.client.post(payload)
         try:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:

@@ -5,9 +5,10 @@ retrieve per source for each query (the claim, then its negation), select
 sentence evidence per query, deduplicate by symmetric difference,
 merge split segments, rank against the original claim and truncate,
 union across sources, then predict one verdict per source plus one over
-the merged evidence.  A failing source is recorded and the rest proceed;
-each warning logged on the way carries claim_id, source and stage
-(retrieval, selection, ranking or verdict) as log-record fields.
+the merged evidence.  A failing source abstains, through verify_claim's
+abstain, and the rest proceed; each warning logged on the way carries
+claim_id, source and stage (retrieval, selection, ranking or verdict) as
+log-record fields.
 
 Only calls that wait on the network use threads.  Retrieval from web
 search and from any source class not known to run in-process is
@@ -33,7 +34,9 @@ from enum import Enum
 from functools import partial
 from operator import attrgetter
 from typing import Mapping
+from urllib.parse import urlsplit
 
+from ._http import JsonHttpClient
 from .aggregation import (
     AggregatedEvidence,
     EvidenceBundle,
@@ -44,7 +47,7 @@ from .aggregation import (
     symmetric_difference_dedup,
 )
 from .analysis import SourceConfidenceProfile, build_profile
-from .errors import ConfigurationError, ProviderUnavailable, RankingFailed, SourceUnavailable
+from .errors import ConfigurationError, ProviderUnavailable, RankingFailed
 from .negation import FixtureNegationProvider, NegationProvider, RuleBasedNegator, negate_claim
 from .selection import EmbeddingMemo, EmbeddingProvider, HashedBowEmbedder, Polarity, select_evidence
 from .sources import BiomedicalSource, KnowledgeSource, LocalCorpusSource
@@ -116,12 +119,23 @@ class ProviderSet:
     negator: NegationProvider | None = None
 
     def describe(self) -> dict:
+        """Each provider's identity for the run manifest (see _identity); never a key."""
         return {
-            "sources": {kind.name: type(src).__name__ for kind, src in self.sources.items()},
-            "embedder": type(self.embedder).__name__,
-            "verdicts": type(self.verdicts).__name__,
-            "negator": type(self.negator).__name__ if self.negator else None,
+            "sources": {kind.name: _identity(src) for kind, src in self.sources.items()},
+            "embedder": _identity(self.embedder),
+            "verdicts": _identity(self.verdicts),
+            "negator": _identity(self.negator) if self.negator else None,
         }
+
+
+def _identity(provider) -> str | dict:
+    """A provider's class name; one that sends through a JsonHttpClient adds its host and model, if any."""
+    client = getattr(provider, "client", None)
+    if not isinstance(client, JsonHttpClient):
+        return type(provider).__name__
+    model = {"model": provider.model} if hasattr(provider, "model") else {}
+    host = urlsplit(client.url).netloc.rpartition("@")[2]  # host and port: no user info, path or query
+    return {"class": type(provider).__name__, "host": host, **model}
 
 
 @dataclass
@@ -203,11 +217,6 @@ class ClaimVerification(JsonRecord):
         return trace, line
 
 
-def _log_fields(claim: ClaimPair, kind: SourceKind | None, stage: str) -> dict:
-    """A pipeline warning's record fields: claim_id, source (a name, or None) and stage."""
-    return {"claim_id": claim.id, "source": kind.name if kind else None, "stage": stage}
-
-
 def _call(fn, *args) -> tuple:
     """(fn(*args), None), or (None, the exception fn raised)."""
     try:
@@ -258,14 +267,16 @@ def verify_claim(
 
     Under ORIGINAL_ONLY no negation provider is consulted and the
     deduplication stage reduces to plain duplicate removal over the
-    positive evidence.  Per-source retrieval failures, a zero claim
-    vector at ranking and per-verdict provider failures become recorded
-    abstentions; when every source failed before the verdicts, the
-    merged verdict abstains too, without a provider call.  Configuration
-    errors, a failed negation (ProviderUnavailable, DegenerateNegation)
-    and a failed embedding call raise: a fallback negation would silently
-    change the negative evidence, and a skipped embedding would turn an
-    outage into verdicts on no evidence.
+    positive evidence.  The stage decides what a failure does, not its
+    class: ProviderUnavailable from any source's retrieve, a zero claim
+    vector at ranking (RankingFailed) and ProviderUnavailable from a
+    verdict call make that source abstain, recorded by abstain; when every
+    source failed before the verdicts, the merged verdict abstains too,
+    without a provider call.  Configuration errors, a failed negation
+    (ProviderUnavailable, DegenerateNegation), a failed embedding call and
+    any other exception raise: a fallback negation would silently change
+    the negative evidence, and a skipped embedding would turn an outage
+    into verdicts on no evidence.
 
     This is the pipeline's one dual retrieval: one flow over the
     condition's queries (the claim, then under the dual condition its
@@ -307,14 +318,19 @@ def verify_claim(
             calls[(kind, polarity)] = (network, retrieve, query, cfg.retrieval_depth)
     outcomes = _run_calls(calls)
     source_errors: dict[SourceKind, str] = {}
+
+    def abstain(kind: SourceKind, stage: str, exc: Exception) -> None:
+        """Log and record kind's failure; it fails once, as a retrieval failure leaves nothing to rank."""
+        log.warning("%s failed for claim %s source %s: %s", stage, claim.id, kind, exc,
+                    extra={"claim_id": claim.id, "source": kind.name, "stage": stage})
+        source_errors[kind] = str(exc)
+
     retrieved: dict[SourceKind, dict[Polarity, list]] = {}
     for kind in kinds:
         try:
             retrieved[kind] = {polarity: _outcome(outcomes[(kind, polarity)]) for polarity in queries}
-        except SourceUnavailable as exc:
-            log.warning("source %s unavailable for claim %s: %s", kind, claim.id, exc,
-                        extra=_log_fields(claim, kind, "retrieval"))
-            source_errors[kind] = str(exc)
+        except ProviderUnavailable as exc:
+            abstain(kind, "retrieval", exc)
 
     # one embedding call for every sentence selection will score
     batch = [
@@ -330,7 +346,7 @@ def verify_claim(
         except ProviderUnavailable as exc:  # selection retries one call per document
             log.warning(
                 "batched embedding failed for claim %s, embedding per document: %s", claim.id, exc,
-                extra=_log_fields(claim, None, "selection"),
+                extra={"claim_id": claim.id, "source": None, "stage": "selection"},
             )
 
     bundles: dict[SourceKind, EvidenceBundle] = {}
@@ -350,9 +366,7 @@ def verify_claim(
         try:
             final = rank_and_truncate(candidates, claim.text, memo, cfg.final_top_p)
         except RankingFailed as exc:
-            log.warning("ranking failed for claim %s source %s: %s", claim.id, kind, exc,
-                        extra=_log_fields(claim, kind, "ranking"))
-            source_errors.setdefault(kind, str(exc))
+            abstain(kind, "ranking", exc)
             final = []
         bundles[kind] = EvidenceBundle(
             positive=tuple(positive),
@@ -378,9 +392,7 @@ def verify_claim(
         try:
             verdicts[kind] = _outcome(outcomes[kind]) if kind in evidence else abstain_verdict(scheme)
         except ProviderUnavailable as exc:
-            log.warning("verdict provider failed for claim %s source %s: %s", claim.id, kind, exc,
-                        extra=_log_fields(claim, kind, "verdict"))
-            source_errors[kind] = str(exc)
+            abstain(kind, "verdict", exc)
             verdicts[kind] = abstain_verdict(scheme)
 
     return ClaimVerification(

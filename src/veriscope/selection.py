@@ -134,7 +134,7 @@ class RemoteEmbedder:
         url = url or os.environ.get(ENV_EMBED_URL)
         if not url:
             raise ConfigurationError(f"remote embedding needs {ENV_EMBED_URL}")
-        self._client = client or JsonHttpClient(url, api_key or os.environ.get(ENV_EMBED_KEY))
+        self.client = client or JsonHttpClient(url, api_key or os.environ.get(ENV_EMBED_KEY))
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text, in order, read from the reply's "embeddings" list.
@@ -144,7 +144,7 @@ class RemoteEmbedder:
         decoding accepts NaN and Infinity) raises ProviderUnavailable: callers
         map rows to texts by position and score them as cosines.
         """
-        data = self._client.post({"input": list(texts)})
+        data = self.client.post({"input": list(texts)})
         try:
             matrix = np.asarray(data["embeddings"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:

@@ -21,7 +21,7 @@ from urllib.parse import quote_plus
 import numpy as np
 
 from ._http import JsonHttpClient
-from .errors import ConfigurationError, ProviderUnavailable, SourceUnavailable
+from .errors import ConfigurationError, ProviderUnavailable
 from .index import LocalIndex, StoredDocument
 from .selection import EmbeddingMemo
 from .types import SourceKind, WEB, split_sentences
@@ -85,7 +85,10 @@ def _retrieved(kind: SourceKind, ranked) -> list[RetrievedDocument]:
 
 
 class KnowledgeSource(Protocol):
-    """Returns at most k hits for a query, best first; k < 0 raises ValueError."""
+    """Returns at most k hits for a query, best first; k < 0 raises ValueError.
+
+    A source that is down raises ProviderUnavailable, so verify_claim makes
+    it abstain; any other exception aborts the claim."""
 
     kind: SourceKind
 
@@ -125,8 +128,8 @@ class BiomedicalSource:
     at the first fill and takes docs x dim x 8 bytes (200 docs at 256
     dimensions: 400 KB).  The index holds postings x 24 bytes: an 8-byte
     row and tf per posting, and from its first query an 8-byte BM25
-    contribution.  An embedder failure raises SourceUnavailable.  For
-    plain BM25 without an embedder, use LocalCorpusSource.
+    contribution.  An embedder failure raises ProviderUnavailable, prefixed
+    "dense fusion embedding failed:".  For plain BM25, use LocalCorpusSource.
     """
 
     def __init__(self, kind: SourceKind, index: LocalIndex, embedder):
@@ -164,7 +167,7 @@ class BiomedicalSource:
         try:
             memo.prefetch([query_text, *bodies])
         except ProviderUnavailable as exc:
-            raise SourceUnavailable(f"dense fusion embedding failed: {exc}") from exc
+            raise ProviderUnavailable(f"dense fusion embedding failed: {exc}") from exc
         if bodies:
             self._store(missing, [memo.row(body) for body in bodies])
         query_vec, query_norm = memo.row(query_text)
@@ -206,7 +209,7 @@ class WebSearchSource:
     stages see everything the result page showed.  A title or snippet
     that is null or not a string reads as "", and a missing or null link
     as result-<position>.  A failed request, or a reply that is not an
-    object whose items are a list of objects, raises SourceUnavailable.
+    object whose items are a list of objects, raises ProviderUnavailable.
     """
 
     kind = WEB
@@ -224,24 +227,24 @@ class WebSearchSource:
             raise ConfigurationError(
                 f"web search needs {ENV_SEARCH_KEY} and {ENV_SEARCH_ENGINE}"
             )
-        self._client = JsonHttpClient(endpoint, timeout=SEARCH_TIMEOUT, session=session)
+        self.client = JsonHttpClient(endpoint, timeout=SEARCH_TIMEOUT, session=session)
 
     def retrieve(self, query_text: str, k: int) -> list[RetrievedDocument]:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         params = {"key": self._api_key, "cx": self._engine_id, "q": query_text, "num": k}
         try:
-            data = self._client.get(params)
+            data = self.client.get(params)
         except ProviderUnavailable as exc:
             # The message can quote the request URL, key included, so the
             # key is redacted and the chained exception is dropped.
             message = str(exc)
             for form in (self._api_key, quote_plus(self._api_key)):
                 message = message.replace(form, "<redacted>")
-            raise SourceUnavailable(f"web search failed: {message}") from None
+            raise ProviderUnavailable(f"web search failed: {message}") from None
         items = data.get("items", []) if isinstance(data, dict) else None
         if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
-            raise SourceUnavailable("web search reply has no list of result objects")
+            raise ProviderUnavailable("web search reply has no list of result objects")
         documents = []
         for position, item in enumerate(items[:k], start=1):
             title, snippet = (

@@ -254,7 +254,7 @@ class RemoteVerdictProvider:
         if not url:
             raise ConfigurationError(f"remote verdicts need {ENV_LLM_URL}")
         self.model = model or os.environ.get(ENV_LLM_MODEL, "")
-        self._client = client or JsonHttpClient(url, api_key or os.environ.get(ENV_LLM_KEY))
+        self.client = client or JsonHttpClient(url, api_key or os.environ.get(ENV_LLM_KEY))
 
     @staticmethod
     def _letter_of(token: str, letters: Sequence[str]) -> str | None:
@@ -275,7 +275,7 @@ class RemoteVerdictProvider:
             "top_logprobs": _TOP_LOGPROBS,
             "messages": [{"role": "user", "content": prompt}],
         }
-        data = self._client.post(payload)
+        data = self.client.post(payload)
         try:
             entries = data["choices"][0]["logprobs"]["content"][0]["top_logprobs"]
         except (KeyError, IndexError, TypeError) as exc:

@@ -266,6 +266,13 @@ class TestEvaluateCommand:
         assert outs[0] == outs[1]
         assert len(outs[0]) == 3
 
+    def test_repeated_source_usage_error(self, runner, tmp_path):
+        out = tmp_path / "dup"
+        result = runner.invoke(main, ["evaluate", "--mock", "--sources", "wikipedia,Wikipedia", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "source 'wikipedia' is given twice" in result.output
+        assert not out.exists()
+
     def test_live_without_claims_usage_error(self, runner):
         result = runner.invoke(main, ["evaluate"])
         assert result.exit_code == 2

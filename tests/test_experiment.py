@@ -13,7 +13,6 @@ from veriscope.errors import (
     ConfigurationError,
     EmptyDataset,
     ProviderUnavailable,
-    SourceUnavailable,
 )
 from veriscope.experiment import ExperimentPlan, plan_claims, run_experiment
 from veriscope.mock import MOCK_CONFIG, mock_claims_path, mock_provider_set
@@ -199,7 +198,7 @@ class TestVerifyClaim:
             kind = WIKIPEDIA
 
             def retrieve(self, query, k):
-                raise SourceUnavailable("index on fire")
+                raise ProviderUnavailable("index on fire")
 
         from veriscope.pipeline import ProviderSet
 
@@ -624,6 +623,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="limit"):
             ExperimentPlan(dataset=fixture_descriptor(scheme), sources=CANONICAL_SOURCES,
                            condition=ClaimCondition.ORIGINAL_ONLY, cfg=MOCK_CONFIG, limit=limit)
+
+    @pytest.mark.parametrize(
+        "sources", [(), (WIKIPEDIA, WIKIPEDIA), (WIKIPEDIA, PUBMED, WIKIPEDIA)],
+        ids=["empty", "repeated", "repeated-apart"],
+    )
+    def test_sources_must_be_non_empty_and_distinct(self, scheme, sources):
+        with pytest.raises(ValueError, match="sources"):
+            ExperimentPlan(dataset=fixture_descriptor(scheme), sources=sources,
+                           condition=ClaimCondition.ORIGINAL_ONLY, cfg=MOCK_CONFIG)
 
     def test_limit_truncates(self, tmp_path, providers, scheme):
         run_dir = run_plan(tmp_path, providers, scheme, out_name="lim", limit=2)

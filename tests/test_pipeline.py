@@ -9,7 +9,7 @@ from conftest import BarrierVerdicts, Reply, ScriptedSession, top_logprobs
 from veriscope import index as index_module
 from veriscope._http import JsonHttpClient
 from veriscope.assets import fixture_path, load_prompt, load_scheme
-from veriscope.errors import ProviderUnavailable, SourceUnavailable
+from veriscope.errors import ProviderUnavailable
 from veriscope.datasets import DatasetDescriptor
 from veriscope.experiment import ExperimentPlan, run_experiment
 from veriscope.index import build_local_index
@@ -225,7 +225,7 @@ class DownSource:
         self.kind = kind
 
     def retrieve(self, query_text, k):
-        raise SourceUnavailable(f"{self.kind.name} down")
+        raise ProviderUnavailable(f"{self.kind.name} down")
 
 
 class TestMergedVerdict:
@@ -491,7 +491,7 @@ class HeldRemoteSource(RecordingRemoteSource):
 
 class DownLocalSource(LocalCorpusSource):
     def retrieve(self, query_text, k):
-        raise SourceUnavailable(f"{self.kind.name} down")
+        raise ProviderUnavailable(f"{self.kind.name} down")
 
 
 class TestInProcessOutcomes:

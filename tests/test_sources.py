@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import FixtureSource, Reply, ScriptedSession, ZeroVector, cosine_similarity, make_doc
 from veriscope.assets import load_prompt, load_scheme
-from veriscope.errors import ConfigurationError, ProviderUnavailable, SourceUnavailable
+from veriscope.errors import ConfigurationError, ProviderUnavailable
 from veriscope.index import LocalIndex
 from veriscope.pipeline import ProviderSet, verify_claim
 from veriscope.selection import HashedBowEmbedder
@@ -359,7 +359,7 @@ class TestBiomedicalSourceCache:
 
         index = LocalIndex.from_documents([("a", "", "zinc therapy"), ("b", "", "zinc trial")])
         source = BiomedicalSource(PUBMED, index, embedder=Broken())
-        with pytest.raises(SourceUnavailable, match="dense fusion embedding"):
+        with pytest.raises(ProviderUnavailable, match="dense fusion embedding"):
             source.retrieve("zinc", 2)
 
     def test_zero_vectors_score_minus_one(self):
@@ -427,20 +427,20 @@ class TestWebSearchSource:
     def test_http_error(self, backoff_sleeps):
         # 503 is retried with exponential backoff, then the source gives up
         source, session = web_source(*[Reply(503)] * 5)
-        with pytest.raises(SourceUnavailable, match="HTTP 503"):
+        with pytest.raises(ProviderUnavailable, match="HTTP 503"):
             source.retrieve("zinc", 2)
         assert len(session.requests) == 5
         assert backoff_sleeps == [0.5, 1.0, 2.0, 4.0]
 
     def test_client_error_is_not_retried(self):
         source, session = web_source(Reply(403))
-        with pytest.raises(SourceUnavailable, match="HTTP 403"):
+        with pytest.raises(ProviderUnavailable, match="HTTP 403"):
             source.retrieve("zinc", 2)
         assert len(session.requests) == 1
 
     def test_network_error(self, backoff_sleeps):
         source, session = web_source(*[Reply(error=requests.ConnectionError)] * 5)
-        with pytest.raises(SourceUnavailable, match="ConnectionError"):
+        with pytest.raises(ProviderUnavailable, match="ConnectionError"):
             source.retrieve("zinc", 2)
         assert len(session.requests) == 5
 
@@ -449,7 +449,7 @@ class TestWebSearchSource:
         url = "https://search.example/v1?key=sk%2Fsecret%2Bkey&cx=e&q=zinc"
         error = requests.ConnectionError(f"Max retries exceeded with url: {url} ({key})")
         source, _ = web_source(then=Reply(error=error), api_key=key)
-        with pytest.raises(SourceUnavailable) as info:
+        with pytest.raises(ProviderUnavailable) as info:
             source.retrieve("zinc", 2)
         assert key not in str(info.value)
         assert "sk%2Fsecret%2Bkey" not in str(info.value)
@@ -474,5 +474,5 @@ class TestWebSearchSource:
     )
     def test_malformed_reply_is_a_source_outage(self, payload):
         source, _ = web_source(Reply(body=payload))
-        with pytest.raises(SourceUnavailable, match="no list of result objects"):
+        with pytest.raises(ProviderUnavailable, match="no list of result objects"):
             source.retrieve("zinc", 2)
