@@ -27,8 +27,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateSamples, TooFewSamples, UnknownGoldLabel, WrongArity
-from .types import MERGED, JsonRecord, LabelScheme, SourceKind, source_order_key
-from .verdict import ABSTAIN_LABEL, VeracityVerdict
+from .types import ABSTAIN_LABEL, MERGED, JsonRecord, LabelScheme, SourceKind, source_order_key
+from .verdict import VeracityVerdict
 
 log = logging.getLogger(__name__)
 
@@ -261,17 +261,47 @@ def read_confidences_csv(path: Path) -> list[ConfidenceRow]:
     return rows
 
 
+@dataclass(frozen=True)
+class RegimeCoverage:
+    """How many claims of a confidences table have an agreement regime, and why the rest have none.
+
+    A claim without one counts as not_three_sources when it has not three
+    per-source rows (the run has not three sources), else as abstained
+    when one of its three per-source rows is an abstention.
+    """
+
+    claims: int
+    with_regime: int
+    abstained: int
+    not_three_sources: int
+
+
+def regime_coverage(rows: Sequence[ConfidenceRow]) -> RegimeCoverage:
+    """The RegimeCoverage of confidences rows; merged rows count towards no source."""
+    regimes: dict[str, str] = {}
+    labels: dict[str, list[str]] = {}
+    for row in rows:
+        regimes[row.claim_id] = row.regime  # the same on every row of a claim
+        per_source = labels.setdefault(row.claim_id, [])
+        if row.source != MERGED.name:
+            per_source.append(row.label)
+    without = [labels[claim] for claim, regime in regimes.items() if not regime]
+    not_three = sum(len(sources) != 3 for sources in without)
+    abstained = sum(len(sources) == 3 and ABSTAIN_LABEL in sources for sources in without)
+    return RegimeCoverage(len(regimes), len(regimes) - len(without), abstained, not_three)
+
+
 def kde_by_group(
     rows: Sequence[ConfidenceRow],
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> tuple[dict[tuple[str, str], KdeCurve], list[tuple[str, str, str]]]:
     """One KDE per (regime, source) group of confidence rows.
 
-    Rows without a regime, and abstentions (label ABSTAIN_LABEL, whose
-    confidence is the floor, not an answer's), are ignored.  Groups that
-    cannot support an automatic bandwidth (fewer than two samples, or
-    zero spread) are skipped and reported in the second return value as
-    (regime, source, reason).
+    Rows without a regime (regime_coverage counts their claims), and
+    abstentions (label ABSTAIN_LABEL, whose confidence is the floor, not an
+    answer's), are ignored.  Groups that cannot support an automatic
+    bandwidth (fewer than two samples, or zero spread) are skipped and
+    reported in the second return value as (regime, source, reason).
     """
     groups: dict[tuple[str, str], list[float]] = {}
     for row in rows:

@@ -22,6 +22,7 @@ import click
 from .analysis import (
     kde_by_group,
     read_confidences_csv,
+    regime_coverage,
     render_kde_svg,
     write_kde_csv,
 )
@@ -334,6 +335,10 @@ def cmd_analyze(run_dir: Path, grid_points: int, with_svg: bool) -> None:
     if not confidences.exists():
         raise click.UsageError(f"{confidences} not found; run evaluate first")
     rows = read_confidences_csv(confidences)
+    coverage = regime_coverage(rows)
+    click.echo(f"{coverage.with_regime} of {coverage.claims} claims have a regime; "
+               f"{coverage.abstained} lack one for an abstaining source, "
+               f"{coverage.not_three_sources} for a run without three sources", err=True)
     curves, skipped = kde_by_group(rows, grid_points=grid_points)
     write_kde_csv(curves, run_dir / "kde.csv")
     for regime, source, reason in skipped:

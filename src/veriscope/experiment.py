@@ -35,8 +35,8 @@ from .analysis import CONFIDENCES_FIELDS, ConfidenceRow, compute_metrics
 from .assets import load_prompt
 from .datasets import DatasetDescriptor, load_dataset
 from .errors import ConfigurationError
-from .pipeline import ClaimCondition, ClaimVerification, ProviderSet, _in_process, verify_claim
-from .types import MERGED, ClaimPair, PipelineConfig, indented_json, parse_json, source_order_key
+from .pipeline import ClaimCondition, ClaimVerification, ProviderSet, verify_claim
+from .types import MERGED, ClaimPair, PipelineConfig, SourceKind, indented_json, parse_json, source_order_key
 
 TRACES_DIR = "traces"
 MANIFEST_FILE = "run-manifest.json"
@@ -52,8 +52,8 @@ WINDOW_PER_WORKER = 4
 class ExperimentPlan:
     """One cell row of the experiment grid, at a chosen subset size.
 
-    sources must be non-empty with no source twice, and limit None (every
-    claim) or an int >= 1, not a bool; anything else raises ValueError.
+    sources must be one or more SourceKinds, none twice, and limit None
+    (every claim) or an int >= 1, not a bool; anything else raises ValueError.
     """
 
     dataset: DatasetDescriptor
@@ -63,8 +63,10 @@ class ExperimentPlan:
     limit: int | None = None
 
     def __post_init__(self):
-        if not self.sources or len(set(self.sources)) != len(self.sources):
-            raise ValueError(f"sources must be non-empty with no source twice, got {self.sources!r}")
+        if not self.sources or not all(isinstance(kind, SourceKind) for kind in self.sources):
+            raise ValueError(f"sources must be one or more SourceKinds, got {self.sources!r}")
+        if len(set(self.sources)) != len(self.sources):
+            raise ValueError(f"sources must name no source twice, got {self.sources!r}")
         limit = self.limit
         if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
             raise ValueError(f"limit must be None or an integer >= 1, got {limit!r}")
@@ -174,7 +176,7 @@ def run_experiment(
         return line, *_claim_rows(result)
 
     with _derived_files(out_dir, plan, len(claims)) as add:
-        if _in_process(run_providers):
+        if run_providers.in_process():
             # nothing to overlap: the interpreter lock would run them one at a time
             for claim in claims:
                 add(process(claim))

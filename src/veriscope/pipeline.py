@@ -10,15 +10,16 @@ abstain, and the rest proceed; each warning logged on the way carries
 claim_id, source and stage (retrieval, selection, ranking or verdict) as
 log-record fields.
 
-Only calls that wait on the network use threads.  Retrieval from web
-search and from any source class not known to run in-process is
-submitted first to the module's network threads; the local BM25
-sources then run on the caller's thread while those requests are in
-flight.  With a remote verdict provider (or any unknown one) the four
-verdict calls of a claim overlap; the rule-based provider runs inline.
-A network thread starts only when none is idle and is kept for later
-claims, so an all-local claim starts none.  Only a network call makes a
-Future; an in-process call's value or exception is kept as a plain pair.
+Only calls that wait on the network use threads.  A provider of a class
+in _IN_PROCESS, or None, runs in-process; any other, a class of your own
+included, waits on the network.  verify_claim applies that rule to each
+source and to the verdict provider: network-bound calls are submitted
+first to the module's network threads, and in-process ones then run on
+the caller's thread while those requests are in flight; run_experiment
+applies it to the whole set (ProviderSet.in_process).  A network thread
+starts only when none is idle and is kept for later claims, so an
+all-local claim starts none.  Only a network call makes a Future; an
+in-process call's value or exception is kept as a plain pair.
 One EmbeddingMemo per claim serves pubmed fusion, selection and ranking.
 """
 
@@ -83,23 +84,15 @@ _POLARITIES = {polarity: _string(polarity.value) for polarity in Polarity}
 _NETWORK = ThreadPoolExecutor(sys.maxsize, "veriscope-network")
 
 
-def _in_process(provider) -> bool:
-    """True when no call of provider leaves this process.
+#: The package's classes whose calls never leave this process.
+_IN_PROCESS = (LocalCorpusSource, BiomedicalSource, HashedBowEmbedder, RuleVerdictProvider,
+               RuleBasedNegator, FixtureNegationProvider)
 
-    A ProviderSet counts by all its providers, a BiomedicalSource by its
-    embedder and a FixtureNegationProvider by its fallback.  Any class not
-    listed here is treated as waiting on the network.
-    """
-    if isinstance(provider, ProviderSet):
-        parts = [*provider.sources.values(), provider.embedder, provider.verdicts, provider.negator]
-        return all(map(_in_process, parts))
-    if isinstance(provider, BiomedicalSource):
-        return _in_process(provider._embedder)
-    if isinstance(provider, FixtureNegationProvider):
-        return _in_process(provider._fallback)
-    return provider is None or isinstance(
-        provider, (LocalCorpusSource, HashedBowEmbedder, RuleVerdictProvider, RuleBasedNegator)
-    )
+
+def _in_process(provider) -> bool:
+    """True for None and an _IN_PROCESS instance; any other class, adapters and
+    test doubles included, counts as waiting on the network."""
+    return provider is None or isinstance(provider, _IN_PROCESS)
 
 
 class ClaimCondition(Enum):
@@ -126,6 +119,11 @@ class ProviderSet:
             "verdicts": _identity(self.verdicts),
             "negator": _identity(self.negator) if self.negator else None,
         }
+
+    def in_process(self) -> bool:
+        """True when every provider of the set is in-process (_in_process)."""
+        parts = [*self.sources.values(), self.embedder, self.verdicts, self.negator]
+        return all(map(_in_process, parts))
 
 
 def _identity(provider) -> str | dict:
@@ -310,10 +308,9 @@ def verify_claim(
     calls = {}
     for kind in kinds:
         source = providers.sources[kind]
-        network = not _in_process(source)
-        retrieve = source.retrieve
-        if isinstance(source, BiomedicalSource):  # whatever its embedder: the memo stays on this thread
-            network, retrieve = False, partial(retrieve, memo=memo)
+        network, retrieve = not _in_process(source), source.retrieve
+        if isinstance(source, BiomedicalSource):  # fusion's embedding call goes through the claim's memo
+            retrieve = partial(retrieve, memo=memo)
         for polarity, query in queries.items():
             calls[(kind, polarity)] = (network, retrieve, query, cfg.retrieval_depth)
     outcomes = _run_calls(calls)

@@ -268,6 +268,10 @@ class ClaimPair:
         return dataclasses.replace(self, negated_text=negated_text)
 
 
+#: Label recorded for an abstention; no scheme may use it for an answer.
+ABSTAIN_LABEL = "abstain"
+
+
 @dataclass(frozen=True)
 class LabelScheme(JsonRecord):
     """Ordered verdict labels and their single-character option letters."""
@@ -285,6 +289,8 @@ class LabelScheme(JsonRecord):
             raise ValueError("labels and option letters must pair one-to-one")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
+        if ABSTAIN_LABEL in self.labels:
+            raise ValueError(f"the label {ABSTAIN_LABEL!r} is reserved for abstentions")
         if len(set(self.option_letters)) != len(self.option_letters):
             raise ValueError("option letters must be unique")
         if any(len(letter) != 1 for letter in self.option_letters):

@@ -20,7 +20,7 @@ import numpy as np
 from ._http import JsonHttpClient
 from .errors import ConfigurationError, NoValidOption, ProviderUnavailable, TemplateMissingPlaceholder
 from .selection import EvidenceSentence
-from .types import ClaimPair, JsonRecord, LabelScheme
+from .types import ABSTAIN_LABEL, ClaimPair, JsonRecord, LabelScheme
 
 ENV_LLM_URL = "LLM_API_URL"
 ENV_LLM_KEY = "LLM_API_KEY"
@@ -31,9 +31,6 @@ DEFAULT_LOGPROB_FLOOR = -20.0
 
 #: Top tokens a remote completion is asked to return log-probabilities for.
 _TOP_LOGPROBS = 20
-
-#: Label recorded when no option letter received any probability.
-ABSTAIN_LABEL = "abstain"
 
 _PLACEHOLDERS = ("{claim}", "{evidence}", "{options}")
 _PLACEHOLDER = re.compile("|".join(map(re.escape, _PLACEHOLDERS)))

@@ -9,6 +9,7 @@ import pytest
 from veriscope.analysis import (
     AgreementRegime,
     ConfidenceRow,
+    RegimeCoverage,
     agreement_regime,
     build_profile,
     compute_metrics,
@@ -16,6 +17,7 @@ from veriscope.analysis import (
     kde,
     kde_by_group,
     read_confidences_csv,
+    regime_coverage,
     render_kde_svg,
     silverman_bandwidth,
     write_kde_csv,
@@ -327,6 +329,29 @@ class TestCsvRoundTrip:
         with path.open(newline="") as fh:
             header = next(csv.reader(fh))
         assert header == ["claim_id", "source", "label", "confidence", "regime", "dispersion"]
+
+
+class TestRegimeCoverage:
+    def test_counts_each_claim_without_a_regime_once(self):
+        floor = DEFAULT_LOGPROB_FLOOR
+
+        def claim(claim_id, labels, regime):
+            rows = [ConfidenceRow(claim_id, source, label, floor if label == ABSTAIN_LABEL else -0.5,
+                                  regime, None) for source, label in labels]
+            return rows + [ConfidenceRow(claim_id, "merged", "x", -0.5, regime, None)]
+
+        rows = (
+            claim("answered", [("wikipedia", "x"), ("pubmed", "y"), ("web", "x")], "two")
+            + claim("abstained", [("wikipedia", ABSTAIN_LABEL), ("pubmed", "y"), ("web", "x")], "")
+            + claim("two-sources", [("wikipedia", "x"), ("pubmed", "y")], "")
+            + claim("two-sources-abstained", [("wikipedia", ABSTAIN_LABEL), ("pubmed", "y")], "")
+        )
+        assert regime_coverage(rows) == RegimeCoverage(
+            claims=4, with_regime=1, abstained=1, not_three_sources=2
+        )
+
+    def test_no_rows(self):
+        assert regime_coverage([]) == RegimeCoverage(0, 0, 0, 0)
 
 
 class TestKdeByGroup:

@@ -288,8 +288,9 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("command", ["verify", "evaluate"])
     @pytest.mark.parametrize(
         "content",
-        [None, "[1, 2]", "{not json", json.dumps({"name": "x", "labels": ["a", "b"], "option_letters": ["A", "A"]})],
-        ids=["missing", "not-an-object", "not-json", "repeated-letter"],
+        [None, "[1, 2]", "{not json", json.dumps({"name": "x", "labels": ["a", "b"], "option_letters": ["A", "A"]}),
+         json.dumps({"name": "x", "labels": ["a", "abstain"], "option_letters": ["A", "B"]})],
+        ids=["missing", "not-an-object", "not-json", "repeated-letter", "abstain-label"],
     )
     def test_bad_scheme_usage_error(self, runner, tmp_path, command, content):
         scheme = tmp_path / "f.json"
@@ -475,6 +476,21 @@ class TestAnalyzeCommand:
         result = runner.invoke(main, ["analyze", str(out)])
         assert result.exit_code == 0, result.output
         assert (out / "kde.csv").exists()
+
+    @pytest.mark.parametrize("sources,coverage", [
+        ("wikipedia,pubmed,web", "5 of 5 claims have a regime; 0 lack one for an abstaining source, "
+                                 "0 for a run without three sources"),
+        ("wikipedia,pubmed", "0 of 5 claims have a regime; 0 lack one for an abstaining source, "
+                             "5 for a run without three sources"),
+    ], ids=["three-sources", "two-sources"])
+    def test_regime_coverage_on_stderr(self, runner, tmp_path, no_network, sources, coverage):
+        out = tmp_path / "run"
+        result = runner.invoke(main, ["evaluate", "--mock", "--sources", sources, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["analyze", str(out)])
+        assert result.exit_code == 0, result.output
+        assert coverage in result.stderr
+        assert result.stdout.startswith(f"wrote {out / 'kde.csv'} (")
 
     def test_missing_confidences_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", str(tmp_path)])

@@ -15,8 +15,11 @@ from veriscope.errors import (
     ProviderUnavailable,
 )
 from veriscope.experiment import ExperimentPlan, plan_claims, run_experiment
-from veriscope.mock import MOCK_CONFIG, mock_claims_path, mock_provider_set
-from veriscope.pipeline import ClaimCondition, verify_claim
+from veriscope.mock import MOCK_CONFIG, mock_claims_path, mock_negations, mock_provider_set
+from veriscope.negation import FixtureNegationProvider, RuleBasedNegator
+from veriscope.pipeline import ClaimCondition, ProviderSet, verify_claim
+from veriscope.selection import HashedBowEmbedder
+from veriscope.sources import BiomedicalSource
 from veriscope.types import CANONICAL_SOURCES, MERGED, PUBMED, WEB, WIKIPEDIA, ClaimPair
 
 
@@ -521,6 +524,20 @@ class TestRunExperiment:
         run_plan(tmp_path, providers, scheme, max_workers=4)
         assert thread_starts == []
 
+    def test_fused_source_and_fixture_negator_run_starts_no_thread(
+        self, tmp_path, providers, scheme, thread_starts
+    ):
+        embedder = HashedBowEmbedder()
+        fused = ProviderSet(
+            sources={**providers.sources,
+                     PUBMED: BiomedicalSource(PUBMED, providers.sources[PUBMED]._index, embedder=embedder)},
+            embedder=embedder,
+            verdicts=providers.verdicts,
+            negator=FixtureNegationProvider(mock_negations(), fallback=RuleBasedNegator()),
+        )
+        run_plan(tmp_path, fused, scheme, max_workers=4)
+        assert thread_starts == []
+
     def test_runs_reuse_the_network_threads(self, tmp_path, providers, scheme, thread_starts):
         import dataclasses
 
@@ -625,8 +642,8 @@ class TestRunExperiment:
                            condition=ClaimCondition.ORIGINAL_ONLY, cfg=MOCK_CONFIG, limit=limit)
 
     @pytest.mark.parametrize(
-        "sources", [(), (WIKIPEDIA, WIKIPEDIA), (WIKIPEDIA, PUBMED, WIKIPEDIA)],
-        ids=["empty", "repeated", "repeated-apart"],
+        "sources", [(), (WIKIPEDIA, WIKIPEDIA), (WIKIPEDIA, PUBMED, WIKIPEDIA), ("wikipedia",)],
+        ids=["empty", "repeated", "repeated-apart", "not-a-source-kind"],
     )
     def test_sources_must_be_non_empty_and_distinct(self, scheme, sources):
         with pytest.raises(ValueError, match="sources"):

@@ -14,11 +14,12 @@ from veriscope.datasets import DatasetDescriptor
 from veriscope.experiment import ExperimentPlan, run_experiment
 from veriscope.index import build_local_index
 from veriscope.mock import MOCK_CONFIG, mock_claims_path, mock_negations, mock_provider_set
-from veriscope.pipeline import ClaimCondition, ProviderSet, verify_claim
-from veriscope.selection import EmbeddingMemo, HashedBowEmbedder
+from veriscope.negation import FixtureNegationProvider, RemoteNegationProvider, RuleBasedNegator
+from veriscope.pipeline import ClaimCondition, ProviderSet, _in_process, verify_claim
+from veriscope.selection import EmbeddingMemo, HashedBowEmbedder, RemoteEmbedder
 from veriscope.sources import BiomedicalSource, LocalCorpusSource, WebSearchSource
 from veriscope.types import CANONICAL_SOURCES, MERGED, PUBMED, WEB, WIKIPEDIA, ClaimPair
-from veriscope.verdict import RemoteVerdictProvider
+from veriscope.verdict import RemoteVerdictProvider, RuleVerdictProvider
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +402,35 @@ class ContextRecordingSource(RecordingRemoteSource):
     def retrieve(self, query_text, k):
         self.contexts.append(CLAIM_CONTEXT.get())
         return super().retrieve(query_text, k)
+
+
+class UnknownProvider:
+    """A class the package does not know: an adapter or a test double."""
+
+
+class TestInProcessRule:
+    @pytest.mark.parametrize("cls,in_process", [
+        (LocalCorpusSource, True),
+        (BiomedicalSource, True),
+        (HashedBowEmbedder, True),
+        (RuleVerdictProvider, True),
+        (RuleBasedNegator, True),
+        (FixtureNegationProvider, True),
+        (WebSearchSource, False),
+        (RemoteEmbedder, False),
+        (RemoteVerdictProvider, False),
+        (RemoteNegationProvider, False),
+        (UnknownProvider, False),
+    ])
+    def test_the_class_alone_decides(self, cls, in_process):
+        # built without __init__: no attribute of the instance is read
+        assert _in_process(cls.__new__(cls)) is in_process
+
+    def test_provider_set_counts_by_every_provider(self, mock):
+        assert mock.in_process()
+        assert not with_providers(mock, negator=UnknownProvider()).in_process()
+        assert not with_providers(mock, sources={**mock.sources, WEB: UnknownProvider()}).in_process()
+        assert with_providers(mock, negator=None).in_process()
 
 
 class TestThreads:

@@ -103,6 +103,11 @@ class TestLabelScheme:
         with pytest.raises(ValueError):
             LabelScheme(name="bad", labels=labels, option_letters=letters)
 
+    def test_abstention_label_is_reserved(self):
+        # an answer labelled "abstain" would score and plot as an abstention
+        with pytest.raises(ValueError, match="'abstain' is reserved"):
+            LabelScheme(name="bad", labels=("yes", "abstain"), option_letters=("A", "B"))
+
     def test_round_trip(self, scheme3):
         assert LabelScheme.from_dict(scheme3.to_dict()) == scheme3
 
