@@ -1,15 +1,16 @@
 """Small JSON-over-HTTP client shared by the remote providers and web search.
 
-Each client lets at most MAX_IN_FLIGHT (4) requests run at once and
-retries rate-limit (429) and server (5xx) responses and transport
-errors, timeouts included, MAX_RETRIES (4) times with exponential
-backoff: 0.5, 1, 2 and 4 s, 7.5 s in all.  Every other failure (a 200
-whose body is not JSON, a malformed URL or header) surfaces at once as
-ProviderUnavailable, and so does the last retried failure.
+A client is the one reader of its endpoint URL: it refuses one without an
+http(s) scheme and a host (ConfigurationError, quoting no part of it) and
+names the endpoint by host (host and port, no user info, path or query)
+in every ProviderUnavailable; a transport error adds only its class name.
+At most MAX_IN_FLIGHT (4) requests run at once.  429, 5xx and transport
+errors, timeouts included, are retried MAX_RETRIES (4) times with backoff
+0.5, 1, 2 and 4 s; any other failure (a non-JSON 200, a URL or header that
+requests refuses) surfaces at once, as does the last retry's.
 
-requests, and the HTTP stack under it, is imported by the first client
-that builds its own session or sends a request, so a run whose providers
-all stay in-process never loads it.
+requests is imported by the first client that builds its own session or
+sends a request, so a run of in-process providers never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from __future__ import annotations
 import threading
 import time
 from typing import TYPE_CHECKING
+from urllib.parse import urlsplit
 
-from .errors import ProviderUnavailable
+from .errors import ConfigurationError, ProviderUnavailable
 
 if TYPE_CHECKING:
     import requests
@@ -37,7 +39,14 @@ class JsonHttpClient:
         timeout: float = 30.0,
         session: requests.Session | None = None,
     ):
-        self.url = url
+        try:
+            parts = urlsplit(url)
+        except ValueError:  # an unbalanced IPv6 bracket, say
+            parts = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigurationError("an endpoint URL needs an http or https scheme and a host")
+        self._url = url
+        self.host = parts.netloc.rpartition("@")[2]
         self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         self._semaphore = threading.Semaphore(MAX_IN_FLIGHT)
         self._timeout = timeout
@@ -62,23 +71,23 @@ class JsonHttpClient:
             last_error = None
             for attempt in range(MAX_RETRIES + 1):
                 try:
-                    response = send(self.url, timeout=self._timeout, **kwargs)
+                    response = send(self._url, timeout=self._timeout, **kwargs)
                 except requests.RequestException as exc:
+                    last_error = type(exc).__name__
                     if isinstance(exc, ValueError):  # a malformed URL or header: no retry mends it
-                        raise ProviderUnavailable(f"{self.url}: {type(exc).__name__}") from None
-                    last_error = str(exc)
+                        raise ProviderUnavailable(f"{self.host}: {last_error}") from None
                 else:
                     if response.status_code == 200:
                         try:
                             return response.json()
                         except ValueError as exc:
                             raise ProviderUnavailable(
-                                f"{self.url}: response was not JSON: {exc}"
+                                f"{self.host}: response was not JSON: {exc}"
                             ) from exc
                     if response.status_code == 429 or response.status_code >= 500:
                         last_error = f"HTTP {response.status_code}"
                     else:
-                        raise ProviderUnavailable(f"{self.url}: HTTP {response.status_code}")
+                        raise ProviderUnavailable(f"{self.host}: HTTP {response.status_code}")
                 if attempt < MAX_RETRIES:
                     time.sleep(BACKOFF_BASE * (2**attempt))
-            raise ProviderUnavailable(f"{self.url}: giving up after retries ({last_error})")
+            raise ProviderUnavailable(f"{self.host}: giving up after retries ({last_error})")

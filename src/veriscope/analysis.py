@@ -244,21 +244,34 @@ class ConfidenceRow:
 
 
 def read_confidences_csv(path: Path) -> list[ConfidenceRow]:
+    """The rows of a confidences.csv.  A header other than CONFIDENCES_FIELDS, a row with a
+    missing or extra field, or a confidence or dispersion that is not a finite number
+    raises ValueError naming the file and line."""
     path = Path(path)
     rows = []
     with path.open(encoding="utf-8", newline="") as handle:
-        for record in csv.DictReader(handle):
-            rows.append(
-                ConfidenceRow(
-                    claim_id=record["claim_id"],
-                    source=record["source"],
-                    label=record["label"],
-                    confidence=float(record["confidence"]),
-                    regime=record["regime"],
-                    dispersion=float(record["dispersion"]) if record["dispersion"] else None,
-                )
-            )
+        reader = csv.reader(handle)
+        if tuple(next(reader, ())) != CONFIDENCES_FIELDS:
+            raise ValueError(f"{path} line 1: the header is not {','.join(CONFIDENCES_FIELDS)}")
+        for record in reader:
+            where = f"{path} line {reader.line_num}"
+            if len(record) != len(CONFIDENCES_FIELDS):
+                raise ValueError(f"{where}: {len(record)} fields, not {len(CONFIDENCES_FIELDS)}")
+            claim_id, source, label, confidence, regime, spread = record
+            rows.append(ConfidenceRow(claim_id, source, label, _finite(confidence, "confidence", where),
+                                      regime, _finite(spread, "dispersion", where) if spread else None))
     return rows
+
+
+def _finite(text: str, name: str, where: str) -> float:
+    """text as a finite float, or ValueError naming where and the field's name."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: {name} {text!r} is not a finite number")
+    return value
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,17 @@ _SOURCE_BY_NAME = {kind.name: kind for kind in CANONICAL_SOURCES}
 _mock_option = click.option("--mock", is_flag=True, help="Run fully offline on bundled fixtures.")
 
 
+def _claim(ctx, param, text: str) -> ClaimPair:
+    """CLAIM_TEXT as the command's one claim; a blank text is a usage error."""
+    try:
+        return ClaimPair(id="cli", text=text)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
+
+
+_claim_argument = click.argument("claim", metavar="CLAIM_TEXT", callback=_claim)
+
+
 @contextmanager
 def _reported_errors():
     """The CLI's one error handler: a ConfigurationError exits with EXIT_CONFIG,
@@ -72,11 +83,10 @@ def _reported_errors():
 
 
 def _setup_logging(level: str) -> None:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=getattr(logging, level.upper(), logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = getattr(logging, level.upper(), logging.WARNING)
+    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
+    # urllib3's debug lines quote each request URL, a key in its query string included
+    logging.getLogger("urllib3").setLevel(max(level, logging.INFO))
 
 
 #: Every config key the CLI reads, with its JSON type; PipelineConfig checks its own fields.
@@ -186,12 +196,11 @@ def cmd_index(corpus: Path, out: Path) -> None:
 
 
 @main.command("negate")
-@click.argument("claim_text")
+@_claim_argument
 @_mock_option
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
-def cmd_negate(claim_text: str, mock: bool, as_json: bool) -> None:
+def cmd_negate(claim: ClaimPair, mock: bool, as_json: bool) -> None:
     """Generate the negated counterpart of one claim (rule-based if the provider fails)."""
-    claim = ClaimPair(id="cli", text=claim_text)
     with _reported_errors():
         provider = mock_negator() if mock else RemoteNegationProvider()
         try:
@@ -261,14 +270,14 @@ def _run_options(command):
 
 
 @main.command("verify")
-@click.argument("claim_text")
+@_claim_argument
 @click.option("--json", "as_json", is_flag=True, help="Emit one JSON object on stdout.")
 @_run_options
-def cmd_verify(claim_text, as_json, mock, config, sources, condition, scheme, cfg):
+def cmd_verify(claim, as_json, mock, config, sources, condition, scheme, cfg):
     """Verify a single claim end to end."""
     with _reported_errors():
         result = verify_claim(
-            ClaimPair(id="cli", text=claim_text),
+            claim,
             _provider_set(mock, config, sources),
             scheme,
             load_prompt("verdict"),
@@ -334,7 +343,11 @@ def cmd_analyze(run_dir: Path, grid_points: int, with_svg: bool) -> None:
     confidences = run_dir / CONFIDENCES_FILE
     if not confidences.exists():
         raise click.UsageError(f"{confidences} not found; run evaluate first")
-    rows = read_confidences_csv(confidences)
+    with _reported_errors():
+        try:
+            rows = read_confidences_csv(confidences)
+        except ValueError as exc:
+            raise ConfigurationError(f"{exc}; the same evaluate run again on {run_dir} rewrites it") from exc
     coverage = regime_coverage(rows)
     click.echo(f"{coverage.with_regime} of {coverage.claims} claims have a regime; "
                f"{coverage.abstained} lack one for an abstaining source, "

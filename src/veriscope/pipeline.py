@@ -35,7 +35,6 @@ from enum import Enum
 from functools import partial
 from operator import attrgetter
 from typing import Mapping
-from urllib.parse import urlsplit
 
 from ._http import JsonHttpClient
 from .aggregation import (
@@ -132,8 +131,7 @@ def _identity(provider) -> str | dict:
     if not isinstance(client, JsonHttpClient):
         return type(provider).__name__
     model = {"model": provider.model} if hasattr(provider, "model") else {}
-    host = urlsplit(client.url).netloc.rpartition("@")[2]  # host and port: no user info, path or query
-    return {"class": type(provider).__name__, "host": host, **model}
+    return {"class": type(provider).__name__, "host": client.host, **model}
 
 
 @dataclass

@@ -16,7 +16,6 @@ import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Protocol
-from urllib.parse import quote_plus
 
 import numpy as np
 
@@ -233,15 +232,7 @@ class WebSearchSource:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         params = {"key": self._api_key, "cx": self._engine_id, "q": query_text, "num": k}
-        try:
-            data = self.client.get(params)
-        except ProviderUnavailable as exc:
-            # The message can quote the request URL, key included, so the
-            # key is redacted and the chained exception is dropped.
-            message = str(exc)
-            for form in (self._api_key, quote_plus(self._api_key)):
-                message = message.replace(form, "<redacted>")
-            raise ProviderUnavailable(f"web search failed: {message}") from None
+        data = self.client.get(params)
         items = data.get("items", []) if isinstance(data, dict) else None
         if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
             raise ProviderUnavailable("web search reply has no list of result objects")

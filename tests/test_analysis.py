@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from veriscope.analysis import (
+    CONFIDENCES_FIELDS,
     AgreementRegime,
     ConfidenceRow,
     RegimeCoverage,
@@ -329,6 +330,29 @@ class TestCsvRoundTrip:
         with path.open(newline="") as fh:
             header = next(csv.reader(fh))
         assert header == ["claim_id", "source", "label", "confidence", "regime", "dispersion"]
+
+
+class TestMalformedConfidencesCsv:
+    HEADER = ",".join(CONFIDENCES_FIELDS)
+    ROWS = "c1,wikipedia,Supported,-0.25,all,0.1\nc1,merged,Supported,-0.5,all,0.1\nc2,pubmed,Refuted,-1.5,,\n"
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (f"{HEADER}\n{ROWS}"[:100], "line 3: 3 fields, not 6"),
+            (f"{HEADER}\nc1,wikipedia,Supported,high,all,0.1\n", "line 2: confidence 'high' is not a finite number"),
+            (f"{HEADER}\nc1,wikipedia,Supported,inf,all,0.1\n", "line 2: confidence 'inf' is not a finite number"),
+            (f"{HEADER}\nc1,wikipedia,Supported,-0.25,all,nan\n", "line 2: dispersion 'nan' is not a finite number"),
+            (f"claim_id,source,label,confidence,regime\n{ROWS}", "line 1: the header is not claim_id,"),
+        ],
+        ids=["truncated", "text-confidence", "infinite-confidence", "nan-dispersion", "wrong-header"],
+    )
+    def test_refused_naming_the_file_and_line(self, tmp_path, text, error):
+        path = tmp_path / "confidences.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_confidences_csv(path)
+        assert str(info.value).startswith(f"{path} {error}")
 
 
 class TestRegimeCoverage:

@@ -1,4 +1,5 @@
 import json
+import logging
 import socket
 
 import pytest
@@ -131,6 +132,30 @@ def test_missing_environment_exits_before_any_index_loads(runner, tmp_path, monk
     assert result.exit_code == 3, result.output
     assert "LLM_API_URL" in result.output
     assert loads == []
+
+
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+def test_endpoint_url_without_a_scheme_exits_3_before_any_claim(runner, tmp_path, monkeypatch, command):
+    claims = tmp_path / "claims.jsonl"
+    claims.write_text(json.dumps({"id": "c1", "claim": "Cats purr.", "label": "Supported"}) + "\n")
+    monkeypatch.setenv("LLM_API_URL", "api.example/v1/chat?key=sk-secret")
+    monkeypatch.setenv("NEGATION_API_URL", "http://127.0.0.1:9")
+    args = {
+        "verify": ["verify", "Cats purr."],
+        "evaluate": ["evaluate", "--claims", str(claims), "--out", str(tmp_path / "run")],
+    }[command]
+    result = runner.invoke(main, [*args, "--sources", "wikipedia"])
+    assert result.exit_code == 3, result.output
+    assert "needs an http or https scheme and a host" in result.output
+    assert "sk-secret" not in result.output and "api.example" not in result.output
+    assert not (tmp_path / "run").exists()
+
+
+def test_debug_log_level_leaves_out_the_http_stack_request_lines(runner, no_network):
+    """urllib3 logs each request line, query string and any key in it included, at DEBUG."""
+    result = runner.invoke(main, ["--log-level", "debug", "verify", "--mock", "Cats purr."])
+    assert result.exit_code == 0, result.output
+    assert logging.getLogger("urllib3").getEffectiveLevel() == logging.INFO
 
 
 class TestNegateCommand:
@@ -448,6 +473,12 @@ class TestOptionRanges:
         assert option in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["verify", "--mock", "  "], ["negate", "--mock", ""]], ids=["verify", "negate"])
+    def test_blank_claim_text_usage_error(self, runner, no_network, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for 'CLAIM_TEXT'" in result.output
+
     def test_limit_one_runs_one_claim(self, runner, tmp_path, no_network):
         out = tmp_path / "run"
         result = runner.invoke(main, ["evaluate", "--mock", "--limit", "1", "--out", str(out)])
@@ -495,6 +526,15 @@ class TestAnalyzeCommand:
     def test_missing_confidences_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", str(tmp_path)])
         assert result.exit_code == 2
+
+    def test_truncated_confidences_exit_3_naming_the_file(self, runner, tmp_path, no_network):
+        out = self._evaluated(runner, tmp_path)
+        confidences = out / "confidences.csv"
+        confidences.write_bytes(confidences.read_bytes()[:300])
+        result = runner.invoke(main, ["analyze", str(out)])
+        assert result.exit_code == 3, result.output
+        assert f"configuration error: {confidences} line " in result.output
+        assert not (out / "kde.csv").exists()
 
     def test_rerun_identical(self, runner, tmp_path, no_network):
         out = self._evaluated(runner, tmp_path)

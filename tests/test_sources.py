@@ -453,8 +453,7 @@ class TestWebSearchSource:
             source.retrieve("zinc", 2)
         assert key not in str(info.value)
         assert "sk%2Fsecret%2Bkey" not in str(info.value)
-        assert "<redacted>" in str(info.value)
-        assert info.value.__cause__ is None and info.value.__suppress_context__
+        assert info.value.__cause__ is None and info.value.__context__ is None
 
     def test_no_items(self):
         source, _ = web_source(Reply(body={}))
