@@ -4,6 +4,9 @@ A client is the one reader of its endpoint URL: it refuses one without an
 http(s) scheme and a host (ConfigurationError, quoting no part of it) and
 names the endpoint by host (host and port, no user info, path or query)
 in every ProviderUnavailable; a transport error adds only its class name.
+A remote provider given a client and a url (provider_client) needs the url
+to be the client's own, so no provider records one endpoint and sends to
+another.
 At most MAX_IN_FLIGHT (4) requests run at once.  429, 5xx and transport
 errors, timeouts included, are retried MAX_RETRIES (4) times with backoff
 0.5, 1, 2 and 4 s; any other failure (a non-JSON 200, a URL or header that
@@ -15,6 +18,7 @@ sends a request, so a run of in-process providers never loads it.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import TYPE_CHECKING
@@ -30,6 +34,39 @@ MAX_RETRIES = 4
 BACKOFF_BASE = 0.5
 
 
+def _host(url: str) -> str | None:
+    """The host and port of an http(s) URL, without user info; None for any other URL."""
+    try:
+        parts = urlsplit(url)
+    except ValueError:  # an unbalanced IPv6 bracket, say
+        return None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        return None
+    return parts.netloc.rpartition("@")[2]
+
+
+def provider_client(
+    client: JsonHttpClient | None, url: str | None, api_key: str | None, url_env: str, key_env: str, missing: str
+) -> JsonHttpClient:
+    """The client a remote provider sends through: client if given, else one for url
+    (or $url_env) with api_key (or $key_env); no URL at all raises ConfigurationError(missing).
+
+    A url given beside a client must be the client's own URL, or ConfigurationError
+    names both endpoints by host.
+    """
+    if client is not None:
+        if url is not None and url != client.url:
+            raise ConfigurationError(
+                f"the url given ({_host(url) or 'no http(s) host'}) is not the URL of the client "
+                f"given ({client.host}); pass the client alone"
+            )
+        return client
+    url = url or os.environ.get(url_env)
+    if not url:
+        raise ConfigurationError(missing)
+    return JsonHttpClient(url, api_key or os.environ.get(key_env))
+
+
 class JsonHttpClient:
     def __init__(
         self,
@@ -39,14 +76,11 @@ class JsonHttpClient:
         timeout: float = 30.0,
         session: requests.Session | None = None,
     ):
-        try:
-            parts = urlsplit(url)
-        except ValueError:  # an unbalanced IPv6 bracket, say
-            parts = None
-        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+        host = _host(url)
+        if host is None:
             raise ConfigurationError("an endpoint URL needs an http or https scheme and a host")
         self._url = url
-        self.host = parts.netloc.rpartition("@")[2]
+        self.host = host
         self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         self._semaphore = threading.Semaphore(MAX_IN_FLIGHT)
         self._timeout = timeout
@@ -55,6 +89,11 @@ class JsonHttpClient:
 
             session = requests.Session()
         self._session = session
+
+    @property
+    def url(self) -> str:
+        """The endpoint URL as given; messages name it by host only."""
+        return self._url
 
     def post(self, payload: dict):
         """POST a JSON payload and return the decoded JSON response."""

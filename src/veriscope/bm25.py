@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .types import PUNCTUATION_TABLE
+from .types import strip_punctuation
 
 K1 = 1.2
 B = 0.75
@@ -26,8 +26,9 @@ B = 0.75
 
 def tokenize(text: str) -> list[str]:
     """normalize_sentence(text).split() without the join: the one tokenizer of
-    BM25 indexing, BM25 queries and HashedBowEmbedder."""
-    return text.translate(PUNCTUATION_TABLE).lower().split()
+    BM25 indexing, BM25 queries and HashedBowEmbedder.  ASCII text takes
+    strip_punctuation's one bytes pass, other text its table; same tokens."""
+    return strip_punctuation(text).split()
 
 
 @dataclass(frozen=True)

@@ -348,6 +348,8 @@ def cmd_analyze(run_dir: Path, grid_points: int, with_svg: bool) -> None:
             rows = read_confidences_csv(confidences)
         except ValueError as exc:
             raise ConfigurationError(f"{exc}; the same evaluate run again on {run_dir} rewrites it") from exc
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read {confidences}: {exc.strerror or exc}") from exc
     coverage = regime_coverage(rows)
     click.echo(f"{coverage.with_regime} of {coverage.claims} claims have a regime; "
                f"{coverage.abstained} lack one for an abstaining source, "

@@ -12,9 +12,9 @@ from __future__ import annotations
 import os
 from typing import Mapping, Protocol
 
-from ._http import JsonHttpClient
+from ._http import JsonHttpClient, provider_client
 from .assets import load_prompt
-from .errors import ConfigurationError, DegenerateNegation, ProviderUnavailable
+from .errors import DegenerateNegation, ProviderUnavailable
 from .types import ClaimPair
 
 #: Copulas/auxiliaries the rule-based negator knows how to flip.
@@ -98,12 +98,9 @@ class RemoteNegationProvider:
         *,
         client: JsonHttpClient | None = None,
     ):
-        url = url or os.environ.get(ENV_URL)
-        if not url:
-            raise ConfigurationError(f"remote negation needs {ENV_URL}")
+        self.client = provider_client(client, url, api_key, ENV_URL, ENV_KEY, f"remote negation needs {ENV_URL}")
         self.model = model or os.environ.get(ENV_MODEL, "")
         self._template = load_prompt("negation")
-        self.client = client or JsonHttpClient(url, api_key or os.environ.get(ENV_KEY))
 
     def negate(self, claim_text: str) -> str:
         payload = {

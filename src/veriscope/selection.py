@@ -12,8 +12,6 @@ EmbeddingMemo.similarities.
 from __future__ import annotations
 
 import hashlib
-import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -21,9 +19,9 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
-from ._http import JsonHttpClient
+from ._http import JsonHttpClient, provider_client
 from .bm25 import tokenize
-from .errors import ConfigurationError, ProviderUnavailable
+from .errors import ProviderUnavailable
 from .types import JsonRecord, PipelineConfig, SourceKind, normalize_sentence
 
 if TYPE_CHECKING:  # sources imports EmbeddingMemo from here
@@ -131,10 +129,9 @@ class RemoteEmbedder:
         *,
         client: JsonHttpClient | None = None,
     ):
-        url = url or os.environ.get(ENV_EMBED_URL)
-        if not url:
-            raise ConfigurationError(f"remote embedding needs {ENV_EMBED_URL}")
-        self.client = client or JsonHttpClient(url, api_key or os.environ.get(ENV_EMBED_KEY))
+        self.client = provider_client(
+            client, url, api_key, ENV_EMBED_URL, ENV_EMBED_KEY, f"remote embedding needs {ENV_EMBED_URL}"
+        )
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text, in order, read from the reply's "embeddings" list.
@@ -167,7 +164,8 @@ class EmbeddingMemo:
     here maps a text to the same vector whatever else is in the call.  A
     reply whose row count differs from the texts sent raises
     ProviderUnavailable and caches nothing.  Rows are kept in C order beside
-    their norm sqrt(row . row): np.linalg.norm's value, without its dispatch.
+    their norm sqrt(row . row), all of a reply's norms from one np.vecdot,
+    which sums each row as row.dot(row) does.
     The memo owns its queries' rows: each call also carries the queries not
     held yet, so the first call that succeeds embeds them, and similarities()
     with its query and texts all held does not call prefetch().
@@ -191,9 +189,8 @@ class EmbeddingMemo:
             raise ProviderUnavailable(
                 f"embedder returned shape {vectors.shape} for {len(missing)} texts"
             )
-        self._rows.update(
-            (text, (row, math.sqrt(row.dot(row)))) for text, row in zip(missing, vectors)
-        )
+        norms = np.sqrt(np.vecdot(vectors, vectors)).tolist()
+        self._rows.update(zip(missing, zip(vectors, norms)))
 
     def row(self, text: str) -> tuple[np.ndarray, float]:
         """The vector and norm of a text prefetched before."""

@@ -151,15 +151,22 @@ class BiomedicalSource:
         if len(rows) > 1:
             if memo is None or memo.embedder is not self._embedder:
                 memo = EmbeddingMemo(self._embedder)
-            dense_rank = self._dense_rank(query_text, rows, memo)
+            # A row numbers its document in doc_id order, so lexsort's secondary
+            # key breaks cosine ties by doc_id.
+            dense_rank = np.empty(len(rows), dtype=np.intp)
+            dense_rank[np.lexsort((rows, -self._cosines(query_text, rows, memo)))] = lexical_rank
         fused = 1.0 / (RRF_CONSTANT + lexical_rank) + 1.0 / (RRF_CONSTANT + dense_rank)
         top = np.lexsort((rows, -fused))[:k]
         docs = self._index.by_row
         hits = zip(rows[top].tolist(), fused[top].tolist())
         return _retrieved(self.kind, [(docs[row], score) for row, score in hits])
 
-    def _dense_rank(self, query_text, rows, memo):
-        """The 1-based rank of each lexical row in the cosine order, ties by doc_id."""
+    def _cosines(self, query_text, rows, memo):
+        """memo.similarities(query_text, bodies of rows) as an array, -1.0 for None.
+
+        The cached rows and norms are the memo's, and vecdot sums each row as
+        row.dot does, so every value equals the memo's for the same pair.
+        """
         missing = rows[~self._cached[rows]]
         docs = self._index.by_row
         bodies = [docs[row].body for row in missing.tolist()]
@@ -170,21 +177,11 @@ class BiomedicalSource:
         if bodies:
             self._store(missing, [memo.row(body) for body in bodies])
         query_vec, query_norm = memo.row(query_text)
-        matrix = self._doc_vectors[rows]
         doc_norms = self._doc_norms[rows]
-        # EmbeddingMemo.similarities' expression, one row per document; a zero norm scores -1.0.
-        # The product sums in another order than np.dot per row: for non-integer
-        # vectors a similarity can differ in its last bit, so only documents whose
-        # similarities lie within rounding of each other could swap dense ranks.
-        # Integer-valued embeddings (counts) give identical values.
         with np.errstate(divide="ignore", invalid="ignore"):
-            sims = np.dot(matrix, query_vec) / (query_norm * doc_norms)
+            sims = np.vecdot(self._doc_vectors[rows], query_vec) / (query_norm * doc_norms)
         sims[(doc_norms == 0.0) | (query_norm == 0.0)] = -1.0
-        # A row numbers its document in doc_id order, so lexsort's secondary key
-        # breaks ties by doc_id.
-        dense_rank = np.empty(len(rows), dtype=np.intp)
-        dense_rank[np.lexsort((rows, -sims))] = np.arange(1, len(rows) + 1)
-        return dense_rank
+        return sims
 
     def _store(self, rows: np.ndarray, entries: list[tuple[np.ndarray, float]]) -> None:
         """Cache the (vector, norm) entries of rows not cached yet; each row is written once."""

@@ -18,6 +18,7 @@ import json
 import logging
 import operator
 import re
+import string
 import types
 import typing
 import unicodedata
@@ -29,6 +30,10 @@ from typing import Any, Callable, Mapping
 log = logging.getLogger(__name__)
 
 
+def _is_punctuation(code_point: int) -> bool:
+    return unicodedata.category(chr(code_point)).startswith("P")
+
+
 class _PunctuationTable(dict):
     """str.translate table deleting Unicode punctuation (categories P*).
 
@@ -38,12 +43,25 @@ class _PunctuationTable(dict):
     """
 
     def __missing__(self, code_point: int) -> int | None:
-        keep = not unicodedata.category(chr(code_point)).startswith("P")
-        self[code_point] = mapped = code_point if keep else None
+        self[code_point] = mapped = None if _is_punctuation(code_point) else code_point
         return mapped
 
 
 PUNCTUATION_TABLE = _PunctuationTable()
+_ASCII_LOWER = bytes.maketrans(string.ascii_uppercase.encode(), string.ascii_lowercase.encode())
+_ASCII_PUNCTUATION = bytes(filter(_is_punctuation, range(128)))
+
+
+def strip_punctuation(text: str) -> str:
+    """text.translate(PUNCTUATION_TABLE).lower(): Unicode punctuation (P*) deleted, then lowercased.
+
+    ASCII text takes one bytes.translate pass, which deletes the ASCII P*
+    code points and maps A-Z to a-z; any other text takes the table.  Both
+    give the same string.
+    """
+    if text.isascii():
+        return text.encode().translate(_ASCII_LOWER, _ASCII_PUNCTUATION).decode()
+    return text.translate(PUNCTUATION_TABLE).lower()
 
 
 def normalize_sentence(raw: str) -> str:
@@ -51,9 +69,11 @@ def normalize_sentence(raw: str) -> str:
 
     Lowercases, removes every character in the Unicode punctuation
     categories (P*), and collapses internal whitespace runs to single
-    spaces.  Idempotent; empty input yields empty output.
+    spaces: " ".join(strip_punctuation(raw).split()), so ASCII text takes
+    one bytes pass and other text the table, with the same output.
+    Idempotent; empty input yields empty output.
     """
-    return " ".join(raw.translate(PUNCTUATION_TABLE).lower().split())
+    return " ".join(strip_punctuation(raw).split())
 
 
 _TERMINATORS = re.compile(r"[.!?]")

@@ -17,8 +17,8 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from ._http import JsonHttpClient
-from .errors import ConfigurationError, NoValidOption, ProviderUnavailable, TemplateMissingPlaceholder
+from ._http import JsonHttpClient, provider_client
+from .errors import NoValidOption, ProviderUnavailable, TemplateMissingPlaceholder
 from .selection import EvidenceSentence
 from .types import ABSTAIN_LABEL, ClaimPair, JsonRecord, LabelScheme
 
@@ -247,11 +247,10 @@ class RemoteVerdictProvider:
         *,
         client: JsonHttpClient | None = None,
     ):
-        url = url or os.environ.get(ENV_LLM_URL)
-        if not url:
-            raise ConfigurationError(f"remote verdicts need {ENV_LLM_URL}")
+        self.client = provider_client(
+            client, url, api_key, ENV_LLM_URL, ENV_LLM_KEY, f"remote verdicts need {ENV_LLM_URL}"
+        )
         self.model = model or os.environ.get(ENV_LLM_MODEL, "")
-        self.client = client or JsonHttpClient(url, api_key or os.environ.get(ENV_LLM_KEY))
 
     @staticmethod
     def _letter_of(token: str, letters: Sequence[str]) -> str | None:

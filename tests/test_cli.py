@@ -536,6 +536,14 @@ class TestAnalyzeCommand:
         assert f"configuration error: {confidences} line " in result.output
         assert not (out / "kde.csv").exists()
 
+    def test_unreadable_confidences_exit_3_naming_the_file(self, runner, tmp_path):
+        confidences = tmp_path / "confidences.csv"
+        confidences.mkdir()
+        result = runner.invoke(main, ["analyze", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert f"configuration error: cannot read {confidences}: " in result.output
+        assert not (tmp_path / "kde.csv").exists()
+
     def test_rerun_identical(self, runner, tmp_path, no_network):
         out = self._evaluated(runner, tmp_path)
         runner.invoke(main, ["analyze", str(out)])

@@ -130,6 +130,23 @@ def test_memo_similarities_equal_cosine_similarity(seed, rows, dim):
         assert sim == want
 
 
+@pytest.mark.parametrize("dim", [48, 256, 1536])
+@pytest.mark.parametrize("reply_rows", [1, 2, 7, 64, 257])
+def test_memo_norms_and_similarities_equal_the_per_row_expressions(reply_rows, dim):
+    # A reply's norms come from one vecdot over the whole matrix; each must equal
+    # sqrt(row . row) of its row alone, so a value never depends on the other texts.
+    rng = np.random.default_rng(reply_rows * 10_000 + dim)
+    vectors = rng.standard_normal((reply_rows, dim))
+    texts = [f"t{i}" for i in range(reply_rows)]
+    memo = EmbeddingMemo(FixtureEmbedder(dict(zip(texts, vectors))))
+    memo.prefetch(texts)
+    norms = [math.sqrt(vector.dot(vector)) for vector in vectors]
+    assert [memo.row(text)[1] for text in texts] == norms
+    query = vectors[-1]
+    want = [float(query.dot(vector)) / (norms[-1] * norm) for vector, norm in zip(vectors, norms)]
+    assert memo.similarities(texts[-1], texts) == want
+
+
 class TestHashedBowEmbedder:
     def test_shape_and_determinism(self):
         embedder = HashedBowEmbedder(dim=64)

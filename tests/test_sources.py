@@ -1,8 +1,10 @@
+import hashlib
 import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 import requests
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from veriscope.assets import load_prompt, load_scheme
 from veriscope.errors import ConfigurationError, ProviderUnavailable
 from veriscope.index import LocalIndex
 from veriscope.pipeline import ProviderSet, verify_claim
-from veriscope.selection import HashedBowEmbedder
+from veriscope.selection import EmbeddingMemo, HashedBowEmbedder
 from veriscope import sources
 from veriscope.sources import BiomedicalSource, LocalCorpusSource, RetrievedDocument, WebSearchSource
 from veriscope.types import PUBMED, WIKIPEDIA, ClaimPair, PipelineConfig
@@ -190,6 +192,41 @@ def zipf_corpus(seed, docs, vocab=40):
         f"d{i:03d}": " ".join(rng.choices(words, weights, k=rng.randint(0, 12)))
         for i in range(docs)
     }
+
+
+class _FloatEmbedder:
+    """Deterministic float-valued rows (normal draws seeded by each text); "zz" texts embed to zero."""
+
+    def __init__(self, dim=48):
+        self.dim = dim
+
+    def embed(self, texts):
+        def row(text):
+            if "zz" in text.split():
+                return np.zeros(self.dim)
+            seed = int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+            return np.random.default_rng(seed).standard_normal(self.dim)
+
+        return np.array([row(text) for text in texts]).reshape(len(texts), self.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), docs=st.integers(2, 60), queries=st.integers(1, 4))
+def test_fusion_cosines_equal_the_memo_similarities(seed, docs, queries):
+    # Float rows, so a product summing in another order than row.dot would show in the last bits.
+    corpus = zipf_corpus(seed, docs)
+    index = LocalIndex.from_documents((doc_id, "", body) for doc_id, body in corpus.items())
+    rng = random.Random(seed + 1)
+    asked = [" ".join(rng.choice(list(corpus.values())).split()[:4]) for _ in range(queries)]
+    fused = [query for query in asked if len(index.ranked(query)) > 1]
+    embedder = _FloatEmbedder()
+    source = BiomedicalSource(PUBMED, index, embedder=embedder)
+    for query in fused + fused:  # the second round reads the cached document rows
+        rows, _ = index.scored_rows(query, sources.FUSION_DEPTH)
+        memo = EmbeddingMemo(embedder)
+        got = source._cosines(query, rows, memo).tolist()
+        want = memo.similarities(query, [index.by_row[row].body for row in rows.tolist()])
+        assert got == [-1.0 if sim is None else sim for sim in want]
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from veriscope import types
+from veriscope.bm25 import tokenize
 from veriscope.types import (
     MERGED,
     PUBMED,
@@ -55,6 +56,11 @@ def reference_normalize(raw):
     return " ".join(kept.lower().split())
 
 
+def reference_tokenize(raw):
+    """The per-character definition tokenize must reproduce."""
+    return reference_normalize(raw).split()
+
+
 def test_normalize_matches_reference_for_every_code_point():
     try:
         for code_point in range(0x110000):
@@ -65,6 +71,51 @@ def test_normalize_matches_reference_for_every_code_point():
     finally:
         # Every code point is now cached; drop them so later tests run with
         # the table ordinary text would leave.
+        types.PUNCTUATION_TABLE.clear()
+
+
+def test_tokenize_matches_reference_for_every_code_point():
+    try:
+        for code_point in range(0x110000):
+            ch = chr(code_point)
+            assert tokenize(ch) == reference_tokenize(ch), hex(code_point)
+            embedded = "A" + ch + "b"
+            assert tokenize(embedded) == reference_tokenize(embedded), hex(code_point)
+    finally:
+        types.PUNCTUATION_TABLE.clear()
+
+
+def test_ascii_punctuation_is_the_ascii_p_categories():
+    # $+<=>^`|~ are symbols (S*), so ASCII text keeps them.
+    assert types._ASCII_PUNCTUATION == b"!\"#%&'()*,-./:;?@[\\]_{}"
+    assert normalize_sentence("A$+<=>^`|~b") == "a$+<=>^`|~b"
+
+
+# All-ASCII text (the bytes pass) and ASCII beside non-ASCII punctuation, letters
+# and spaces (the table), checked against one oracle.
+MIXED_TEXT = st.one_of(
+    st.text(st.characters(max_codepoint=0x7F), max_size=60),
+    st.text(
+        st.one_of(
+            st.characters(max_codepoint=0x7F),
+            st.sampled_from("…–—«»¿¡“”‘’。、・†‰§¶éÉßİıΣςﬁǅ\u00a0\u2003\u3000"),
+            st.characters(categories=["Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po", "Lu", "Ll", "Lt", "Zs"]),
+        ),
+        max_size=60,
+    ),
+)
+
+
+def test_ascii_and_table_paths_match_the_reference():
+    @given(MIXED_TEXT)
+    def check(text):
+        assert types.strip_punctuation(text) == text.translate(types.PUNCTUATION_TABLE).lower()
+        assert normalize_sentence(text) == reference_normalize(text)
+        assert tokenize(text) == reference_tokenize(text)
+
+    try:
+        check()
+    finally:
         types.PUNCTUATION_TABLE.clear()
 
 
