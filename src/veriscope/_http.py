@@ -6,7 +6,8 @@ names the endpoint by host (host and port, no user info, path or query)
 in every ProviderUnavailable; a transport error adds only its class name.
 A remote provider given a client and a url (provider_client) needs the url
 to be the client's own, so no provider records one endpoint and sends to
-another.
+another; given a client and an api_key, it is refused, since the client
+sends its own headers and would silently drop the key.
 At most MAX_IN_FLIGHT (4) requests run at once.  429, 5xx and transport
 errors, timeouts included, are retried MAX_RETRIES (4) times with backoff
 0.5, 1, 2 and 4 s; any other failure (a non-JSON 200, a URL or header that
@@ -52,13 +53,20 @@ def provider_client(
     (or $url_env) with api_key (or $key_env); no URL at all raises ConfigurationError(missing).
 
     A url given beside a client must be the client's own URL, or ConfigurationError
-    names both endpoints by host.
+    names both endpoints by host.  An api_key given beside a client raises
+    ConfigurationError naming the client's host, never the key: the client
+    already holds its headers.
     """
     if client is not None:
         if url is not None and url != client.url:
             raise ConfigurationError(
                 f"the url given ({_host(url) or 'no http(s) host'}) is not the URL of the client "
                 f"given ({client.host}); pass the client alone"
+            )
+        if api_key is not None:
+            raise ConfigurationError(
+                f"an api key given beside a client ({client.host}) would be dropped, since the client "
+                "sends its own headers; pass the key to JsonHttpClient instead"
             )
         return client
     url = url or os.environ.get(url_env)

@@ -6,7 +6,8 @@ split per stored document); each sentence is scored against the query
 that retrieved the document (the claim for the positive pass, the
 negation for the negative pass) and the most similar sentences per
 document survive.  Selection and ranking score every text through one
-EmbeddingMemo.similarities.
+EmbeddingMemo.similarities, and it and pubmed fusion take every cosine
+from cosines().
 """
 
 from __future__ import annotations
@@ -155,6 +156,32 @@ class RemoteEmbedder:
         return matrix
 
 
+def cosines(
+    vectors: np.ndarray, norms: np.ndarray, query_row: np.ndarray, query_norm: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine u.v / (|u||v|) of query_row with each row of vectors, and the mask of zero-norm pairs.
+
+    The one cosine rule of selection, ranking and pubmed fusion.  np.vecdot
+    sums each row as a dot product of that row alone does, so a value does
+    not depend on the other rows (a matrix product would sum in another
+    order).  A masked pair is divided by 1, so it raises no warning and its
+    value means nothing; a NaN from a non-finite row stays NaN.
+    """
+    zero = (norms == 0.0) | (query_norm == 0.0)
+    return np.vecdot(vectors, query_row) / np.where(zero, 1.0, query_norm * norms), zero
+
+
+class _Reply:
+    """One embedding reply: its rows in C order, their norms, and per query the rows' cosines."""
+
+    __slots__ = ("vectors", "norms", "cosines")
+
+    def __init__(self, vectors: np.ndarray):
+        self.vectors = vectors
+        self.norms = np.sqrt(np.vecdot(vectors, vectors))
+        self.cosines: dict[str, list[float | None]] = {}
+
+
 class EmbeddingMemo:
     """Scores texts against a query from rows of another embedder, memoized by text.
 
@@ -163,21 +190,21 @@ class EmbeddingMemo:
     serves the rest from memory.  This is valid because every embedder
     here maps a text to the same vector whatever else is in the call.  A
     reply whose row count differs from the texts sent raises
-    ProviderUnavailable and caches nothing.  Rows are kept in C order beside
-    their norm sqrt(row . row), all of a reply's norms from one np.vecdot,
-    which sums each row as row.dot(row) does.
+    ProviderUnavailable and caches nothing.  Each reply is kept whole, in C
+    order beside its rows' norms sqrt(row . row) from one np.vecdot, and
+    each text as its (reply, row).
     The memo owns its queries' rows: each call also carries the queries not
     held yet, so the first call that succeeds embeds them, and similarities()
     with its query and texts all held does not call prefetch().
     verify_claim makes one memo per claim before retrieval, with the claim
-    and (dual condition) the negation as queries, so its size is bounded
-    by one claim's texts.
+    and (dual condition) the negation as queries, so its size, cosines
+    included, is bounded by one claim's texts.
     """
 
     def __init__(self, embedder: EmbeddingProvider, queries: Sequence[str] = ()):
         self.embedder = embedder
         self._queries = tuple(queries)
-        self._rows: dict[str, tuple[np.ndarray, float]] = {}
+        self._rows: dict[str, tuple[_Reply, int]] = {}
 
     def prefetch(self, texts: Sequence[str]) -> None:
         """Embed, in one call, the queries and texts not cached yet."""
@@ -189,28 +216,37 @@ class EmbeddingMemo:
             raise ProviderUnavailable(
                 f"embedder returned shape {vectors.shape} for {len(missing)} texts"
             )
-        norms = np.sqrt(np.vecdot(vectors, vectors)).tolist()
-        self._rows.update(zip(missing, zip(vectors, norms)))
+        reply = _Reply(vectors)
+        self._rows.update((text, (reply, row)) for row, text in enumerate(missing))
 
     def row(self, text: str) -> tuple[np.ndarray, float]:
         """The vector and norm of a text prefetched before."""
-        return self._rows[text]
+        reply, row = self._rows[text]
+        return reply.vectors[row], float(reply.norms[row])
 
     def similarities(self, query: str, texts: Sequence[str]) -> list[float | None]:
         """The cosine u.v / (|u||v|) of the query's row with each text's row.
 
-        Each value is that expression for one pair of rows, so it does
-        not depend on the other texts (a matrix product would sum in
-        another order).  None stands for a zero norm on either side.
+        The first use of a reply for a query scores the query against the
+        whole reply with cosines(), and later uses read that list, so each
+        value is that expression for one pair of rows and does not depend on
+        the other texts.  None stands for a zero norm on either side.  A
+        reply is scored whole however few of its texts are asked for: once
+        per claim, ranking's claim row meets the reply that embedded it,
+        which for a cold pubmed fusion call holds up to 1,002 rows.
         """
         rows = self._rows
         if query not in rows or not all(map(rows.__contains__, texts)):
             self.prefetch([query, *texts])
-        query_row, query_norm = rows[query]
         sims: list[float | None] = []
-        for row, norm in map(rows.__getitem__, texts):
-            ok = query_norm != 0.0 and norm != 0.0
-            sims.append(float(query_row.dot(row)) / (query_norm * norm) if ok else None)
+        for reply, row in map(rows.__getitem__, texts):
+            scored = reply.cosines.get(query)
+            if scored is None:
+                values, zero = cosines(reply.vectors, reply.norms, *self.row(query))
+                scored = reply.cosines[query] = [
+                    None if masked else value for value, masked in zip(values.tolist(), zero.tolist())
+                ]
+            sims.append(scored[row])
         return sims
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from ._http import JsonHttpClient
 from .errors import ConfigurationError, ProviderUnavailable
 from .index import LocalIndex, StoredDocument
-from .selection import EmbeddingMemo
+from .selection import EmbeddingMemo, cosines
 from .types import SourceKind, WEB, split_sentences
 
 if TYPE_CHECKING:
@@ -41,12 +40,32 @@ RRF_CONSTANT = 60
 FUSION_DEPTH = 1000
 
 
+class _first_read:
+    """functools.cached_property without its lock (one class-wide RLock per first read before 3.12).
+
+    The first read stores the value in the instance dict, which later reads
+    find first; threads racing on a first read compute equal values.
+    """
+
+    def __init__(self, function):
+        self.function = function
+        self.name = function.__name__
+        self.__doc__ = function.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.function(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class RetrievedDocument:
     """One ranked retrieval hit; rank is 1-based and contiguous per result.
 
     stored is the index document a local source retrieved (None for any
-    other source); it is not part of the hit's value.
+    other source); it is not part of the hit's value.  sentences is made on
+    its first read, without a lock.
     """
 
     doc_id: str
@@ -61,7 +80,7 @@ class RetrievedDocument:
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
 
-    @cached_property
+    @_first_read
     def sentences(self) -> tuple[str, ...]:
         """split_sentences(body), made on first use.
 
@@ -164,8 +183,8 @@ class BiomedicalSource:
     def _cosines(self, query_text, rows, memo):
         """memo.similarities(query_text, bodies of rows) as an array, -1.0 for None.
 
-        The cached rows and norms are the memo's, and vecdot sums each row as
-        row.dot does, so every value equals the memo's for the same pair.
+        The cached rows and norms are the memo's and the rule is its
+        cosines(), so every value equals the memo's for the same pair.
         """
         missing = rows[~self._cached[rows]]
         docs = self._index.by_row
@@ -176,11 +195,8 @@ class BiomedicalSource:
             raise ProviderUnavailable(f"dense fusion embedding failed: {exc}") from exc
         if bodies:
             self._store(missing, [memo.row(body) for body in bodies])
-        query_vec, query_norm = memo.row(query_text)
-        doc_norms = self._doc_norms[rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sims = np.vecdot(self._doc_vectors[rows], query_vec) / (query_norm * doc_norms)
-        sims[(doc_norms == 0.0) | (query_norm == 0.0)] = -1.0
+        sims, zero = cosines(self._doc_vectors[rows], self._doc_norms[rows], *memo.row(query_text))
+        sims[zero] = -1.0
         return sims
 
     def _store(self, rows: np.ndarray, entries: list[tuple[np.ndarray, float]]) -> None:

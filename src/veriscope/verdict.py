@@ -123,21 +123,18 @@ def build_prompt(
     return _PLACEHOLDER.sub(lambda match: blocks[match.group()], template)
 
 
-def _log_sum_exp(values: np.ndarray) -> float:
-    peak = float(values.max())
-    return peak + math.log(float(np.sum(np.exp(values - peak))))
-
-
 def confidence_from_logits(label_logits: LabelLogits) -> tuple[str, float]:
     """Argmax label and its log-softmax value (max-subtraction stabilized).
 
-    Ties resolve to the lowest option index; the result is invariant
-    under adding any constant to all logits.
+    Ties resolve to the lowest option index, as np.argmax does; the result
+    is invariant under adding any constant to all logits.  The value is
+    peak - (peak + log(sum(exp(logits - peak)))), from one np.subtract, one
+    np.exp and one np.sum over the logits tuple.
     """
-    values = np.asarray(label_logits.logits, dtype=np.float64)
-    best = int(np.argmax(values))
-    confidence = float(values[best] - _log_sum_exp(values))
-    return label_logits.scheme.labels[best], confidence
+    logits = label_logits.logits
+    peak = max(logits)
+    confidence = peak - (peak + math.log(np.sum(np.exp(np.subtract(logits, peak)))))
+    return label_logits.scheme.labels[logits.index(peak)], confidence
 
 
 def abstain_verdict(scheme: LabelScheme) -> VeracityVerdict:

@@ -190,6 +190,24 @@ def test_a_url_beside_a_client_must_be_the_clients_own(name, monkeypatch):
     assert WITH_CLIENT[name](None, client).client is client
 
 
+@pytest.mark.parametrize("own_url", [True, False], ids=["with-url", "no-url"])
+@pytest.mark.parametrize("name", WITH_CLIENT)
+def test_a_key_beside_a_client_is_refused(name, own_url):
+    # The client sends its own headers, so a key given beside it would be dropped.
+    make = {
+        "negation": lambda url, client: RemoteNegationProvider(url, KEY, client=client),
+        "embedder": lambda url, client: RemoteEmbedder(url, KEY, client=client),
+        "verdicts": lambda url, client: RemoteVerdictProvider(url, KEY, model="m", client=client),
+    }[name]
+    client = JsonHttpClient(URL, session=ScriptedSession())
+    with pytest.raises(ConfigurationError, match="api key") as info:
+        make(client.url if own_url else None, client)
+    message = str(info.value)
+    assert "(fake)" in message
+    assert not any(part in message for part in ("user", "/api", "key="))
+    assert_no_key(message)
+
+
 def test_client_url_is_read_only():
     client = JsonHttpClient(URL, session=ScriptedSession())
     assert client.url == URL

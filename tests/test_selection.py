@@ -110,17 +110,25 @@ class TestCosineSimilarity:
             cosine_similarity([1.0], [1.0, 2.0])
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), dim=st.integers(1, 300))
-def test_memo_similarities_equal_cosine_similarity(seed, rows, dim):
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), dim=st.integers(1, 300), calls=st.integers(1, 3)
+)
+def test_memo_similarities_equal_cosine_similarity(seed, rows, dim, calls):
     # Float vectors, so a different summation order would show in the last bits.
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((rows + 1, dim))
     vectors[rng.random(rows + 1) < 0.2] = 0.0
     texts = [f"t{i}" for i in range(rows + 1)]
     memo = EmbeddingMemo(FixtureEmbedder(dict(zip(texts, vectors))))
-    memo.prefetch(texts[rows // 2 :])  # some rows cached, the rest fetched by the call
+    # the texts spread over calls replies in shuffled order, the query's among
+    # them; the texts no call covers are fetched by similarities itself
+    order = rng.permutation(rows + 1).tolist()
+    cuts = sorted(rng.integers(0, rows + 2, size=calls).tolist())
+    for start, stop in zip(cuts, cuts[1:] + [rows + 1]):
+        memo.prefetch([texts[i] for i in order[start:stop]])
     got = memo.similarities(texts[0], texts[1:])
+    assert memo.similarities(texts[0], texts[1:]) == got  # the second read, from the cached cosines
     assert len(got) == rows
     for vector, sim in zip(vectors[1:], got):
         try:

@@ -18,7 +18,7 @@ from veriscope.pipeline import ProviderSet, verify_claim
 from veriscope.selection import EmbeddingMemo, HashedBowEmbedder
 from veriscope import sources
 from veriscope.sources import BiomedicalSource, LocalCorpusSource, RetrievedDocument, WebSearchSource
-from veriscope.types import PUBMED, WIKIPEDIA, ClaimPair, PipelineConfig
+from veriscope.types import PUBMED, WIKIPEDIA, ClaimPair, PipelineConfig, split_sentences
 from veriscope.verdict import RuleVerdictProvider
 
 
@@ -28,6 +28,36 @@ class TestRetrievedDocument:
             RetrievedDocument(
                 doc_id="d1", source=WIKIPEDIA, title="", body="body", rank=0, score=1.0
             )
+
+    def test_threads_reading_a_fresh_hit_get_the_same_split(self):
+        # sentences takes no lock, so eight first reads of one hit race.
+        body = " ".join(f"Sentence number {i} is here." for i in range(300))
+        want = tuple(split_sentences(body))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                hit = RetrievedDocument(doc_id="d1", source=WIKIPEDIA, title="", body=body, rank=1, score=1.0)
+                start = threading.Barrier(8, timeout=30)
+
+                def read():
+                    start.wait()
+                    return hit.sentences
+
+                with ThreadPoolExecutor(8) as pool:
+                    got = [future.result(timeout=60) for future in [pool.submit(read) for _ in range(8)]]
+                assert got == [want] * 8
+                assert hit.sentences in got
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_local_hit_reads_its_stored_documents_split(self):
+        index = LocalIndex.from_documents([("d1", "", "Cats purr. Dogs bark loudly."), ("d2", "", "Cats sleep.")])
+        hits = LocalCorpusSource(WIKIPEDIA, index).retrieve("cats", 2)
+        again = LocalCorpusSource(WIKIPEDIA, index).retrieve("cats", 2)
+        for hit, other in zip(hits, again):
+            assert hit.sentences is hit.stored.sentences
+            assert other.sentences is hit.sentences
 
 
 class TestFixtureSource:

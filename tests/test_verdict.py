@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ScriptedSession, make_sentence, top_logprobs
 from veriscope._http import JsonHttpClient
@@ -113,6 +115,38 @@ class TestConfidenceFromLogits:
             _, confidence = confidence_from_logits(z)
             assert confidence <= 0.0
             assert 0.0 < math.exp(confidence) <= 1.0
+
+
+def reference_confidence(label_logits):
+    """The earlier confidence_from_logits: np.argmax and a log-sum-exp over an array."""
+    values = np.asarray(label_logits.logits, dtype=np.float64)
+    best = int(np.argmax(values))
+    peak = float(values.max())
+    log_sum_exp = peak + math.log(float(np.sum(np.exp(values - peak))))
+    return label_logits.scheme.labels[best], float(values[best] - log_sum_exp)
+
+
+@st.composite
+def tied_logits(draw):
+    """2-5 finite logits spread up to 1e3, often with ties at the maximum."""
+    m = draw(st.integers(2, 5))
+    spread = draw(st.sampled_from([1e-3, 1.0, 50.0, 1e3]))
+    logits = draw(st.lists(st.floats(-spread, spread), min_size=m, max_size=m))
+    for position in draw(st.lists(st.integers(0, m - 1), max_size=m)):
+        logits[position] = max(logits)
+    return logits
+
+
+@settings(max_examples=300, deadline=None)
+@given(logits=tied_logits())
+def test_confidence_equals_the_array_formula_to_the_bit(logits):
+    scheme = LabelScheme("s", tuple(f"l{i}" for i in range(len(logits))), tuple("ABCDE"[: len(logits)]))
+    label_logits = LabelLogits(scheme, tuple(logits))
+    label, confidence = confidence_from_logits(label_logits)
+    want_label, want = reference_confidence(label_logits)
+    assert label == want_label
+    assert type(confidence) is float
+    assert confidence.hex() == want.hex()
 
 
 class TestLabelLogits:
