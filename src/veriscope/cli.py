@@ -71,12 +71,18 @@ _claim_argument = click.argument("claim", metavar="CLAIM_TEXT", callback=_claim)
 
 @contextmanager
 def _reported_errors():
-    """The CLI's one error handler: a ConfigurationError exits with EXIT_CONFIG,
-    any other VeriscopeError becomes a ClickException (exit code 1)."""
+    """The CLI's one error handler: a ConfigurationError, or an OSError naming
+    the path the file system refused, exits with EXIT_CONFIG; any other
+    VeriscopeError becomes a ClickException (exit code 1)."""
     try:
         yield
     except ConfigurationError as exc:
         click.echo(f"configuration error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        click.echo(f"configuration error: {exc.filename}: {exc.strerror or exc}", err=True)
         sys.exit(EXIT_CONFIG)
     except VeriscopeError as exc:
         raise click.ClickException(str(exc))
@@ -350,18 +356,18 @@ def cmd_analyze(run_dir: Path, grid_points: int, with_svg: bool) -> None:
             raise ConfigurationError(f"{exc}; the same evaluate run again on {run_dir} rewrites it") from exc
         except OSError as exc:
             raise ConfigurationError(f"cannot read {confidences}: {exc.strerror or exc}") from exc
-    coverage = regime_coverage(rows)
-    click.echo(f"{coverage.with_regime} of {coverage.claims} claims have a regime; "
-               f"{coverage.abstained} lack one for an abstaining source, "
-               f"{coverage.not_three_sources} for a run without three sources", err=True)
-    curves, skipped = kde_by_group(rows, grid_points=grid_points)
-    write_kde_csv(curves, run_dir / "kde.csv")
-    for regime, source, reason in skipped:
-        click.echo(f"skipped regime={regime} source={source}: {reason}", err=True)
-    click.echo(f"wrote {run_dir / 'kde.csv'} ({len(curves)} curves)")
-    if with_svg:
-        render_kde_svg(curves, run_dir / "kde.svg")
-        click.echo(f"wrote {run_dir / 'kde.svg'}")
+        coverage = regime_coverage(rows)
+        click.echo(f"{coverage.with_regime} of {coverage.claims} claims have a regime; "
+                   f"{coverage.abstained} lack one for an abstaining source, "
+                   f"{coverage.not_three_sources} for a run without three sources", err=True)
+        curves, skipped = kde_by_group(rows, grid_points=grid_points)
+        write_kde_csv(curves, run_dir / "kde.csv")
+        for regime, source, reason in skipped:
+            click.echo(f"skipped regime={regime} source={source}: {reason}", err=True)
+        click.echo(f"wrote {run_dir / 'kde.csv'} ({len(curves)} curves)")
+        if with_svg:
+            render_kde_svg(curves, run_dir / "kde.svg")
+            click.echo(f"wrote {run_dir / 'kde.svg'}")
 
 
 if __name__ == "__main__":

@@ -67,10 +67,11 @@ class StoredDocument:
     def sentences(self) -> tuple[str, ...]:
         """split_sentences(body), made on first use and kept with the document.
 
-        Every hit on the document from its index shares this one split,
-        made when selection first reads it, so a run splits each selected
-        body once; the index's memory grows by the split text of the
-        documents selected so far.
+        The one split of a retrieval hit: every hit reads its stored
+        document's (RetrievedDocument.sentences).  Every hit on an index
+        document shares this split, made when selection first reads it, so
+        a run splits each selected body once; the index's memory grows by
+        the split text of the documents selected so far.
         """
         return tuple(split_sentences(self.body))
 

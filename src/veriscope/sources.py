@@ -7,6 +7,8 @@ retrieve(q, k') is always a prefix of retrieve(q, k) for k' <= k.
 verify_claim runs the dual retrieval: each source is asked once for
 the claim and once for its negation; pubmed fusion embeds through the
 claim's EmbeddingMemo, which also holds the rows selection scores against.
+A hit's stored document owns its sentence split: a local source's hits
+carry the index's document, and any other hit a document of its own.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from typing import TYPE_CHECKING, Protocol
 import numpy as np
 
 from ._http import JsonHttpClient
+from .bm25 import tokenize
 from .errors import ConfigurationError, ProviderUnavailable
 from .index import LocalIndex, StoredDocument
 from .selection import EmbeddingMemo, cosines
-from .types import SourceKind, WEB, split_sentences
+from .types import SourceKind, WEB
 
 if TYPE_CHECKING:
     import requests
@@ -32,6 +35,9 @@ ENV_SEARCH_ENGINE = "SEARCH_ENGINE_ID"
 DEFAULT_SEARCH_ENDPOINT = "https://www.googleapis.com/customsearch/v1"
 #: Seconds a search request may take before it counts as a transport error.
 SEARCH_TIMEOUT = 10.0
+#: The most results a search request asks for: the Custom Search JSON API
+#: refuses a num above 10 with HTTP 400.
+MAX_SEARCH_RESULTS = 10
 
 #: Rank-reciprocal fusion constant for hybrid lexical/dense ranking.
 RRF_CONSTANT = 60
@@ -40,32 +46,15 @@ RRF_CONSTANT = 60
 FUSION_DEPTH = 1000
 
 
-class _first_read:
-    """functools.cached_property without its lock (one class-wide RLock per first read before 3.12).
-
-    The first read stores the value in the instance dict, which later reads
-    find first; threads racing on a first read compute equal values.
-    """
-
-    def __init__(self, function):
-        self.function = function
-        self.name = function.__name__
-        self.__doc__ = function.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.function(instance)
-        return value
-
-
 @dataclass(frozen=True)
 class RetrievedDocument:
     """One ranked retrieval hit; rank is 1-based and contiguous per result.
 
-    stored is the index document a local source retrieved (None for any
-    other source); it is not part of the hit's value.  sentences is made on
-    its first read, without a lock.
+    stored is the hit's document, not part of the hit's value: the index's
+    for a local source's hit, and one of its own for a hit built without
+    one (its length counted by the index's rule, len(tokenize(body))).
+    sentences reads that document's split, so every hit is split once, on
+    its first read, and a local document once however often it is retrieved.
     """
 
     doc_id: str
@@ -79,19 +68,14 @@ class RetrievedDocument:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        if self.stored is None:
+            document = StoredDocument(self.doc_id, self.title, self.body, len(tokenize(self.body)))
+            object.__setattr__(self, "stored", document)
 
-    @_first_read
+    @property
     def sentences(self) -> tuple[str, ...]:
-        """split_sentences(body), made on first use.
-
-        A local source's hit reads its stored document's split
-        (StoredDocument.sentences, made once per index), so a document is
-        split only when selection first reads it, and once however often
-        it is retrieved.
-        """
-        if self.stored is not None:
-            return self.stored.sentences
-        return tuple(split_sentences(self.body))
+        """The stored document's split: StoredDocument.sentences."""
+        return self.stored.sentences
 
 
 def _retrieved(kind: SourceKind, ranked) -> list[RetrievedDocument]:
@@ -222,6 +206,8 @@ class WebSearchSource:
     that is null or not a string reads as "", and a missing or null link
     as result-<position>.  A failed request, or a reply that is not an
     object whose items are a list of objects, raises ProviderUnavailable.
+    A request asks for at most MAX_SEARCH_RESULTS (10) results, so k above
+    it returns at most 10 hits; k = 0 returns none without a request.
     """
 
     kind = WEB
@@ -244,7 +230,10 @@ class WebSearchSource:
     def retrieve(self, query_text: str, k: int) -> list[RetrievedDocument]:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        params = {"key": self._api_key, "cx": self._engine_id, "q": query_text, "num": k}
+        if k == 0:
+            return []
+        params = {"key": self._api_key, "cx": self._engine_id, "q": query_text,
+                  "num": min(k, MAX_SEARCH_RESULTS)}
         data = self.client.get(params)
         items = data.get("items", []) if isinstance(data, dict) else None
         if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):

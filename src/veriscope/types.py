@@ -185,15 +185,24 @@ def parse_json(text: str, kind: type, source: str) -> Any:
     return value
 
 
+#: The characters surrogateescape decodes a byte that is not UTF-8 to.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def read_jsonl(path: Path, record: Callable[[dict, int], Any]) -> tuple[list, int]:
     """record(obj, lineno) of each non-blank line's JSON object in file order, and the count rejected.
-    A line that is not a JSON object, or whose record call raises ValueError,
-    is logged once as "<file name> line <n> rejected: <reason>" and skipped."""
+    A line that is not UTF-8 or not a JSON object, or whose record call raises
+    ValueError, is logged once as "<file name> line <n> rejected: <reason>"
+    and skipped.  A byte that is not UTF-8 decodes to a lone surrogate
+    (surrogateescape), which no UTF-8 text holds, so it marks its line; an
+    ASCII line (str.isascii, O(1)) holds none and is not searched."""
     kept, rejected = [], 0
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.strip():
                 try:
+                    if not line.isascii() and (byte := _ESCAPED_BYTE.search(line)):
+                        raise ValueError(f"the line is not UTF-8 (byte 0x{ord(byte[0]) - 0xDC00:02x})")
                     kept.append(record(parse_json(line, dict, "the line"), lineno))
                 except ValueError as exc:
                     rejected += 1

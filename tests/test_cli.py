@@ -151,6 +151,29 @@ def test_endpoint_url_without_a_scheme_exits_3_before_any_claim(runner, tmp_path
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("case", ["corpus-dir-holds-a-directory", "index-out-is-a-file", "evaluate-out-is-a-file",
+                                  "analyze-kde-csv-is-a-directory"])
+def test_a_path_the_file_system_refuses_exits_3_naming_it(runner, corpus, tmp_path, no_network, case):
+    (tmp_path / "corpora" / "sub.jsonl").mkdir(parents=True)
+    existing = tmp_path / "existing"
+    existing.write_text("")
+    run = tmp_path / "run"
+    if case.startswith("analyze"):
+        assert runner.invoke(main, ["evaluate", "--mock", "--out", str(run)]).exit_code == 0
+        (run / "kde.csv").mkdir()
+    args, refused = {
+        "corpus-dir-holds-a-directory": (["index", str(tmp_path / "corpora"), "--out", str(tmp_path / "idx")],
+                                         tmp_path / "corpora" / "sub.jsonl"),
+        "index-out-is-a-file": (["index", str(corpus), "--out", str(existing)], existing),
+        "evaluate-out-is-a-file": (["evaluate", "--mock", "--out", str(existing)], existing / "traces"),
+        "analyze-kde-csv-is-a-directory": (["analyze", str(run)], run / "kde.csv"),
+    }[case]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert f"configuration error: {refused}: " in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_debug_log_level_leaves_out_the_http_stack_request_lines(runner, no_network):
     """urllib3 logs each request line, query string and any key in it included, at DEBUG."""
     result = runner.invoke(main, ["--log-level", "debug", "verify", "--mock", "Cats purr."])

@@ -61,11 +61,13 @@ class TestLoadDataset:
             json.dumps({"id": "e", "claim": ["Cats", "purr"], "label": "Supported"}),
             json.dumps({"id": "f", "claim": 123, "label": "Supported"}),
         ]
-        path.write_text("\n".join(lines) + "\n")
+        not_utf8 = b'{"id": "g", "claim": "Bad \xff byte.", "label": "Supported"}\n'
+        path.write_bytes(("\n".join(lines) + "\n").encode() + not_utf8)
         with caplog.at_level("WARNING"):
             claims = load_dataset(DatasetDescriptor(name="t", scheme=scheme, path=path))
         assert [c.id for c in claims] == ["a", "d"]
-        assert caplog.text.count("rejected") == 6
+        assert caplog.text.count("rejected") == 7
+        assert "line 9 rejected: the line is not UTF-8 (byte 0xff)" in caplog.text
         assert "line 2" in caplog.text
         assert "line 7 rejected" in caplog.text
         assert "line 8 rejected" in caplog.text

@@ -74,11 +74,13 @@ class TestBuildLocalIndex:
             json.dumps(GOOD[1]),
             json.dumps(GOOD[0]),  # duplicate doc_id
         ]
-        corpus.write_text("\n".join(lines) + "\n")
+        not_utf8 = b'{"doc_id": "d4", "title": "x", "body": "\xff"}\n'
+        corpus.write_bytes(("\n".join(lines) + "\n").encode() + not_utf8)
         with caplog.at_level("WARNING"):
             index = build_local_index(corpus)
         assert index.doc_count == 2
-        assert index.skipped == 4
+        assert index.skipped == 5
+        assert "line 7 rejected: the line is not UTF-8" in caplog.text
         assert "line 2" in caplog.text
         assert "line 3" in caplog.text
         assert "duplicate doc_id" in caplog.text

@@ -20,7 +20,7 @@ from veriscope.selection import (
     RemoteEmbedder,
     select_evidence,
 )
-from veriscope.sources import split_sentences
+from veriscope.types import split_sentences
 from veriscope.types import PUBMED, PipelineConfig, normalize_sentence
 
 

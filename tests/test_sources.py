@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from conftest import FixtureSource, Reply, ScriptedSession, ZeroVector, cosine_similarity, make_doc
 from veriscope.assets import load_prompt, load_scheme
 from veriscope.errors import ConfigurationError, ProviderUnavailable
+from veriscope import index as index_module
+from veriscope.bm25 import tokenize
 from veriscope.index import LocalIndex
 from veriscope.pipeline import ProviderSet, verify_claim
 from veriscope.selection import EmbeddingMemo, HashedBowEmbedder
@@ -30,7 +32,7 @@ class TestRetrievedDocument:
             )
 
     def test_threads_reading_a_fresh_hit_get_the_same_split(self):
-        # sentences takes no lock, so eight first reads of one hit race.
+        # Eight first reads of one fresh hit's StoredDocument.sentences, a cached_property (no lock from 3.12).
         body = " ".join(f"Sentence number {i} is here." for i in range(300))
         want = tuple(split_sentences(body))
         interval = sys.getswitchinterval()
@@ -58,6 +60,19 @@ class TestRetrievedDocument:
         for hit, other in zip(hits, again):
             assert hit.sentences is hit.stored.sentences
             assert other.sentences is hit.sentences
+
+    def test_a_hit_of_any_source_is_split_once_by_its_document(self, monkeypatch):
+        split = []
+        monkeypatch.setattr(index_module, "split_sentences", lambda body: split.append(body) or split_sentences(body))
+        payload = {"items": [{"title": "Zinc", "snippet": "Colds end. Maybe sooner.", "link": "http://a"}]}
+        source, _ = web_source(Reply(body=payload))
+        [web] = source.retrieve("zinc", 1)
+        made = make_doc("d1", "Cats purr. Dogs bark.", 1)
+        for hit in (web, made):
+            first = hit.sentences
+            assert hit.sentences is first is hit.stored.sentences
+            assert hit.stored.length == len(tokenize(hit.body))
+        assert split == [web.body, made.body]
 
 
 class TestFixtureSource:
@@ -476,6 +491,18 @@ class TestWebSearchSource:
         with pytest.raises(ValueError, match="k must be >= 0"):
             source.retrieve("zinc", -1)
         assert session.requests == []
+
+    def test_zero_k_sends_no_request(self):
+        source, session = web_source()
+        assert source.retrieve("zinc", 0) == []
+        assert session.requests == []
+
+    def test_a_depth_above_ten_asks_for_ten(self):
+        payload = {"items": [{"title": f"T{i}", "snippet": "S.", "link": f"http://{i}"} for i in range(10)]}
+        source, session = web_source(Reply(body=payload))
+        assert len(source.retrieve("zinc", 25)) == 10
+        [request] = session.requests
+        assert request.params["num"] == sources.MAX_SEARCH_RESULTS == 10
 
     def test_null_fields_are_not_the_text_none(self):
         payload = {
