@@ -1,18 +1,20 @@
-"""End-to-end verification of a single claim.
+"""End-to-end verification of a single claim, in two halves.
 
-Stage order per claim: negate (when the condition asks for it),
-retrieve per source for each query (the claim, then its negation), select
-sentence evidence per query, deduplicate by symmetric difference,
-merge split segments, rank against the original claim and truncate,
-union across sources, then predict one verdict per source plus one over
-the merged evidence.  A failing source abstains, through verify_claim's
-abstain, and the rest proceed; each warning logged on the way carries
-claim_id, source and stage (retrieval, selection, ranking or verdict) as
-log-record fields.
+gather_evidence is the evidence half: negate (when the condition asks
+for it), retrieve per source for each query (the claim, then its
+negation), select sentence evidence per query, deduplicate by symmetric
+difference, merge split segments, rank against the original claim and
+truncate, and union across sources.  ask_verdicts is the verdict half:
+over that ClaimEvidence, one verdict per source plus one over the merged
+evidence, from the verdict provider alone.  verify_claim runs one after
+the other.  The stage decides what a failure does, not its class: a
+failing source abstains, through _abstain, and the rest proceed; each
+warning logged on the way carries claim_id, source and stage (retrieval,
+selection, ranking or verdict) as log-record fields.
 
 Only calls that wait on the network use threads.  A provider of a class
 in _IN_PROCESS, or None, runs in-process; any other, a class of your own
-included, waits on the network.  verify_claim applies that rule to each
+included, waits on the network.  Both halves apply that rule to each
 source and to the verdict provider: network-bound calls are submitted
 first to the module's network threads, and in-process ones then run on
 the caller's thread while those requests are in flight; run_experiment
@@ -140,7 +142,7 @@ class ClaimVerification(JsonRecord):
 
     aggregated (aggregate_sources over the bundles) and profile
     (build_profile over the verdicts) are derived here, so from_dict
-    rebuilds them; verify_claim hands over the union it already built.
+    rebuilds them; ask_verdicts hands over the union gather_evidence built.
     """
 
     claim: ClaimPair
@@ -251,6 +253,26 @@ def _outcome(outcome: tuple):
     return value
 
 
+@dataclass(frozen=True)
+class ClaimEvidence:
+    """gather_evidence's result and all ask_verdicts reads: the claim (with its negation
+    under the dual condition), every source's bundle, their union, and the
+    (stage, message) of each source that failed before the verdicts."""
+
+    claim: ClaimPair
+    condition: ClaimCondition
+    bundles: dict[SourceKind, EvidenceBundle]
+    union: AggregatedEvidence
+    failures: dict[SourceKind, tuple[str, str]]
+
+
+def _abstain(failures: dict, claim: ClaimPair, kind: SourceKind, stage: str, exc: Exception) -> None:
+    """Log kind's failure and record it in failures; it fails once, as a retrieval failure leaves nothing to rank."""
+    log.warning("%s failed for claim %s source %s: %s", stage, claim.id, kind, exc,
+                extra={"claim_id": claim.id, "source": kind.name, "stage": stage})
+    failures[kind] = (stage, str(exc))
+
+
 def verify_claim(
     claim: ClaimPair,
     providers: ProviderSet,
@@ -259,20 +281,23 @@ def verify_claim(
     cfg: PipelineConfig | None = None,
     condition: ClaimCondition = ClaimCondition.ORIGINAL_PLUS_NEGATED,
 ) -> ClaimVerification:
-    """Run the full pipeline for one claim and return its trace.
+    """Run the full pipeline for one claim and return its trace: the verdict half over the evidence half."""
+    return ask_verdicts(gather_evidence(claim, providers, cfg, condition), providers.verdicts, scheme, template)
+
+
+def gather_evidence(claim: ClaimPair, providers: ProviderSet, cfg: PipelineConfig | None = None,
+                    condition: ClaimCondition = ClaimCondition.ORIGINAL_PLUS_NEGATED) -> ClaimEvidence:
+    """Negate, retrieve, select, deduplicate, merge, rank and union one claim's evidence.
 
     Under ORIGINAL_ONLY no negation provider is consulted and the
     deduplication stage reduces to plain duplicate removal over the
-    positive evidence.  The stage decides what a failure does, not its
-    class: ProviderUnavailable from any source's retrieve, a zero claim
-    vector at ranking (RankingFailed) and ProviderUnavailable from a
-    verdict call make that source abstain, recorded by abstain; when every
-    source failed before the verdicts, the merged verdict abstains too,
-    without a provider call.  Configuration errors, a failed negation
-    (ProviderUnavailable, DegenerateNegation), a failed embedding call and
-    any other exception raise: a fallback negation would silently change
-    the negative evidence, and a skipped embedding would turn an outage
-    into verdicts on no evidence.
+    positive evidence.  ProviderUnavailable from any source's retrieve and
+    a zero claim vector at ranking (RankingFailed) make that source abstain,
+    recorded in failures at stage retrieval or ranking.  Configuration
+    errors, a failed negation (ProviderUnavailable, DegenerateNegation), a
+    failed embedding call and any other exception raise: a fallback
+    negation would silently change the negative evidence, and a skipped
+    embedding would turn an outage into verdicts on no evidence.
 
     This is the pipeline's one dual retrieval: one flow over the
     condition's queries (the claim, then under the dual condition its
@@ -301,7 +326,6 @@ def verify_claim(
 
     kinds = sorted(providers.sources, key=source_order_key)
     memo = EmbeddingMemo(providers.embedder, list(queries.values()))
-    remote_verdicts = not _in_process(providers.verdicts)
     # one retrieval call per source per query
     calls = {}
     for kind in kinds:
@@ -312,20 +336,13 @@ def verify_claim(
         for polarity, query in queries.items():
             calls[(kind, polarity)] = (network, retrieve, query, cfg.retrieval_depth)
     outcomes = _run_calls(calls)
-    source_errors: dict[SourceKind, str] = {}
-
-    def abstain(kind: SourceKind, stage: str, exc: Exception) -> None:
-        """Log and record kind's failure; it fails once, as a retrieval failure leaves nothing to rank."""
-        log.warning("%s failed for claim %s source %s: %s", stage, claim.id, kind, exc,
-                    extra={"claim_id": claim.id, "source": kind.name, "stage": stage})
-        source_errors[kind] = str(exc)
-
+    failures: dict[SourceKind, tuple[str, str]] = {}
     retrieved: dict[SourceKind, dict[Polarity, list]] = {}
     for kind in kinds:
         try:
             retrieved[kind] = {polarity: _outcome(outcomes[(kind, polarity)]) for polarity in queries}
         except ProviderUnavailable as exc:
-            abstain(kind, "retrieval", exc)
+            _abstain(failures, claim, kind, "retrieval", exc)
 
     # one embedding call for every sentence selection will score
     batch = [
@@ -361,7 +378,7 @@ def verify_claim(
         try:
             final = rank_and_truncate(candidates, claim.text, memo, cfg.final_top_p)
         except RankingFailed as exc:
-            abstain(kind, "ranking", exc)
+            _abstain(failures, claim, kind, "ranking", exc)
             final = []
         bundles[kind] = EvidenceBundle(
             positive=tuple(positive),
@@ -370,31 +387,38 @@ def verify_claim(
             final=tuple(final),
         )
 
-    aggregated = aggregate_sources(bundles)
+    return ClaimEvidence(claim, condition, bundles, aggregate_sources(bundles), failures)
 
-    evidence = {kind: bundles[kind].final for kind in kinds if kind not in source_errors}
-    if evidence:
-        evidence[MERGED] = aggregated.sentences
-    else:
-        source_errors[MERGED] = "every source failed"
+
+def ask_verdicts(
+    evidence: ClaimEvidence, verdicts: VerdictProvider, scheme: LabelScheme, template: str
+) -> ClaimVerification:
+    """One verdict per source that has evidence, plus one over the union, as the trace of evidence's claim.
+
+    ProviderUnavailable from a verdict call makes that source abstain, at
+    stage verdict; when every source failed before the verdicts, the merged
+    verdict abstains too, without a provider call, recorded as "every source
+    failed".  It reads nothing but evidence and calls nothing but verdicts.
+    """
+    claim, failures = evidence.claim, dict(evidence.failures)
+    kinds = sorted(evidence.bundles, key=source_order_key)
+    asked = {kind: evidence.bundles[kind].final for kind in kinds if kind not in failures}
+    if asked:
+        asked[MERGED] = evidence.union.sentences
+    network = not _in_process(verdicts)
     outcomes = _run_calls({
-        kind: (remote_verdicts, predict_verdict, claim, sentences, providers.verdicts, scheme, template)
-        for kind, sentences in evidence.items()
+        kind: (network, predict_verdict, claim, sentences, verdicts, scheme, template)
+        for kind, sentences in asked.items()
     })
 
-    verdicts: dict[SourceKind, VeracityVerdict] = {}
+    answers: dict[SourceKind, VeracityVerdict] = {}
     for kind in kinds + [MERGED]:
         try:
-            verdicts[kind] = _outcome(outcomes[kind]) if kind in evidence else abstain_verdict(scheme)
+            answers[kind] = _outcome(outcomes[kind]) if kind in asked else abstain_verdict(scheme)
         except ProviderUnavailable as exc:
-            abstain(kind, "verdict", exc)
-            verdicts[kind] = abstain_verdict(scheme)
-
-    return ClaimVerification(
-        claim=claim,
-        condition=condition,
-        bundles=bundles,
-        verdicts=verdicts,
-        source_errors=source_errors,
-        union=aggregated,
-    )
+            _abstain(failures, claim, kind, "verdict", exc)
+            answers[kind] = abstain_verdict(scheme)
+    source_errors = {kind: message for kind, (_, message) in failures.items()}
+    if not asked:
+        source_errors[MERGED] = "every source failed"
+    return ClaimVerification(claim, evidence.condition, evidence.bundles, answers, source_errors, union=evidence.union)

@@ -158,7 +158,8 @@ class JsonRecord:
     encodes as its name, an Enum as its value, a tuple as a list, a
     mapping with keys and values encoded alike, a nested dataclass as its
     own dict, and str/int/float/bool/None as themselves.  Key order is
-    left to the writer, which dumps with sort_keys=True.
+    left to the writer, which dumps with sort_keys=True.  Decoding refuses a
+    value of another JSON type than its hint's with TypeError (_expect).
 
     from_dict passes those fields to the constructor, so every
     __post_init__ check applies.  A missing key takes the field's default;
@@ -219,28 +220,39 @@ def _same(value):
     return value
 
 
+_JSON_TYPES = {str: "string", int: "integer", float: "number", bool: "boolean", list: "array", dict: "object",
+               type(None): "null"}
+
+
+def _expect(kind: type, value):
+    """value if it has kind's JSON type (a float field also takes an int, and no number field a bool);
+    any other value raises TypeError naming the expected and the actual JSON type."""
+    if isinstance(value, (int, float) if kind is float else kind) and (kind is bool or type(value) is not bool):
+        return value
+    raise TypeError(f"expected a JSON {_JSON_TYPES[kind]}, got {_JSON_TYPES.get(type(value), type(value).__name__)}")
+
+
 @functools.cache
 def _codec(hint) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
     """(encode, decode) for one type hint, built on first use and cached."""
     if hint is SourceKind:
-        return operator.attrgetter("name"), SourceKind
+        return operator.attrgetter("name"), lambda name: SourceKind(_expect(str, name))
     if isinstance(hint, type) and issubclass(hint, Enum):
         return operator.attrgetter("value"), hint
     if dataclasses.is_dataclass(hint):
         return _dataclass_codec(hint)
     if hint in (str, int, float, bool):
-        return _same, _same
+        return _same, functools.partial(_expect, hint)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is tuple and args[1:] == (Ellipsis,):
         enc, dec = _codec(args[0])
-        if enc is _same:
-            return list, tuple
-        return (lambda xs: [enc(x) for x in xs]), (lambda xs: tuple(dec(x) for x in xs))
+        encode = list if enc is _same else lambda xs: [enc(x) for x in xs]
+        return encode, lambda xs: tuple(map(dec, _expect(list, xs)))
     if origin in (dict, collections.abc.Mapping):
         (key_enc, key_dec), (val_enc, val_dec) = map(_codec, args)
         return (
             lambda m: {key_enc(k): val_enc(v) for k, v in m.items()},
-            lambda m: {key_dec(k): val_dec(v) for k, v in m.items()},
+            lambda m: {key_dec(k): val_dec(v) for k, v in _expect(dict, m).items()},
         )
     if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         enc, dec = _codec(args[0] if args[1] is type(None) else args[1])
@@ -266,6 +278,7 @@ def _dataclass_codec(cls) -> tuple[Callable[[Any], dict], Callable[[Mapping[str,
         return data
 
     def decode(data: Mapping[str, Any]):
+        data = _expect(dict, data)
         return cls(**{name: dec(data[name]) for name, _, dec in codecs if name in data})
 
     return encode, decode

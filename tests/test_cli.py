@@ -337,8 +337,9 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize(
         "content",
         [None, "[1, 2]", "{not json", json.dumps({"name": "x", "labels": ["a", "b"], "option_letters": ["A", "A"]}),
-         json.dumps({"name": "x", "labels": ["a", "abstain"], "option_letters": ["A", "B"]})],
-        ids=["missing", "not-an-object", "not-json", "repeated-letter", "abstain-label"],
+         json.dumps({"name": "x", "labels": ["a", "abstain"], "option_letters": ["A", "B"]}),
+         json.dumps({"name": "x", "labels": "SRN", "option_letters": "ABC"})],
+        ids=["missing", "not-an-object", "not-json", "repeated-letter", "abstain-label", "string-labels"],
     )
     def test_bad_scheme_usage_error(self, runner, tmp_path, command, content):
         scheme = tmp_path / "f.json"
@@ -470,6 +471,18 @@ class TestEvaluateCommand:
         assert "configuration error: " in result.output
         assert "different condition" in result.output
         assert "provider" not in result.output
+
+    def test_resume_onto_a_trace_field_of_another_json_type_exits_3_naming_it(self, runner, tmp_path, no_network):
+        out = tmp_path / "run"
+        assert runner.invoke(main, ["evaluate", "--mock", "--limit", "1", "--out", str(out)]).exit_code == 0
+        (trace,) = (out / "traces").glob("*.json")
+        data = json.loads(trace.read_text())
+        data["verdicts"]["web"]["abstained"] = "false"
+        trace.write_text(json.dumps(data))
+        result = runner.invoke(main, ["evaluate", "--mock", "--limit", "1", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert trace.name in result.output
+        assert "expected a JSON boolean, got string" in result.output
 
     def test_seed_flag_beats_config_file(self, runner, tmp_path, no_network):
         config = tmp_path / "config.json"

@@ -15,7 +15,7 @@ from veriscope.experiment import ExperimentPlan, run_experiment
 from veriscope.index import build_local_index
 from veriscope.mock import MOCK_CONFIG, mock_claims_path, mock_negations, mock_provider_set
 from veriscope.negation import FixtureNegationProvider, RemoteNegationProvider, RuleBasedNegator
-from veriscope.pipeline import ClaimCondition, ProviderSet, _in_process, verify_claim
+from veriscope.pipeline import ClaimCondition, ProviderSet, _in_process, ask_verdicts, gather_evidence, verify_claim
 from veriscope.selection import EmbeddingMemo, HashedBowEmbedder, RemoteEmbedder
 from veriscope.sources import BiomedicalSource, LocalCorpusSource, WebSearchSource
 from veriscope.types import CANONICAL_SOURCES, MERGED, PUBMED, WEB, WIKIPEDIA, ClaimPair
@@ -47,6 +47,12 @@ def fixture_claims():
 @pytest.fixture(scope="module")
 def claim():
     return fixture_claims()[0]
+
+
+def in_halves(claim, providers, scheme, template, cfg=MOCK_CONFIG):
+    """verify_claim's two halves: (gather_evidence's ClaimEvidence, ask_verdicts' trace over it)."""
+    evidence = gather_evidence(claim, providers, cfg)
+    return evidence, ask_verdicts(evidence, providers.verdicts, scheme, template)
 
 
 def with_providers(base, **changes):
@@ -169,7 +175,8 @@ class TestClaimRowsHandOver:
         healthy = verify_claim(claim, mock, scheme, template, MOCK_CONFIG)
         # both fusion calls fail, then the endpoint is back for selection
         flaky = CountingEmbedder(HashedBowEmbedder(), outage=2)
-        result = verify_claim(claim, self.fused(mock, flaky), scheme, template, MOCK_CONFIG)
+        evidence, result = in_halves(claim, self.fused(mock, flaky), scheme, template)
+        assert [(kind, stage) for kind, (stage, _) in evidence.failures.items()] == [(PUBMED, "retrieval")]
         assert set(result.source_errors) == {PUBMED}
         assert result.source_errors[PUBMED].startswith("dense fusion embedding")
         assert result.verdicts[PUBMED].abstained
@@ -231,15 +238,21 @@ class DownSource:
 
 class TestMergedVerdict:
     def test_abstains_without_a_call_when_every_source_failed(
-        self, mock, claim, scheme, template
+        self, mock, claim, scheme, template, caplog
     ):
         verdicts = CountingVerdicts(mock.verdicts)
         sources = {kind: DownSource(kind) for kind in mock.sources}
-        result = verify_claim(
-            claim, with_providers(mock, sources=sources, verdicts=verdicts),
-            scheme, template, MOCK_CONFIG,
-        )
+        with caplog.at_level("WARNING"):
+            evidence, result = in_halves(
+                claim, with_providers(mock, sources=sources, verdicts=verdicts), scheme, template
+            )
         assert verdicts.prompts == []
+        # the evidence half records each source once, at retrieval (nothing is left to rank);
+        # the merged entry is the verdict half's
+        assert evidence.failures == {kind: ("retrieval", f"{kind.name} down") for kind in CANONICAL_SOURCES}
+        assert [(r.source, r.stage) for r in caplog.records if r.name == "veriscope.pipeline"] == [
+            (kind.name, "retrieval") for kind in CANONICAL_SOURCES
+        ]
         assert set(result.source_errors) == set(CANONICAL_SOURCES) | {MERGED}
         assert result.source_errors[MERGED] == "every source failed"
         assert all(verdict.abstained for verdict in result.verdicts.values())
@@ -270,6 +283,41 @@ class TestMergedVerdict:
         assert len(verdicts.prompts) == 2
         assert not result.verdicts[PUBMED].abstained
         assert not result.verdicts[MERGED].abstained
+
+
+class CountingNegator:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def negate(self, claim_text):
+        self.calls += 1
+        return self.inner.negate(claim_text)
+
+
+@pytest.mark.parametrize("condition", list(ClaimCondition))
+def test_each_half_alone_gives_verify_claims_trace(mock, scheme, template, condition):
+    """ask_verdicts run twice over one gather_evidence result gives verify_claim's trace each time;
+    the second run calls the verdict provider once per source and once merged, and nothing else."""
+    embedder, verdicts, negator = (
+        CountingEmbedder(mock.embedder), CountingVerdicts(mock.verdicts), CountingNegator(mock.negator)
+    )
+    sources = {kind: RecordingRemoteSource(source) for kind, source in mock.sources.items()}
+    providers = ProviderSet(sources, embedder, verdicts, negator)
+
+    def evidence_calls():
+        return len(embedder.calls), negator.calls, sum(len(source.threads) for source in sources.values())
+
+    for claim in fixture_claims():
+        expected = verify_claim(claim, mock, scheme, template, MOCK_CONFIG, condition)
+        evidence = gather_evidence(claim, providers, MOCK_CONFIG, condition)
+        first = ask_verdicts(evidence, verdicts, scheme, template)
+        before, prompts = evidence_calls(), len(verdicts.prompts)
+        second = ask_verdicts(evidence, verdicts, scheme, template)
+        assert first == second == expected
+        assert first.encoded() == second.encoded() == expected.encoded()
+        assert len(verdicts.prompts) - prompts == len(sources) + 1
+        assert evidence_calls() == before
 
 
 class ResultRecordingSource(LocalCorpusSource):
@@ -543,9 +591,8 @@ class TestInProcessOutcomes:
         sources = dict(mock.sources)
         sources[WIKIPEDIA] = DownLocalSource(WIKIPEDIA, mock.sources[WIKIPEDIA]._index)
         sources[WEB] = RecordingRemoteSource(mock.sources[WEB])
-        result = verify_claim(
-            claim, with_providers(mock, sources=sources), scheme, template, MOCK_CONFIG
-        )
+        evidence, result = in_halves(claim, with_providers(mock, sources=sources), scheme, template)
+        assert evidence.failures == {WIKIPEDIA: ("retrieval", "wikipedia down")}
         assert result.source_errors == {WIKIPEDIA: "wikipedia down"}
         assert result.verdicts[WIKIPEDIA].abstained
         healthy = verify_claim(claim, mock, scheme, template, MOCK_CONFIG)

@@ -31,7 +31,7 @@ from veriscope.experiment import ExperimentPlan, plan_claims, run_experiment
 from veriscope.index import build_local_index
 from veriscope.mock import MOCK_CONFIG, MOCK_VERDICT_RULES, mock_claims_path, mock_negations
 from veriscope.negation import RemoteNegationProvider, rule_based_negate
-from veriscope.pipeline import ClaimCondition, ProviderSet, verify_claim
+from veriscope.pipeline import ClaimCondition, ProviderSet, ask_verdicts, gather_evidence, verify_claim
 from veriscope.selection import HashedBowEmbedder, RemoteEmbedder
 from veriscope.sources import BiomedicalSource, LocalCorpusSource, WebSearchSource
 from veriscope.types import CANONICAL_SOURCES, MERGED, PUBMED, WEB, WIKIPEDIA
@@ -479,7 +479,9 @@ def test_zero_claim_vector_abstains_every_source(live, caplog):
         return Reply(body={"embeddings": rows})
 
     providers, sessions = live(embed=ScriptedSession(then=zero_claim))
-    result = verify(providers)
+    evidence = gather_evidence(CLAIM, providers, MOCK_CONFIG)
+    assert evidence.failures == {kind: ("ranking", "claim embedded to a zero vector") for kind in CANONICAL_SOURCES}
+    result = ask_verdicts(evidence, providers.verdicts, SCHEME, TEMPLATE)
     assert set(result.source_errors) == set(CANONICAL_SOURCES) | {MERGED}
     assert all("zero vector" in result.source_errors[kind] for kind in CANONICAL_SOURCES)
     assert all(verdict.abstained for verdict in result.verdicts.values())

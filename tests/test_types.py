@@ -1,3 +1,4 @@
+import dataclasses
 import typing
 import unicodedata
 
@@ -13,6 +14,7 @@ from veriscope.types import (
     WEB,
     WIKIPEDIA,
     ClaimPair,
+    JsonRecord,
     LabelScheme,
     PipelineConfig,
     SourceKind,
@@ -215,6 +217,68 @@ class TestSourceKind:
     def test_nonempty_name(self):
         with pytest.raises(ValueError):
             SourceKind("  ")
+
+
+@dataclasses.dataclass(frozen=True)
+class Sample(JsonRecord):
+    """One field of each hint the record codec decodes."""
+
+    name: str = "x"
+    count: int = 1
+    weight: float = 0.5
+    flag: bool = False
+    tags: tuple[str, ...] = ()
+    scores: dict[SourceKind, float] = dataclasses.field(default_factory=dict)
+    source: SourceKind = WEB
+    scheme: LabelScheme | None = None
+
+
+class TestRecordCodec:
+    """Decoding refuses a value of another JSON type than its field's hint names."""
+
+    @pytest.mark.parametrize("field, value, expected, actual", [
+        ("name", 5, "string", "integer"),
+        ("name", None, "string", "null"),
+        ("count", True, "integer", "boolean"),
+        ("count", 1.5, "integer", "number"),
+        ("count", "1", "integer", "string"),
+        ("weight", True, "number", "boolean"),
+        ("weight", "12", "number", "string"),
+        ("flag", "false", "boolean", "string"),
+        ("flag", 0, "boolean", "integer"),
+        ("tags", "SRN", "array", "string"),
+        ("tags", {"a": 1}, "array", "object"),
+        ("tags", [1], "string", "integer"),
+        ("scores", [["web", 1.0]], "object", "array"),
+        ("scores", {"web": "1"}, "number", "string"),
+        ("source", 5, "string", "integer"),
+        ("scheme", "scifact", "object", "string"),
+    ])
+    def test_another_json_type_is_refused(self, field, value, expected, actual):
+        with pytest.raises(TypeError, match=f"^expected a JSON {expected}, got {actual}$"):
+            Sample.from_dict({field: value})
+
+    def test_a_record_that_is_not_an_object_is_refused(self):
+        # "name" in "name" would hold as a substring test
+        with pytest.raises(TypeError, match="^expected a JSON object, got string$"):
+            LabelScheme.from_dict("name")
+
+    def test_a_float_field_takes_an_int(self):
+        assert Sample.from_dict({"weight": 2, "scores": {"web": 3}}) == Sample(weight=2, scores={WEB: 3})
+
+    @pytest.mark.parametrize("record, field, value, expected", [
+        ("scheme", "labels", "SRN", "array"),
+        ("scheme", "option_letters", "ABC", "array"),
+        ("verdict", "abstained", "false", "boolean"),
+        ("logits", "logits", "12", "array"),
+    ])
+    def test_stored_records_of_another_type_are_refused(self, scheme3, record, field, value, expected):
+        from veriscope.verdict import LabelLogits, VeracityVerdict
+
+        logits = LabelLogits(scheme3, (-1.0, -2.0, -3.0))
+        stored = {"scheme": scheme3, "verdict": VeracityVerdict(logits, abstained=False), "logits": logits}[record]
+        with pytest.raises(TypeError, match=f"^expected a JSON {expected}, got string$"):
+            type(stored).from_dict({**stored.to_dict(), field: value})
 
 
 def _json_records(cls):
