@@ -119,7 +119,7 @@ def run_experiment(
     resumes.  Before any claim runs, an existing manifest must be a JSON
     object equal to this run's except for limit and claims, and traces
     without a manifest are refused (ConfigurationError), as is a trace
-    that does not decode or holds another claim text or label.
+    of another claim, condition or source set, or that does not decode.
 
     Each claim's trace is written, or decoded on a resume, and its rows of
     evidence.jsonl and confidences.csv are written in claim order under
@@ -166,7 +166,7 @@ def run_experiment(
     def process(claim: ClaimPair) -> tuple:
         trace_path = traces_dir / _trace_filename(claim.id)
         if trace_path.exists():
-            result, line = _resumed(trace_path, claim)
+            result, line = _resumed(trace_path, claim, plan)
         else:
             result = verify_claim(
                 claim, run_providers, scheme, template, cfg=plan.cfg, condition=plan.condition
@@ -185,13 +185,14 @@ def run_experiment(
     return out_dir
 
 
-def _resumed(trace_path: Path, claim: ClaimPair) -> tuple[ClaimVerification, str]:
-    """The trace at trace_path, decoded and checked against claim, and its evidence.jsonl line.
+def _resumed(trace_path: Path, claim: ClaimPair, plan: ExperimentPlan) -> tuple[ClaimVerification, str]:
+    """The trace at trace_path, decoded and checked against claim and plan, and its evidence.jsonl line.
 
     A trace that does not decode (invalid JSON, not an object, a missing
     key without a default, a value its constructor refuses) or does not
-    encode again is refused, as is a trace of another claim text or label
-    (ConfigurationError naming the file); the file is left as it is.
+    encode again is refused, as is a trace of another claim text or label,
+    condition or source set (ConfigurationError naming the file); the file
+    is left as it is.
     """
     try:
         data = parse_json(trace_path.read_text(encoding="utf-8"), dict, trace_path.name)
@@ -203,6 +204,9 @@ def _resumed(trace_path: Path, claim: ClaimPair) -> tuple[ClaimVerification, str
         ) from exc
     if (result.claim.text, result.claim.gold_label) != (claim.text, claim.gold_label):
         raise ConfigurationError(f"{trace_path} holds another claim; use a fresh output directory")
+    sources = set(plan.sources)
+    if (result.condition, set(result.bundles), set(result.verdicts)) != (plan.condition, sources, sources | {MERGED}):
+        raise ConfigurationError(f"{trace_path} is of another condition or source set; use a fresh output directory")
     return result, line
 
 

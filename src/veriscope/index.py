@@ -221,8 +221,9 @@ class LocalIndex:
         (veriscope-index/1 included), a manifest that is not an object, a
         docs.jsonl record that fails the corpus document rule or whose length is
         not an int >= 0, a terms.json that is not a list of strings, postings
-        that are not 1-D int64, or a docs.jsonl or terms.json whose length is
-        not the manifest's doc_count or term_count raises ConfigurationError."""
+        that are not 1-D int64 or do not fit the index (offsets, rows or tf out
+        of order or range), or a docs.jsonl or terms.json whose length is not
+        the manifest's doc_count or term_count raises ConfigurationError."""
         index_dir = Path(index_dir)
         try:
             manifest = parse_json((index_dir / MANIFEST_FILE).read_text(encoding="utf-8"), dict,
@@ -238,11 +239,21 @@ class LocalIndex:
             if (len(by_row), len(terms)) != (manifest["doc_count"], manifest["term_count"]):
                 raise ValueError(f"{len(by_row)} documents and {len(terms)} terms, not the manifest's "
                                  f"{manifest['doc_count']} and {manifest['term_count']}")
-            arrays = [np.load(index_dir / f"{n}.npy", allow_pickle=False) for n in ARRAY_FILES]
+            offsets, rows, tf = arrays = [np.load(index_dir / f"{n}.npy", allow_pickle=False) for n in ARRAY_FILES]
             for name, array in zip(ARRAY_FILES, arrays):
                 if array.dtype != np.int64 or array.ndim != 1:
                     raise ValueError(f"{name}.npy is {array.ndim}-D {array.dtype}, not 1-D int64")
-            return cls(by_row, dict(zip(terms, count())), *arrays)
+            index = cls(by_row, dict(zip(terms, count())), *arrays)
+            # from_documents lays postings out this way; files from outside may not
+            spans = np.diff(offsets)
+            if offsets[0] != 0 or spans.min(initial=0) < 0:
+                raise ValueError("offsets.npy does not start at 0 or decreases")
+            keys = np.repeat(np.arange(len(terms)), spans) * len(by_row) + rows
+            if rows.min(initial=0) < 0 or rows.max(initial=-1) >= len(by_row) or np.diff(keys).min(initial=1) < 1:
+                raise ValueError(f"rows.npy holds a row outside [0, {len(by_row)}) or not ascending within a term")
+            if tf.min(initial=1) < 1:
+                raise ValueError("tf.npy holds a tf below 1")
+            return index
         except (OSError, ValueError, KeyError) as exc:
             raise ConfigurationError(
                 f"cannot load the index in {index_dir} ({exc}); build it again with "

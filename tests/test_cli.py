@@ -577,7 +577,7 @@ class TestAnalyzeCommand:
         confidences.mkdir()
         result = runner.invoke(main, ["analyze", str(tmp_path)])
         assert result.exit_code == 3, result.output
-        assert f"configuration error: cannot read {confidences}: " in result.output
+        assert f"configuration error: {confidences}: " in result.output
         assert not (tmp_path / "kde.csv").exists()
 
     def test_rerun_identical(self, runner, tmp_path, no_network):

@@ -417,14 +417,21 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="sources"):
             run_plan(tmp_path, providers, scheme, out_name="r", sources=(WIKIPEDIA, PUBMED))
 
-    @pytest.mark.parametrize("changed", [
-        {"claim": "A deficiency of vitamin B12 lowers homocysteine levels."},
-        {"label": "Refuted"},
-    ], ids=["text", "label"])
-    def test_resume_refuses_a_trace_of_another_claim(self, tmp_path, providers, scheme, changed):
-        # the manifest does not record the claims file, so each trace is checked against its claim
-        run_dir = run_plan(tmp_path, providers, scheme)
+    @pytest.mark.parametrize("changed, planned, traced", [
+        ({"claim": "A deficiency of vitamin B12 lowers homocysteine levels."}, {}, {}),
+        ({"label": "Refuted"}, {}, {}),
+        ({}, {}, {"sources": (WIKIPEDIA, PUBMED)}),
+        ({}, {"sources": (WIKIPEDIA, PUBMED)}, {"sources": CANONICAL_SOURCES}),
+        ({}, {}, {"condition": ClaimCondition.ORIGINAL_ONLY}),
+    ], ids=["text", "label", "sources-fewer", "sources-more", "condition"])
+    def test_resume_refuses_a_trace_of_another_claim(self, tmp_path, providers, scheme, changed, planned, traced):
+        # the manifest records neither the claims file nor the run a trace came from,
+        # so each trace is checked against its claim, the condition and the sources
+        run_dir = run_plan(tmp_path, providers, scheme, **planned)
         trace = run_dir / "traces" / "c-001.json"
+        if traced:
+            other = run_plan(tmp_path, providers, scheme, out_name="other", **traced)
+            trace.write_bytes((other / "traces" / "c-001.json").read_bytes())
         held = trace.read_bytes()
         lines = mock_claims_path().read_text().splitlines()
         record = json.loads(lines[0])
@@ -433,7 +440,7 @@ class TestRunExperiment:
         claims.write_text("\n".join([json.dumps({**record, **changed}), *lines[1:]]) + "\n")
         plan = ExperimentPlan(
             dataset=DatasetDescriptor(name="fixture", scheme=scheme, path=claims),
-            sources=CANONICAL_SOURCES,
+            sources=planned.get("sources", CANONICAL_SOURCES),
             condition=ClaimCondition.ORIGINAL_PLUS_NEGATED,
             cfg=MOCK_CONFIG,
         )

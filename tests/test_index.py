@@ -20,6 +20,15 @@ def write_corpus(path, records):
             fh.write(json.dumps(record) + "\n")
 
 
+def with_entry(index, value):
+    """A damage that sets array[index] of a saved .npy file to value(array, manifest)."""
+    def damage(path):
+        array = np.load(path)
+        array[index] = value(array, json.loads((path.parent / "manifest.json").read_text()))
+        np.save(path, array, allow_pickle=False)
+    return damage
+
+
 def assert_same_files(dir_a, dir_b):
     names = sorted(path.name for path in dir_a.iterdir())
     assert names == sorted(path.name for path in dir_b.iterdir())
@@ -214,8 +223,15 @@ class TestPersistence:
         ("terms.json", lambda path: path.write_text(json.dumps(list(range(len(json.loads(path.read_text()))))))),
         ("docs.jsonl", lambda path: path.write_text(re.sub(r'"length": (\d+)', r'"length": "\1"',
                                                            path.read_text(), count=1))),
+        ("rows.npy", with_entry(0, lambda array, manifest: manifest["doc_count"])),
+        ("rows.npy", with_entry(0, lambda array, manifest: -1)),
+        ("rows.npy", with_entry(slice(None), lambda array, manifest: 0)),
+        ("tf.npy", with_entry(0, lambda array, manifest: 0)),
+        ("offsets.npy", with_entry(0, lambda array, manifest: 1)),
+        ("offsets.npy", with_entry(1, lambda array, manifest: array[2] + 1)),
     ], ids=["manifest-array", "docs-array", "docs-string", "terms-number", "rows-float",
-            "terms-integers", "docs-length-string"])
+            "terms-integers", "docs-length-string", "rows-doc-count", "rows-negative", "rows-not-ascending",
+            "tf-zero", "offsets-start", "offsets-decrease"])
     def test_rejects_malformed_files(self, tmp_path, name, damage):
         index_dir = tmp_path / "index"
         build_local_index(fixture_path("corpus_pubmed.jsonl"), index_dir)

@@ -52,10 +52,14 @@ class TestNormalizeSentence:
         assert not any(unicodedata.category(ch).startswith("P") for ch in out)
 
 
+def reference_strip(raw):
+    """The per-character definition strip_punctuation must reproduce."""
+    return "".join([ch for ch in raw if unicodedata.category(ch)[0] != "P"]).lower()
+
+
 def reference_normalize(raw):
     """The per-character definition normalize_sentence must reproduce."""
-    kept = "".join(ch for ch in raw if not unicodedata.category(ch).startswith("P"))
-    return " ".join(kept.lower().split())
+    return " ".join(reference_strip(raw).split())
 
 
 def reference_tokenize(raw):
@@ -63,27 +67,38 @@ def reference_tokenize(raw):
     return reference_normalize(raw).split()
 
 
+def outputs(text):
+    return types.strip_punctuation(text), normalize_sentence(text), tokenize(text)
+
+
+def reference_outputs(text):
+    stripped = reference_strip(text)
+    return stripped, " ".join(stripped.split()), stripped.split()
+
+
+def embedded(code_points):
+    return "A" + "bA".join(map(chr, code_points)) + "b"
+
+
 def test_normalize_matches_reference_for_every_code_point():
+    # ASCII code points one at a time take the bytes path; every other code
+    # point goes through the table inside a block of "A" + ch + "b" pieces.
     try:
-        for code_point in range(0x110000):
-            ch = chr(code_point)
-            assert normalize_sentence(ch) == reference_normalize(ch), hex(code_point)
-            embedded = "A" + ch + "b"
-            assert normalize_sentence(embedded) == reference_normalize(embedded), hex(code_point)
+        for code_point in range(0x80):
+            for text in (chr(code_point), embedded([code_point])):
+                assert outputs(text) == reference_outputs(text), hex(code_point)
+        for start in range(0x80, 0x110000, 0x1000):
+            block = range(start, min(start + 0x1000, 0x110000))
+            text = embedded(block)
+            if outputs(text) != reference_outputs(text):
+                first = next(
+                    (hex(c) for c in block if outputs(embedded([c])) != reference_outputs(embedded([c]))),
+                    f"none alone in {hex(block[0])}-{hex(block[-1])}",
+                )
+                pytest.fail(f"first differing code point: {first}")
     finally:
         # Every code point is now cached; drop them so later tests run with
         # the table ordinary text would leave.
-        types.PUNCTUATION_TABLE.clear()
-
-
-def test_tokenize_matches_reference_for_every_code_point():
-    try:
-        for code_point in range(0x110000):
-            ch = chr(code_point)
-            assert tokenize(ch) == reference_tokenize(ch), hex(code_point)
-            embedded = "A" + ch + "b"
-            assert tokenize(embedded) == reference_tokenize(embedded), hex(code_point)
-    finally:
         types.PUNCTUATION_TABLE.clear()
 
 
