@@ -16,7 +16,6 @@ precision / recall / F1.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from .errors import DegenerateSamples, TooFewSamples, UnknownGoldLabel, WrongAri
 from .types import ABSTAIN_LABEL, MERGED, JsonRecord, LabelScheme, SourceKind, source_order_key
 from .verdict import VeracityVerdict
 
-log = logging.getLogger(__name__)
 
 DEFAULT_GRID_POINTS = 512
 _GRID_PADDING_BANDWIDTHS = 4.0
@@ -328,7 +326,6 @@ def kde_by_group(
         try:
             curves[key] = kde(samples, grid_points=grid_points)
         except DegenerateSamples as exc:
-            log.warning("skipping KDE for regime=%s source=%s: %s", key[0], key[1], exc)
             skipped.append((key[0], key[1], str(exc)))
     return curves, skipped
 

@@ -49,7 +49,7 @@ from .aggregation import (
     symmetric_difference_dedup,
 )
 from .analysis import SourceConfidenceProfile, build_profile
-from .errors import ConfigurationError, ProviderUnavailable, RankingFailed
+from .errors import ConfigurationError, NoValidOption, ProviderUnavailable, RankingFailed
 from .negation import FixtureNegationProvider, NegationProvider, RuleBasedNegator, negate_claim
 from .selection import EmbeddingMemo, EmbeddingProvider, HashedBowEmbedder, Polarity, select_evidence
 from .sources import BiomedicalSource, KnowledgeSource, LocalCorpusSource
@@ -395,10 +395,11 @@ def ask_verdicts(
 ) -> ClaimVerification:
     """One verdict per source that has evidence, plus one over the union, as the trace of evidence's claim.
 
-    ProviderUnavailable from a verdict call makes that source abstain, at
-    stage verdict; when every source failed before the verdicts, the merged
-    verdict abstains too, without a provider call, recorded as "every source
-    failed".  It reads nothing but evidence and calls nothing but verdicts.
+    ProviderUnavailable or NoValidOption from a verdict call makes that
+    source abstain at stage verdict, here and nowhere else; when every source
+    failed before the verdicts, the merged verdict abstains too, without a
+    provider call, as "every source failed".  It reads nothing but evidence
+    and calls nothing but verdicts.
     """
     claim, failures = evidence.claim, dict(evidence.failures)
     kinds = sorted(evidence.bundles, key=source_order_key)
@@ -415,7 +416,7 @@ def ask_verdicts(
     for kind in kinds + [MERGED]:
         try:
             answers[kind] = _outcome(outcomes[kind]) if kind in asked else abstain_verdict(scheme)
-        except ProviderUnavailable as exc:
+        except (ProviderUnavailable, NoValidOption) as exc:
             _abstain(failures, claim, kind, "verdict", exc)
             answers[kind] = abstain_verdict(scheme)
     source_errors = {kind: message for kind, (_, message) in failures.items()}

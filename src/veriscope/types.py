@@ -198,7 +198,7 @@ def read_jsonl(path: Path, record: Callable[[dict, int], Any]) -> tuple[list, in
     (surrogateescape), which no UTF-8 text holds, so it marks its line; an
     ASCII line (str.isascii, O(1)) holds none and is not searched."""
     kept, rejected = [], 0
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.strip():
                 try:

@@ -86,7 +86,7 @@ def logits_from_letter_logprobs(
     when no scheme letter appears in the map at all.
     """
     if not any(letter in letter_logprobs for letter in scheme.option_letters):
-        raise NoValidOption(f"no valid option letter among {sorted(letter_logprobs)}")
+        raise NoValidOption(f"no option letter of {scheme.name} ({', '.join(scheme.option_letters)}) in the reply")
     return LabelLogits(
         scheme,
         tuple(
@@ -138,7 +138,7 @@ def confidence_from_logits(label_logits: LabelLogits) -> tuple[str, float]:
 
 
 def abstain_verdict(scheme: LabelScheme) -> VeracityVerdict:
-    """Verdict recorded when a provider yields no usable option probability."""
+    """The verdict of a source that abstains; pipeline.ask_verdicts alone makes one."""
     return VeracityVerdict(LabelLogits(scheme, (DEFAULT_LOGPROB_FLOOR,) * scheme.m), abstained=True)
 
 
@@ -152,16 +152,12 @@ def predict_verdict(
     """Prompt the provider and map its letter probabilities to a verdict.
 
     The label is the argmax over valid option letters only, so an
-    off-scheme top token cannot leak through.  When no letter received
-    probability (NoValidOption) the verdict is an abstention at the
-    confidence floor.  ProviderUnavailable propagates to the caller.
+    off-scheme top token cannot leak through.  NoValidOption and
+    ProviderUnavailable propagate: pipeline.ask_verdicts makes either an
+    abstention with its cause.
     """
     prompt = build_prompt(claim.text, evidence, scheme, template)
-    try:
-        label_logits = provider.choose(prompt, scheme)
-    except NoValidOption:
-        return abstain_verdict(scheme)
-    return VeracityVerdict(label_logits, abstained=False)
+    return VeracityVerdict(provider.choose(prompt, scheme), abstained=False)
 
 
 def _stable_unit_hash(text: str) -> float:
@@ -213,7 +209,8 @@ class RuleVerdictProvider:
         if letter is None:
             letter = self._default_letter or scheme.option_letters[-1]
         if letter not in scheme.option_letters:
-            raise NoValidOption(f"rule letter {letter!r} not in scheme {scheme.name!r}")
+            letters = ", ".join(scheme.option_letters)
+            raise NoValidOption(f"rule letter {letter!r} is no option letter of {scheme.name} ({letters})")
         # Emit true log-probabilities: chosen mass in (0.88, 0.98), the
         # remainder split evenly, so log-softmax equals the raw values.
         chosen_prob = 0.98 - 0.1 * _stable_unit_hash(block)

@@ -559,6 +559,15 @@ class TestAnalyzeCommand:
         assert coverage in result.stderr
         assert result.stdout.startswith(f"wrote {out / 'kde.csv'} (")
 
+    def test_each_skipped_curve_is_reported_once(self, runner, tmp_path, no_network, caplog):
+        out = self._evaluated(runner, tmp_path)
+        result = runner.invoke(main, ["analyze", str(out)])
+        assert result.exit_code == 0, result.output
+        skipped = [line for line in result.stderr.splitlines() if line.startswith("skipped regime=")]
+        assert skipped and len(set(skipped)) == len(skipped)
+        # the returned skips are the one report: no log record repeats them
+        assert "skipping KDE" not in result.stderr + caplog.text
+
     def test_missing_confidences_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", str(tmp_path)])
         assert result.exit_code == 2

@@ -72,6 +72,19 @@ class TestLoadDataset:
         assert "line 7 rejected" in caplog.text
         assert "line 8 rejected" in caplog.text
 
+    def test_a_byte_order_mark_keeps_the_first_claim(self, tmp_path, scheme, caplog):
+        path = tmp_path / "claims.jsonl"
+        lines = [
+            json.dumps({"id": "a", "claim": "Cats purr.", "label": "Supported"}),
+            json.dumps({"id": "b", "claim": "Dogs bark.", "label": "Refuted"}),
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        with caplog.at_level("WARNING"):
+            claims = load_dataset(DatasetDescriptor(name="t", scheme=scheme, path=path))
+        assert [c.id for c in claims] == ["a", "b"]
+        assert "rejected" not in caplog.text
+
     def test_rejects_duplicate_claim_ids(self, tmp_path, scheme, caplog):
         path = tmp_path / "claims.jsonl"
         lines = [

@@ -94,6 +94,15 @@ class TestBuildLocalIndex:
         assert "line 3" in caplog.text
         assert "duplicate doc_id" in caplog.text
 
+    def test_a_byte_order_mark_keeps_the_first_document(self, tmp_path, caplog):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(record) + "\n" for record in GOOD), encoding="utf-8-sig")
+        assert corpus.read_bytes().startswith(b"\xef\xbb\xbf")
+        with caplog.at_level("WARNING"):
+            index = build_local_index(corpus)
+        assert (index.doc_count, index.skipped) == (2, 0)
+        assert "rejected" not in caplog.text
+
     def test_malformed_only_corpus_is_empty(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("garbage\n{}\n")

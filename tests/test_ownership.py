@@ -51,6 +51,9 @@ RULES = (
          "StoredDocument.sentences, instead"),
     Rule("one JSON parser", "src", ("json.loads", "json.load", "json.JSONDecoder"), "types.py:parse_json",
          "a module of src/veriscope parses JSON itself; call types.parse_json or types.read_jsonl instead"),
+    Rule("one abstention door", "src", ("veriscope.verdict.abstain_verdict",), "pipeline.py:ask_verdicts",
+         "a verdict abstains outside pipeline.ask_verdicts, so its cause reaches no source_errors entry; "
+         "raise instead and let ask_verdicts abstain through _abstain"),
 )
 
 
@@ -200,6 +203,10 @@ RULE = {rule.name: rule for rule in RULES}
     ("one sentence splitter", "assets/__init__.py", "from .. import types\ntypes.split_sentences('A. B.')\n"),
     ("one JSON parser", "cli.py", "import json\njson.loads('{}')\n"),
     ("one JSON parser", "types.py", "from json import loads\ndef read_jsonl(line): return loads(line)\n"),
+    ("one abstention door", "verdict.py", "def predict_verdict(scheme):\n    return abstain_verdict(scheme)\n"
+                                          "def abstain_verdict(scheme):\n    pass\n"),
+    ("one abstention door", "pipeline.py", "from . import verdict\n"
+                                           "def verify_claim(s): return verdict.abstain_verdict(s)\n"),
 ])
 def test_each_rule_flags_a_breach(name, relative, source):
     assert violations(RULE[name], [(relative, source)]) == [f"{relative}:2: {RULE[name].message}"]

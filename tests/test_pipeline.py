@@ -285,6 +285,18 @@ class TestMergedVerdict:
         assert not result.verdicts[MERGED].abstained
 
 
+def test_an_off_scheme_rule_letter_abstains_with_its_cause(mock, claim, scheme, template, caplog):
+    providers = with_providers(mock, verdicts=RuleVerdictProvider([("", "", "Z")]))
+    with caplog.at_level("WARNING"):
+        result = verify_claim(claim, providers, scheme, template, MOCK_CONFIG)
+    assert all(verdict.abstained for verdict in result.verdicts.values())
+    assert set(result.source_errors) == set(CANONICAL_SOURCES) | {MERGED}
+    assert all("of scifact (A, B, C)" in message for message in result.source_errors.values())
+    assert sorted((r.source, r.stage) for r in caplog.records if r.name == "veriscope.pipeline") == sorted(
+        (kind.name, "verdict") for kind in result.verdicts
+    )
+
+
 class CountingNegator:
     def __init__(self, inner):
         self.inner = inner

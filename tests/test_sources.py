@@ -518,26 +518,6 @@ class TestWebSearchSource:
         assert [(d.title, d.body) for d in docs] == [("", "First."), ("", ""), ("Third", "Third. ")]
         assert not any("None" in d.body for d in docs)
 
-    def test_http_error(self, backoff_sleeps):
-        # 503 is retried with exponential backoff, then the source gives up
-        source, session = web_source(*[Reply(503)] * 5)
-        with pytest.raises(ProviderUnavailable, match="HTTP 503"):
-            source.retrieve("zinc", 2)
-        assert len(session.requests) == 5
-        assert backoff_sleeps == [0.5, 1.0, 2.0, 4.0]
-
-    def test_client_error_is_not_retried(self):
-        source, session = web_source(Reply(403))
-        with pytest.raises(ProviderUnavailable, match="HTTP 403"):
-            source.retrieve("zinc", 2)
-        assert len(session.requests) == 1
-
-    def test_network_error(self, backoff_sleeps):
-        source, session = web_source(*[Reply(error=requests.ConnectionError)] * 5)
-        with pytest.raises(ProviderUnavailable, match="ConnectionError"):
-            source.retrieve("zinc", 2)
-        assert len(session.requests) == 5
-
     def test_network_error_redacts_api_key(self, backoff_sleeps):
         key = "sk/secret+key"
         url = "https://search.example/v1?key=sk%2Fsecret%2Bkey&cx=e&q=zinc"

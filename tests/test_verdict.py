@@ -169,7 +169,7 @@ class TestLetterLogprobs:
         assert logits.logits == (-20.0, -0.2, -20.0)
 
     def test_no_valid_letter(self, scheme3):
-        with pytest.raises(NoValidOption):
+        with pytest.raises(NoValidOption, match=r"^no option letter of scifact \(A, B, C\) in the reply$"):
             logits_from_letter_logprobs(scheme3, {"Z": -0.1})
 
 
@@ -203,11 +203,10 @@ class TestPredictVerdict:
         assert not verdict.abstained
 
     def test_abstains_when_no_valid_option(self, scheme3):
+        # the abstention, with its cause, is pipeline.ask_verdicts' to make
         claim = ClaimPair(id="c1", text="The sky is blue.")
-        verdict = predict_verdict(claim, [], _NoOptionProvider(), scheme3, TEMPLATE)
-        assert verdict.abstained
-        assert verdict.label == ABSTAIN_LABEL
-        assert verdict.confidence == DEFAULT_LOGPROB_FLOOR
+        with pytest.raises(NoValidOption):
+            predict_verdict(claim, [], _NoOptionProvider(), scheme3, TEMPLATE)
 
     def test_provider_unavailable_propagates(self, scheme3):
         claim = ClaimPair(id="c1", text="The sky is blue.")
