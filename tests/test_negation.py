@@ -2,10 +2,11 @@ import dataclasses
 import threading
 
 import pytest
+import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ScriptedSession, completion
+from conftest import Reply, ScriptedSession, completion
 from veriscope._http import MAX_IN_FLIGHT, JsonHttpClient
 from veriscope.errors import DegenerateNegation, ProviderUnavailable
 from veriscope.negation import (
@@ -155,10 +156,22 @@ class TestRemoteNegationProvider:
         assert request.json["model"] == "m"
         assert "cheese" in request.json["messages"][0]["content"]
 
+    def test_gives_up_after_retries(self, backoff_sleeps):
+        session = ScriptedSession(*[Reply(429)] * 5)
+        with pytest.raises(ProviderUnavailable, match=r"giving up after retries \(HTTP 429\)"):
+            remote_negator(session).negate("So.")
+        assert len(session.requests) == 5
+
     @pytest.mark.parametrize("content", [None, 7, ["Not so."]], ids=["null", "number", "list"])
     def test_content_not_text_is_unavailable(self, content):
         with pytest.raises(ProviderUnavailable, match="not text"):
             remote_negator(ScriptedSession(completion(content))).negate("So.")
+
+    def test_network_error(self, backoff_sleeps):
+        session = ScriptedSession(*[Reply(error=requests.ConnectionError)] * 5)
+        with pytest.raises(ProviderUnavailable, match="ConnectionError"):
+            remote_negator(session).negate("So.")
+        assert len(session.requests) == 5
 
     def test_bounded_in_flight(self):
         session = ScriptedSession(then=dataclasses.replace(completion("Not so."), delay=0.1))

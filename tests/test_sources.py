@@ -518,6 +518,18 @@ class TestWebSearchSource:
         assert [(d.title, d.body) for d in docs] == [("", "First."), ("", ""), ("Third", "Third. ")]
         assert not any("None" in d.body for d in docs)
 
+    def test_client_error_is_not_retried(self):
+        source, session = web_source(Reply(403))
+        with pytest.raises(ProviderUnavailable, match="HTTP 403"):
+            source.retrieve("zinc", 2)
+        assert len(session.requests) == 1
+
+    def test_network_error(self, backoff_sleeps):
+        source, session = web_source(*[Reply(error=requests.ConnectionError)] * 5)
+        with pytest.raises(ProviderUnavailable, match="ConnectionError"):
+            source.retrieve("zinc", 2)
+        assert len(session.requests) == 5
+
     def test_network_error_redacts_api_key(self, backoff_sleeps):
         key = "sk/secret+key"
         url = "https://search.example/v1?key=sk%2Fsecret%2Bkey&cx=e&q=zinc"
